@@ -23,10 +23,14 @@ import sys
 from dataclasses import dataclass
 
 from . import construction, fszcheck, gncount, spgroup
-from .mixedmod import GroupParams, MatrixInvariantError, ParameterError
+from .mixedmod import (
+    GroupParams,
+    MatrixInvariantError,
+    ParameterError,
+    VerificationError,
+)
 from .spgroup import ElementSyntaxError, EnumerationLimitError, SpjGroup
 from .gncount import TableError
-from .fszcheck import VerificationError
 
 DEFAULT_LIMIT = spgroup.DEFAULT_ENUMERATION_LIMIT
 SELFTEST_GRID = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
@@ -65,6 +69,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _limit(text: str) -> int:
+    # No S(p,j) has an order between 10^8 and |S(11,1)| > 3 * 10^12, and
+    # no table that large can be loaded, so a higher guard only invites
+    # scans that cannot fit in memory.
+    value = _positive_int(text)
+    if value > DEFAULT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"the enumeration limit is at most {DEFAULT_LIMIT}, got {text}"
+        )
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -77,8 +93,8 @@ def build_parser() -> _Parser:
     )
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument(
-        "--limit", type=_positive_int, default=DEFAULT_LIMIT,
-        help=f"enumeration guard in elements (default {DEFAULT_LIMIT})",
+        "--limit", type=_limit, default=DEFAULT_LIMIT,
+        help=f"enumeration guard in elements (default and maximum {DEFAULT_LIMIT})",
     )
 
     parser = _Parser(prog="fsz-forge", description=__doc__.splitlines()[0])
@@ -216,10 +232,6 @@ def _do_verify(cfg: RunConfig) -> tuple[dict, int]:
     return out, 0 if ok else 2
 
 
-def _witness_payload(verdict: fszcheck.FszVerdict, describe) -> dict:
-    return verdict.as_dict(describe)
-
-
 def _do_witness(cfg: RunConfig) -> tuple[dict, int]:
     params = _params(cfg)
     G = SpjGroup(params)
@@ -240,7 +252,7 @@ def _do_witness(cfg: RunConfig) -> tuple[dict, int]:
         )
     out = {
         "kind": "witness",
-        **_witness_payload(verdict, describe),
+        **verdict.as_dict(describe),
         "head": [f"designated pair of {verdict.group}, n = {verdict.n}"],
         "tail": [f"verdict: {verdict.verdict}"],
         "rows": rows,

@@ -21,15 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gncount import (
-    SpjIndexed,
-    TableGroup,
-    exponent,
-    gn_count_structured,
-    indexed_view,
-    structured_tables,
-)
-from .mixedmod import GroupParams, MixedVector, ParameterError
+from .gncount import _guard, exponent, gn_count_structured, structured_tables
+from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
@@ -43,10 +36,6 @@ from .spgroup import (
 )
 
 NO_REDUCTION_LIMIT = 4096
-
-
-class VerificationError(RuntimeError):
-    """A result contradicts an identity the library is built on."""
 
 
 @dataclass(frozen=True)
@@ -129,58 +118,35 @@ def residue_witness_classes(G, g) -> list[int]:
         else:
             k = (1 - m) * pow(og, -1, R) % R
             lifted = m + og * k
-        assert math.gcd(lifted, N) == 1
+        if math.gcd(lifted, N) != 1:
+            raise VerificationError(
+                f"lift {lifted} of the unit {m} mod {og} is not coprime to {N}"
+            )
         out.append(lifted)
     return out
 
 
-def conjugacy_class_reps(view, G) -> list[int]:
+def conjugacy_class_reps(G, threads: int | None = None) -> list[int]:
     """Smallest-index representatives of the conjugacy classes.
 
-    TableGroups conjugate each element by everything at once (their
-    conjugator set is the whole group); the structured family walks
-    orbits under its few generators, whose closure is the same since
-    conjugation by a product composes the generator actions.
+    G.class_marker marks the whole class of each new representative:
+    tables conjugate it by every element at once, S(p,j) walks its orbit
+    under the few generators.
     """
-    N = view.N
-    visited = np.zeros(N, dtype=bool)
+    visited = np.zeros(G.N, dtype=bool)
     reps = []
-    if isinstance(G, TableGroup):
-        T = G.array
-        inv = G.inverse
-        everyone = np.arange(N)
-        for a in range(N):
-            if visited[a]:
-                continue
+    mark = G.class_marker(threads)
+    for a in range(G.N):
+        if not visited[a]:
             reps.append(a)
-            visited[T[T[inv, a], everyone]] = True
-    else:
-        perms = []
-        for c in G.conjugators():
-            c_idx = view.from_element(c)
-            left = view.leftmul_array(view.invert_index(c_idx))
-            right = view.rightmul_array(c_idx)
-            perms.append(right[left])
-        for a in range(N):
-            if visited[a]:
-                continue
-            reps.append(a)
-            visited[a] = True
-            frontier = [a]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for perm in perms:
-                        y = int(perm[x])
-                        if not visited[y]:
-                            visited[y] = True
-                            nxt.append(y)
-                frontier = nxt
+            mark(a, visited)
     return reps
 
 
-def _centralizer_indices(view, g_idx: int) -> np.ndarray:
-    return np.nonzero(view.rightmul_array(g_idx) == view.leftmul_array(g_idx))[0]
+def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
+    return np.nonzero(
+        G.rightmul_array(g_idx, threads) == G.leftmul_array(g_idx, threads)
+    )[0]
 
 
 def _power_buckets(P: np.ndarray) -> dict[int, np.ndarray]:
@@ -197,49 +163,48 @@ def _power_buckets(P: np.ndarray) -> dict[int, np.ndarray]:
 _PAIR_CHUNK = 1 << 22
 
 
-def _u_counts(view, bucket: np.ndarray) -> np.ndarray:
+def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
     """counts[u] = |{a in bucket : a*u^{-1} in bucket}| for every u.
 
     The condition a*u^{-1} = c pins u = c^{-1}*a, so each ordered bucket
     pair (a, c) contributes to exactly one u; a histogram over all pairs
     yields every u at once.  Pair blocks are capped to bound memory.
     """
-    counts = np.zeros(view.N, dtype=np.int64)
+    counts = np.zeros(G.N, dtype=np.int64)
     k = int(bucket.size)
     if not k:
         return counts
-    cinv = view.invert_index_array(bucket)
+    cinv = G.invert_index_array(bucket)
     step = max(1, _PAIR_CHUNK // k)
     for i in range(0, k, step):
         block = cinv[i : i + step]
-        us = view.mul_index_arrays(np.repeat(block, k), np.tile(bucket, block.size))
-        counts += np.bincount(us, minlength=view.N)
+        us = G.mul_index_arrays(np.repeat(block, k), np.tile(bucket, block.size))
+        counts += np.bincount(us, minlength=G.N)
     return counts
 
 
 def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerdict:
-    view = indexed_view(G, threads)
-    N = view.N
-    P = view.pow_index_array(n)
+    N = G.N
+    P = G.pow_index_array(n, threads)
     buckets = _power_buckets(P)
     empty = np.empty(0, dtype=np.int64)
 
     if reduction:
-        reps = conjugacy_class_reps(view, G)
+        reps = conjugacy_class_reps(G, threads)
     else:
         reps = list(range(N))
 
     pairs = 0
     comparisons = 0
     for g_idx in reps:
-        g_el = view.to_element(g_idx)
+        g_el = G.to_element(g_idx)
         ms = residue_witness_classes(G, g_el)
         if not ms:
             # Only the identity has order 1; its centralizer is everything.
             pairs += N
             continue
-        targets = [(m, view.from_element(G.power(g_el, m))) for m in ms]
-        cent = _centralizer_indices(view, g_idx)
+        targets = [(m, G.from_element(G.power(g_el, m))) for m in ms]
+        cent = _centralizer_indices(G, g_idx, threads)
         needed = {g_idx: buckets.get(g_idx, empty)}
         for _, t_idx in targets:
             needed.setdefault(t_idx, buckets.get(t_idx, empty))
@@ -248,7 +213,7 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
             pairs += int(cent.size)
             comparisons += int(cent.size) * len(targets)
             continue
-        hist = {idx: _u_counts(view, b) for idx, b in needed.items()}
+        hist = {idx: _u_counts(G, b) for idx, b in needed.items()}
         counts_g = hist[g_idx][cent]
         mismatch = np.empty((int(cent.size), len(targets)), dtype=bool)
         for col, (_, t_idx) in enumerate(targets):
@@ -269,7 +234,7 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
                 n=n,
                 verdict=f"non-FSZ_{n}",
                 witness=FszWitness(
-                    view.to_element(u_idx),
+                    G.to_element(u_idx),
                     g_el,
                     m,
                     int(counts_g[u_pos]),
@@ -303,8 +268,7 @@ def _structured_full_scan(G: SpjGroup, threads: int | None) -> FszVerdict:
     """
     params = G.params
     p, pj, d = params.p, params.n, params.dim
-    view = SpjIndexed(G, threads)
-    N = view.N
+    N = G.N
     row0 = np.array(b_power_row0(params), dtype=np.int64)
     t_table_t, ic_t = structured_tables(params)
     t_table = np.array(t_table_t, dtype=np.int64)
@@ -312,8 +276,8 @@ def _structured_full_scan(G: SpjGroup, threads: int | None) -> FszVerdict:
     m_grid = np.arange(pj, dtype=np.int64)
 
     def job(start: int, stop: int) -> np.ndarray:
-        V, K = view.decode(np.arange(start, stop, dtype=np.int64))
-        Wv, Kb = view.inv(V, K)
+        V, K = G.decode(np.arange(start, stop, dtype=np.int64))
+        Wv, Kb = G.inv(V, K)
         deltas = (Wv @ row0.T) % p
         ic2 = ic[t_table[(m_grid[None, :] + Kb[:, None]) % pj]]
         ic1 = ic[t_table]
@@ -324,7 +288,7 @@ def _structured_full_scan(G: SpjGroup, threads: int | None) -> FszVerdict:
             block[:, rhs - 1] = (s1[None, :] == s2).sum(axis=1)
         return block
 
-    consist = np.concatenate(view.map_chunks(job))
+    consist = np.concatenate(G.map_chunks(job, threads))
     per_m = pj * p ** (pj - 2)
     ms = [m for m in range(2, p)]
 
@@ -429,10 +393,7 @@ def check_fsz_n(
             f"the no-reduction scan is for cross-validation on tiny groups: "
             f"order {G.order()} exceeds {no_reduction_limit}"
         )
-    if G.order() > limit:
-        raise EnumerationLimitError(
-            f"group order {G.order()} exceeds the enumeration limit {limit}"
-        )
+    _guard(G, limit)
     return _generic_scan(G, n, reduction=reduction, threads=threads)
 
 

@@ -10,6 +10,19 @@ other; nothing here shares intermediate results between them.
 
 Multiplication tables for external groups enter through validate_table,
 which checks the group axioms before anything downstream trusts them.
+
+The group interface.  Both families, spgroup.SpjGroup and TableGroup,
+implement it, and the counters and scans take the group itself:
+
+- N, identity_index, order(), identity(), describe();
+- scalar elements: multiply, invert, power, element_order,
+  describe_element, and to_element / from_element, which map between
+  elements and their indices 0..N-1;
+- index arrays: pow_index_array(n), rightmul_array(x), leftmul_array(x),
+  mul_index_arrays(a, b), invert_index(x), invert_index_array(a),
+  orders_exponent(), and class_marker(), which returns a function that
+  marks the conjugacy class of an index.  Methods that sweep the whole
+  group take a per-call threads count.
 """
 
 from __future__ import annotations
@@ -17,39 +30,25 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .mixedmod import GroupParams, MixedVector, ParameterError
+from .mixedmod import GroupParams, MixedVector
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
     SElement,
-    SpjGroup,
     b_power_row0,
-    element_at,
-    element_index,
     invert,
     t_of_b_exponent,
 )
-from .construction import build_b
-from .mixedmod import mat_pow
 
 MAX_WITNESSES = 16
-_CHUNK = 1 << 16
 _FULL_ASSOC_LIMIT = 512
 _SAMPLED_TRIPLES = 10 ** 6
-
-
-def _default_threads(threads: int | None) -> int:
-    if threads is not None and threads >= 1:
-        return threads
-    return max(1, os.cpu_count() or 1)
 
 
 class TableError(ValueError):
@@ -79,10 +78,14 @@ class GnCount:
 
 
 class TableGroup:
-    """Group given by a validated multiplication table over 0..order-1."""
+    """Group given by a validated multiplication table over 0..order-1.
+
+    Implements the group interface above; elements already are indices.
+    """
 
     def __init__(self, array: np.ndarray, identity_index: int, name: str | None):
         self.array = array
+        self.N = len(array)
         self.identity_index = identity_index
         self.name = name
         self.inverse = np.empty(len(array), dtype=np.int64)
@@ -102,9 +105,6 @@ class TableGroup:
     def invert(self, x: int) -> int:
         return int(self.inverse[x])
 
-    def equal(self, x: int, y: int) -> bool:
-        return x == y
-
     def power(self, x: int, e: int) -> int:
         if e < 0:
             x, e = self.invert(x), -e
@@ -117,9 +117,6 @@ class TableGroup:
                 base = int(self.array[base, base])
         return result
 
-    def enumerate(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[int]:
-        return iter(range(len(self.array)))
-
     def element_order(self, x: int) -> int:
         order, y = 1, x
         while y != self.identity_index:
@@ -127,11 +124,19 @@ class TableGroup:
             order += 1
         return order
 
-    def conjugators(self) -> tuple[int, ...]:
-        # No generating set is known for a raw table; all elements work.
-        return tuple(range(len(self.array)))
+    def describe(self) -> str:
+        return self.name or f"table group of order {len(self.array)}"
 
-    def pow_index_array(self, n: int) -> np.ndarray:
+    def describe_element(self, x: int) -> str:
+        return str(x)
+
+    def to_element(self, idx: int) -> int:
+        return idx
+
+    def from_element(self, x: int) -> int:
+        return x
+
+    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
         """x^n for every x at once, as an index array."""
         if n not in self._pow_cache:
             N = len(self.array)
@@ -150,11 +155,36 @@ class TableGroup:
             self._pow_cache[n] = np.ascontiguousarray(result)
         return self._pow_cache[n]
 
-    def describe(self) -> str:
-        return self.name or f"table group of order {len(self.array)}"
+    def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
+        return self.array[:, x_idx].copy()
 
-    def describe_element(self, x: int) -> str:
-        return str(x)
+    def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
+        return self.array[x_idx].copy()
+
+    def invert_index(self, x_idx: int) -> int:
+        return self.invert(x_idx)
+
+    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
+        return self.array[a_idx, b_idx]
+
+    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
+        return self.inverse[idx]
+
+    def orders_exponent(self, threads: int | None = None) -> int:
+        return math.lcm(*(self.element_order(x) for x in range(self.N)))
+
+    def class_marker(self, threads: int | None = None):
+        """mark(a, seen) setting seen over the conjugacy class of a.
+
+        No generating set is known for a raw table, so a is conjugated
+        by every element at once.
+        """
+        T, inv, everyone = self.array, self.inverse, np.arange(self.N)
+
+        def mark(a: int, seen: np.ndarray) -> None:
+            seen[T[T[inv, a], everyone]] = True
+
+        return mark
 
 
 def validate_table(
@@ -268,238 +298,6 @@ def load_table_group(path: str) -> TableGroup:
         raise TableError(f"{path}: {exc}") from exc
 
 
-@lru_cache(maxsize=None)
-def _spj_matrices(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of B^k transposed for batched row-vector application, and moduli."""
-    stack = []
-    for k in range(params.b_order):
-        stack.append(mat_pow(build_b(params), k).rows)
-    BkT = np.array(stack, dtype=np.int64).transpose(0, 2, 1)
-    moduli = np.array(
-        [params.row_modulus(r) for r in range(params.dim)], dtype=np.int64
-    )
-    # Dot products of dim entries below each modulus must fit in int64.
-    assert params.dim * params.top_modulus ** 2 < 2 ** 62
-    return BkT, moduli
-
-
-class SpjIndexed:
-    """Index-array view of S(p,j) for vectorized scans.
-
-    Elements are their enumeration indices; batched group operations run
-    on (vector, b-exponent) arrays decoded from indices in fixed-size
-    chunks so results never depend on the worker count.
-    """
-
-    def __init__(self, G: SpjGroup, threads: int | None = None):
-        self.group = G
-        self.params = G.params
-        self.N = G.params.group_order
-        self.threads = _default_threads(threads)
-        self.identity_index = 0
-        self._BkT, self._moduli = _spj_matrices(G.params)
-        self._abelian = self.N // G.params.b_order
-        self._tail_weights = np.array(
-            [G.params.p ** (G.params.dim - 1 - i) for i in range(1, G.params.dim)],
-            dtype=np.int64,
-        )
-
-    def _mod(self, V: np.ndarray) -> np.ndarray:
-        np.remainder(V, self._moduli, out=V)
-        return V
-
-    def decode(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, d = self.params.p, self.params.dim
-        K, rem = np.divmod(idx.astype(np.int64), self._abelian)
-        V = np.empty((len(idx), d), dtype=np.int64)
-        V[:, 0], tail = np.divmod(rem, p ** (d - 1))
-        for i in range(1, d):
-            V[:, i], tail = np.divmod(tail, p ** (d - 1 - i))
-        return V, K
-
-    def encode(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
-        p, d = self.params.p, self.params.dim
-        idx = K * self._abelian + V[:, 0] * p ** (d - 1)
-        if d > 1:
-            idx = idx + V[:, 1:] @ self._tail_weights
-        return idx
-
-    def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B^{K[i]} applied to row i of V."""
-        out = np.empty_like(V)
-        for kk in range(self.params.b_order):
-            mask = K == kk
-            if mask.any():
-                out[mask] = V[mask] @ self._BkT[kk]
-        return self._mod(out)
-
-    def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:
-        V = self._mod(V1 + self._apply_by_k(K1, V2))
-        return V, (K1 + K2) % self.params.b_order
-
-    def inv(self, V, K) -> tuple[np.ndarray, np.ndarray]:
-        Kb = (self.params.b_order - K) % self.params.b_order
-        return self._mod(-self._apply_by_k(Kb, V)), Kb
-
-    def pow(self, V, K, e: int) -> tuple[np.ndarray, np.ndarray]:
-        if e < 0:
-            (V, K), e = self.inv(V, K), -e
-        rV = np.zeros_like(V)
-        rK = np.zeros_like(K)
-        bV, bK = V.copy(), K.copy()
-        while e:
-            if e & 1:
-                rV, rK = self.mul(rV, rK, bV, bK)
-            e >>= 1
-            if e:
-                bV, bK = self.mul(bV, bK, bV, bK)
-        return rV, rK
-
-    def _x_arrays(self, x_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        V, K = self.decode(np.array([x_idx], dtype=np.int64))
-        return V, K
-
-    def chunks(self) -> Iterator[tuple[int, int]]:
-        for start in range(0, self.N, _CHUNK):
-            yield start, min(start + _CHUNK, self.N)
-
-    def map_chunks(self, fn):
-        """Run fn(start, stop) over all chunks, merged in chunk order."""
-        spans = list(self.chunks())
-        if self.threads <= 1 or len(spans) <= 1:
-            return [fn(*span) for span in spans]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(lambda s: fn(*s), spans))
-
-    def pow_index_array(self, n: int) -> np.ndarray:
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            return self.encode(*self.pow(V, K, n))
-
-        return np.concatenate(self.map_chunks(job))
-
-    def rightmul_array(self, x_idx: int) -> np.ndarray:
-        """Index of a*x for every a; one shift row per b-exponent of a."""
-        xV, xK = self._x_arrays(x_idx)
-        shifts = np.empty((self.params.b_order, self.params.dim), dtype=np.int64)
-        for kk in range(self.params.b_order):
-            shifts[kk] = xV[0] @ self._BkT[kk]
-        self._mod(shifts)
-
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            V = self._mod(V + shifts[K])
-            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
-
-        return np.concatenate(self.map_chunks(job))
-
-    def leftmul_array(self, x_idx: int) -> np.ndarray:
-        xV, xK = self._x_arrays(x_idx)
-        BT = self._BkT[int(xK[0])]
-
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            V = self._mod(self._mod(V @ BT) + xV[0])
-            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
-
-        return np.concatenate(self.map_chunks(job))
-
-    def invert_index(self, x_idx: int) -> int:
-        V, K = self._x_arrays(x_idx)
-        return int(self.encode(*self.inv(V, K))[0])
-
-    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-        V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))
-        V2, K2 = self.decode(np.asarray(b_idx, dtype=np.int64))
-        return self.encode(*self.mul(V1, K1, V2, K2))
-
-    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
-        V, K = self.decode(np.asarray(idx, dtype=np.int64))
-        return self.encode(*self.inv(V, K))
-
-    def orders_exponent(self) -> int:
-        """lcm of all element orders, scanned in chunks."""
-        p = self.params.p
-        best = 0
-
-        def job(start: int, stop: int) -> int:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            alive = np.ones(stop - start, dtype=bool)
-            steps = 0
-            local = 0
-            while alive.any():
-                done = alive & ~(V.any(axis=1) | (K != 0))
-                if done.any():
-                    local = max(local, steps)
-                    alive &= ~done
-                if not alive.any():
-                    break
-                V, K = self.pow(V, K, p)
-                steps += 1
-                assert steps <= self.params.j + 2
-            return local
-
-        for got in self.map_chunks(job):
-            best = max(best, got)
-        return p ** best
-
-    def to_element(self, idx: int) -> SElement:
-        return element_at(self.params, idx)
-
-    def from_element(self, x: SElement) -> int:
-        return element_index(self.params, x)
-
-    def describe_element(self, idx: int) -> str:
-        return self.group.describe_element(self.to_element(idx))
-
-
-class TableIndexed:
-    """Index-array view of a TableGroup; elements already are indices."""
-
-    def __init__(self, G: TableGroup, threads: int | None = None):
-        self.group = G
-        self.N = G.order()
-        self.identity_index = G.identity_index
-
-    def pow_index_array(self, n: int) -> np.ndarray:
-        return self.group.pow_index_array(n)
-
-    def rightmul_array(self, x_idx: int) -> np.ndarray:
-        return self.group.array[:, x_idx].copy()
-
-    def leftmul_array(self, x_idx: int) -> np.ndarray:
-        return self.group.array[x_idx].copy()
-
-    def invert_index(self, x_idx: int) -> int:
-        return self.group.invert(x_idx)
-
-    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-        return self.group.array[a_idx, b_idx]
-
-    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
-        return self.group.inverse[idx]
-
-    def orders_exponent(self) -> int:
-        return math.lcm(*(self.group.element_order(x) for x in range(self.N)))
-
-    def to_element(self, idx: int) -> int:
-        return idx
-
-    def from_element(self, x: int) -> int:
-        return x
-
-    def describe_element(self, idx: int) -> str:
-        return str(idx)
-
-
-def indexed_view(G, threads: int | None = None):
-    if isinstance(G, SpjGroup):
-        return SpjIndexed(G, threads)
-    if isinstance(G, TableGroup):
-        return TableIndexed(G, threads)
-    raise ParameterError(f"no indexed view for {type(G).__name__}")
-
-
 def _guard(G, limit: int) -> None:
     if G.order() > limit:
         raise EnumerationLimitError(
@@ -523,11 +321,10 @@ def gn_count_bruteforce_many(
     element are computed once.  Witnesses come back in enumeration order.
     """
     _guard(G, limit)
-    view = indexed_view(G, threads)
-    uinv = view.invert_index(view.from_element(u))
-    shifted = view.rightmul_array(uinv)
-    powers = view.pow_index_array(n)
-    tgt = np.array([view.from_element(g) for g in targets], dtype=np.int64)
+    uinv = G.invert_index(G.from_element(u))
+    shifted = G.rightmul_array(uinv, threads)
+    powers = G.pow_index_array(n, threads)
+    tgt = np.array([G.from_element(g) for g in targets], dtype=np.int64)
 
     counts = []
     witness_idx = []
@@ -541,7 +338,7 @@ def gn_count_bruteforce_many(
             u=u,
             g=g,
             count=counts[i],
-            witnesses=tuple(view.to_element(w) for w in witness_idx[i]),
+            witnesses=tuple(G.to_element(w) for w in witness_idx[i]),
             method="bruteforce",
         )
         for i, g in enumerate(targets)
@@ -655,4 +452,4 @@ def gn_count_structured(
 def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT, threads: int | None = None) -> int:
     """Least common multiple of all element orders."""
     _guard(G, limit)
-    return indexed_view(G, threads).orders_exponent()
+    return G.orders_exponent(threads)

@@ -29,6 +29,10 @@ class MatrixInvariantError(ValueError):
     """An integer grid that is not a well defined endomorphism."""
 
 
+class VerificationError(RuntimeError):
+    """A result contradicts an identity the library is built on."""
+
+
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -106,9 +110,6 @@ class MixedVector:
             self, "coords", (c[0] % top,) + tuple(x % p for x in c[1:])
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __add__(self, other: "MixedVector") -> "MixedVector":
         return vec_combine(self, other)
 
@@ -172,9 +173,6 @@ class EndoMatrix:
 
     def entry(self, r: int, c: int) -> int:
         return self.rows[r][c]
-
-    def __mul__(self, other: "EndoMatrix") -> "EndoMatrix":
-        return mat_mul(self, other)
 
     def __add__(self, other: "EndoMatrix") -> "EndoMatrix":
         return mat_add(self, other)

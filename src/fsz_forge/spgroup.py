@@ -11,18 +11,24 @@ which is the structured route the counting layer depends on.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
+
+import numpy as np
 
 from .construction import CheckResult, build_b, build_y
 from .mixedmod import (
     EndoMatrix,
     GroupParams,
+    MatrixInvariantError,
     MixedVector,
     ParameterError,
+    VerificationError,
     basis_vector,
     mat_apply,
     mat_pow,
@@ -32,6 +38,7 @@ from .mixedmod import (
 
 DEFAULT_ENUMERATION_LIMIT = 10 ** 8
 _MAX_PARSE_EXPONENT = 2 ** 63
+_CHUNK = 1 << 16
 
 
 class EnumerationLimitError(RuntimeError):
@@ -68,6 +75,22 @@ def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
 
 
 @lru_cache(maxsize=None)
+def _spj_matrices(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of B^k transposed for batched row-vector application, and moduli."""
+    # Dot products of dim entries below each modulus must fit in int64.
+    if params.dim * params.top_modulus ** 2 >= 2 ** 62:
+        raise ParameterError(
+            f"{params.describe()} is too large for int64 index arrays"
+        )
+    stack = [_b_power(params, k).rows for k in range(params.b_order)]
+    BkT = np.array(stack, dtype=np.int64).transpose(0, 2, 1)
+    moduli = np.array(
+        [params.row_modulus(r) for r in range(params.dim)], dtype=np.int64
+    )
+    return BkT, moduli
+
+
+@lru_cache(maxsize=None)
 def b_power_row0(params: GroupParams) -> tuple[tuple[int, ...], ...]:
     """Row 0 of B^k for every k in 0..p^j-1.
 
@@ -81,9 +104,12 @@ def b_power_row0(params: GroupParams) -> tuple[tuple[int, ...], ...]:
     cols = tuple(zip(*B.rows))
     row = tuple(1 if c == 0 else 0 for c in range(d))
     out = [row]
-    for _ in range(params.b_order - 1):
+    for k in range(1, params.b_order):
         row = tuple(sum(a * b for a, b in zip(row, col)) % top for col in cols)
-        assert all(row[c] % pj == 0 for c in range(1, d))
+        if any(row[c] % pj for c in range(1, d)):
+            raise MatrixInvariantError(
+                f"row 0 of B^{k} is not divisible by p^j = {pj} past column 0"
+            )
         out.append(row)
     return tuple(out)
 
@@ -408,11 +434,27 @@ def structure_report(
     )
 
 
+def _default_threads(threads: int | None) -> int:
+    if threads is not None and threads >= 1:
+        return threads
+    return max(1, os.cpu_count() or 1)
+
+
 class SpjGroup:
-    """Group-handle face of the construction for the counting layer."""
+    """S(p,j) behind the group interface described in gncount.
+
+    The scalar methods work on SElements.  The index-array methods work
+    on enumeration indices (element_index): they decode indices into
+    (vector, b-exponent) arrays in fixed-size chunks, so results never
+    depend on the worker count.  The B^k stack they need is built on
+    their first call, so handles that never scan never pay for it.
+    """
 
     def __init__(self, params: GroupParams):
         self.params = params
+        self.N = params.group_order
+        self.identity_index = 0
+        self._abelian = self.N // params.b_order
 
     def order(self) -> int:
         return self.params.group_order
@@ -425,9 +467,6 @@ class SpjGroup:
 
     def invert(self, x: SElement) -> SElement:
         return invert(self.params, x)
-
-    def equal(self, x: SElement, y: SElement) -> bool:
-        return x == y
 
     def power(self, x: SElement, e: int) -> SElement:
         return power_generic(self.params, x, e)
@@ -454,7 +493,180 @@ class SpjGroup:
     def describe_element(self, x: SElement) -> str:
         return format_element(self.params, x)
 
+    def to_element(self, idx: int) -> SElement:
+        return element_at(self.params, idx)
 
-@lru_cache(maxsize=None)
-def spj_group(params: GroupParams) -> SpjGroup:
-    return SpjGroup(params)
+    def from_element(self, x: SElement) -> int:
+        return element_index(self.params, x)
+
+    @cached_property
+    def _tail_weights(self) -> np.ndarray:
+        p, d = self.params.p, self.params.dim
+        return np.array([p ** (d - 1 - i) for i in range(1, d)], dtype=np.int64)
+
+    def _mod(self, V: np.ndarray) -> np.ndarray:
+        np.remainder(V, _spj_matrices(self.params)[1], out=V)
+        return V
+
+    def decode(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p, d = self.params.p, self.params.dim
+        K, rem = np.divmod(idx.astype(np.int64), self._abelian)
+        V = np.empty((len(idx), d), dtype=np.int64)
+        V[:, 0], tail = np.divmod(rem, p ** (d - 1))
+        for i in range(1, d):
+            V[:, i], tail = np.divmod(tail, p ** (d - 1 - i))
+        return V, K
+
+    def encode(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
+        p, d = self.params.p, self.params.dim
+        idx = K * self._abelian + V[:, 0] * p ** (d - 1)
+        if d > 1:
+            idx = idx + V[:, 1:] @ self._tail_weights
+        return idx
+
+    def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """B^{K[i]} applied to row i of V."""
+        BkT = _spj_matrices(self.params)[0]
+        out = np.empty_like(V)
+        for kk in range(self.params.b_order):
+            mask = K == kk
+            if mask.any():
+                out[mask] = V[mask] @ BkT[kk]
+        return self._mod(out)
+
+    def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:
+        V = self._mod(V1 + self._apply_by_k(K1, V2))
+        return V, (K1 + K2) % self.params.b_order
+
+    def inv(self, V, K) -> tuple[np.ndarray, np.ndarray]:
+        Kb = (self.params.b_order - K) % self.params.b_order
+        return self._mod(-self._apply_by_k(Kb, V)), Kb
+
+    def pow(self, V, K, e: int) -> tuple[np.ndarray, np.ndarray]:
+        if e < 0:
+            (V, K), e = self.inv(V, K), -e
+        rV = np.zeros_like(V)
+        rK = np.zeros_like(K)
+        bV, bK = V.copy(), K.copy()
+        while e:
+            if e & 1:
+                rV, rK = self.mul(rV, rK, bV, bK)
+            e >>= 1
+            if e:
+                bV, bK = self.mul(bV, bK, bV, bK)
+        return rV, rK
+
+    def map_chunks(self, fn, threads: int | None = None):
+        """Run fn(start, stop) over all chunks, merged in chunk order."""
+        _spj_matrices(self.params)  # build the B^k stack before any worker needs it
+        spans = [(s, min(s + _CHUNK, self.N)) for s in range(0, self.N, _CHUNK)]
+        threads = _default_threads(threads)
+        if threads <= 1 or len(spans) <= 1:
+            return [fn(*span) for span in spans]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda s: fn(*s), spans))
+
+    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
+        """x^n for every x at once, as an index array."""
+        def job(start: int, stop: int) -> np.ndarray:
+            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
+            return self.encode(*self.pow(V, K, n))
+
+        return np.concatenate(self.map_chunks(job, threads))
+
+    def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
+        """Index of a*x for every a; one shift row per b-exponent of a."""
+        xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
+        BkT = _spj_matrices(self.params)[0]
+        shifts = np.empty((self.params.b_order, self.params.dim), dtype=np.int64)
+        for kk in range(self.params.b_order):
+            shifts[kk] = xV[0] @ BkT[kk]
+        self._mod(shifts)
+
+        def job(start: int, stop: int) -> np.ndarray:
+            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
+            V = self._mod(V + shifts[K])
+            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
+
+        return np.concatenate(self.map_chunks(job, threads))
+
+    def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
+        """Index of x*a for every a."""
+        xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
+        BT = _spj_matrices(self.params)[0][int(xK[0])]
+
+        def job(start: int, stop: int) -> np.ndarray:
+            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
+            V = self._mod(self._mod(V @ BT) + xV[0])
+            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
+
+        return np.concatenate(self.map_chunks(job, threads))
+
+    def invert_index(self, x_idx: int) -> int:
+        V, K = self.decode(np.array([x_idx], dtype=np.int64))
+        return int(self.encode(*self.inv(V, K))[0])
+
+    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
+        V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))
+        V2, K2 = self.decode(np.asarray(b_idx, dtype=np.int64))
+        return self.encode(*self.mul(V1, K1, V2, K2))
+
+    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
+        V, K = self.decode(np.asarray(idx, dtype=np.int64))
+        return self.encode(*self.inv(V, K))
+
+    def orders_exponent(self, threads: int | None = None) -> int:
+        """lcm of all element orders, scanned in chunks."""
+        p = self.params.p
+
+        def job(start: int, stop: int) -> int:
+            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
+            alive = np.ones(stop - start, dtype=bool)
+            steps = 0
+            local = 0
+            while alive.any():
+                done = alive & ~(V.any(axis=1) | (K != 0))
+                if done.any():
+                    local = max(local, steps)
+                    alive &= ~done
+                if not alive.any():
+                    break
+                V, K = self.pow(V, K, p)
+                steps += 1
+                if steps > self.params.j + 2:
+                    raise VerificationError(
+                        f"an element of {self.params.describe()} has order above "
+                        f"p^{self.params.j + 2}"
+                    )
+            return local
+
+        return p ** max(self.map_chunks(job, threads))
+
+    def class_marker(self, threads: int | None = None):
+        """mark(a, seen) setting seen over the conjugacy class of a.
+
+        A breadth-first walk under conjugation by the generators, whose
+        closure is the whole class: conjugation by a product composes
+        the generator actions.
+        """
+        perms = []
+        for c in self.conjugators():
+            c_idx = self.from_element(c)
+            left = self.leftmul_array(self.invert_index(c_idx), threads)
+            right = self.rightmul_array(c_idx, threads)
+            perms.append(right[left])
+
+        def mark(a: int, seen: np.ndarray) -> None:
+            seen[a] = True
+            frontier = [a]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for perm in perms:
+                        y = int(perm[x])
+                        if not seen[y]:
+                            seen[y] = True
+                            nxt.append(y)
+                frontier = nxt
+
+        return mark

@@ -187,3 +187,21 @@ def test_parser_defaults():
     assert cfg.format == "text"
     assert cfg.seed == 0
     assert cfg.limit == DEFAULT_LIMIT
+
+
+def test_limit_above_the_default_is_refused_while_parsing(capsys, monkeypatch):
+    import fsz_forge.cli as cli
+
+    def never(cfg):
+        raise AssertionError("the subcommand must not start")
+
+    monkeypatch.setitem(cli._DISPATCH, "fsz", never)
+    code, out, err = _run(
+        capsys, "fsz", "--p", "3", "--j", "3", "--limit", str(10 ** 16)
+    )
+    assert code == 1
+    assert out == ""
+    assert f"at most {DEFAULT_LIMIT}" in err
+    assert build_parser().parse_args(
+        ["verify", "--p", "3", "--j", "1", "--limit", str(DEFAULT_LIMIT)]
+    ).limit == DEFAULT_LIMIT

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 import tablefixtures as tf
@@ -234,11 +235,37 @@ def test_exponent_values():
     assert exponent(SpjGroup(P51)) == 25
 
 
-def test_table_group_power_and_orders():
-    D4 = validate_table(tf.dihedral(4), "D4")
-    assert D4.element_order(1) == 4
-    assert D4.element_order(4) == 2
-    assert D4.element_order(0) == 1
-    pia = D4.pow_index_array(3)
-    assert [D4.power(i, 3) for i in range(8)] == list(pia)
-    assert math.lcm(*[D4.element_order(i) for i in range(8)]) == exponent(D4)
+@pytest.mark.parametrize(
+    "G, orders",
+    [
+        # S(3,1) index = 27 k + 3 v_0 + v_1, so 3 is a1, 1 is a2 and 27 is b
+        (SpjGroup(P31), {0: 1, 3: 9, 1: 3, 27: 3}),
+        (validate_table(tf.dihedral(4), "D4"), {1: 4, 4: 2, 0: 1}),
+        (validate_table(tf.random_group_table(random.Random(7))), {}),
+    ],
+    ids=["S31", "D4", "random"],
+)
+def test_table_group_power_and_orders(G, orders):
+    """Every index-array method against the scalar methods, element by element."""
+    els = [G.to_element(i) for i in range(G.N)]
+    idx = G.from_element
+    assert [idx(x) for x in els] == list(range(G.N))
+    assert els[G.identity_index] == G.identity()
+    assert G.element_order(G.identity()) == 1
+    for i, order in orders.items():
+        assert G.element_order(els[i]) == order
+    everyone = np.arange(G.N)
+
+    products = G.mul_index_arrays(np.repeat(everyone, G.N), np.tile(everyone, G.N))
+    table = [[idx(G.multiply(x, y)) for y in els] for x in els]
+    assert products.tolist() == [v for row in table for v in row]
+    for x in range(G.N):
+        assert G.rightmul_array(x).tolist() == [row[x] for row in table]
+        assert G.leftmul_array(x, threads=1).tolist() == table[x]
+        assert G.invert_index(x) == idx(G.invert(els[x]))
+    assert G.invert_index_array(everyone).tolist() == [idx(G.invert(x)) for x in els]
+    for n in (-1, 2, 3):
+        assert G.pow_index_array(n).tolist() == [idx(G.power(x, n)) for x in els]
+
+    lcm = math.lcm(*[G.element_order(x) for x in els])
+    assert G.orders_exponent() == lcm == exponent(G)
