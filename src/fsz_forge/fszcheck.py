@@ -6,7 +6,23 @@ conjugacy-class representatives and u over the centralizer of g, which
 covers all commuting pairs up to simultaneous conjugation; one
 representative m per distinct power g^m suffices because the count only
 sees g^m.  Both reductions are test-verified properties, and a
-no-reduction mode re-runs tiny groups over all commuting pairs.
+no-reduction mode re-runs tiny groups over all commuting pairs, with
+every centralizer and every histogram.
+
+Nothing in the class table depends on n, so it is built once per group
+and reused for every n: the representatives g, |C(g)| = |G| / |class of
+g|, and the residues m with their targets g^m, walked on index arrays
+for all representatives at once.  For each n a class is skipped, and
+counted as |C(g)| examined pairs, when no count on it can differ:
+
+- every needed power bucket B = {a : a^n = h} has at most one element.
+  A bucket {a} pairs a only with itself (a u^-1 = a forces u = e), so
+  every count is |B| [u = e], and equal bucket sizes give equal counts;
+- otherwise, the histograms u -> |G_n(u, h)| of g and of every target
+  agree on all of G, hence on C(g).
+
+Only the remaining classes build C(g) and compare on it, which keeps the
+witness at the smallest u and the statistics of the full comparison.
 
 For the built-in family at n = p^j the scan never enumerates candidate
 elements a: the per-u counts come from the congruence analysis, and only
@@ -17,7 +33,9 @@ can give a nonzero count, so every other g is skipped soundly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +144,8 @@ def residue_witness_classes(G, g) -> list[int]:
     return out
 
 
-def conjugacy_class_reps(G, threads: int | None = None) -> list[int]:
-    """Smallest-index representatives of the conjugacy classes.
+def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list[int]]:
+    """Smallest-index representatives of the conjugacy classes, and their sizes.
 
     G.class_marker marks the whole class of each new representative:
     tables conjugate it by every element at once, S(p,j) walks its orbit
@@ -135,12 +153,63 @@ def conjugacy_class_reps(G, threads: int | None = None) -> list[int]:
     """
     visited = np.zeros(G.N, dtype=bool)
     reps = []
+    sizes = []
     mark = G.class_marker(threads)
     for a in range(G.N):
         if not visited[a]:
             reps.append(a)
-            mark(a, visited)
-    return reps
+            sizes.append(mark(a, visited))
+    return reps, sizes
+
+
+class _ClassRow(NamedTuple):
+    rep: int
+    centralizer_size: int | None  # None in the reference rows
+    targets: tuple[tuple[int, int], ...]  # (m, index of rep^m)
+
+
+# One class table per live group: check_fsz builds it at its first
+# generic n and every later n reuses it.  An entry dies with its group.
+_CLASS_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _class_table(G, threads: int | None) -> list[_ClassRow]:
+    table = _CLASS_TABLES.get(G)
+    if table is not None:
+        return table
+    reps, sizes = conjugacy_class_reps(G, threads)
+    ms = [residue_witness_classes(G, G.to_element(g)) for g in reps]
+    # Walk g^k for every rep at once and keep g^m at k = m.  The walk is
+    # shorter than the exponent: a lifted m is below |g| R, a divisor of it.
+    rep_arr = np.array(reps, dtype=np.int64)
+    owner = np.repeat(np.arange(len(reps)), [len(m) for m in ms])
+    wanted = np.array([m for row in ms for m in row], dtype=np.int64)
+    found = np.empty(wanted.size, dtype=np.int64)
+    power = rep_arr
+    for k in range(1, int(wanted.max(initial=0)) + 1):
+        if k > 1:
+            power = G.mul_index_arrays(power, rep_arr)
+        hit = wanted == k
+        found[hit] = power[owner[hit]]
+    table = []
+    start = 0
+    for g, size, row in zip(reps, sizes, ms):
+        stop = start + len(row)
+        targets = tuple(zip(row, found[start:stop].tolist()))
+        table.append(_ClassRow(g, G.N // size, targets))
+        start = stop
+    _CLASS_TABLES[G] = table
+    return table
+
+
+def _reference_rows(G):
+    """Every element as its own class, with scalar power targets."""
+    for g_idx in range(G.N):
+        g = G.to_element(g_idx)
+        targets = tuple(
+            (m, G.from_element(G.power(g, m))) for m in residue_witness_classes(G, g)
+        )
+        yield _ClassRow(g_idx, None, targets)
 
 
 def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
@@ -183,37 +252,52 @@ def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _histograms(G, g_idx: int, targets, buckets, *, skip: bool) -> dict | None:
+    """u -> |G_n(u, h)| for h = g and each target.
+
+    With skip, None when one of the two rules in the module docstring
+    shows that no count on g can differ from a target's.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    needed = {g_idx: buckets.get(g_idx, empty)}
+    for _, t_idx in targets:
+        needed.setdefault(t_idx, buckets.get(t_idx, empty))
+    sizes = {int(b.size) for b in needed.values()}
+    if skip and max(sizes) <= 1 and len(sizes) == 1:
+        return None
+    hist = {idx: _u_counts(G, b) for idx, b in needed.items()}
+    if skip and all(np.array_equal(hist[t_idx], hist[g_idx]) for _, t_idx in targets):
+        return None
+    return hist
+
+
 def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerdict:
     N = G.N
-    P = G.pow_index_array(n, threads)
-    buckets = _power_buckets(P)
-    empty = np.empty(0, dtype=np.int64)
-
+    buckets = _power_buckets(G.pow_index_array(n, threads))
     if reduction:
-        reps = conjugacy_class_reps(G, threads)
+        classes = _class_table(G, threads)
     else:
-        reps = list(range(N))
+        classes = _reference_rows(G)
 
     pairs = 0
     comparisons = 0
-    for g_idx in reps:
-        g_el = G.to_element(g_idx)
-        ms = residue_witness_classes(G, g_el)
-        if not ms:
-            # Only the identity has order 1; its centralizer is everything.
+    for g_idx, cent_size, targets in classes:
+        if not targets:
+            # Orders 1 and 2 leave no m with a new power g^m; the statistics
+            # count N pairs here.
             pairs += N
             continue
-        targets = [(m, G.from_element(G.power(g_el, m))) for m in ms]
-        cent = _centralizer_indices(G, g_idx, threads)
-        needed = {g_idx: buckets.get(g_idx, empty)}
-        for _, t_idx in targets:
-            needed.setdefault(t_idx, buckets.get(t_idx, empty))
-        if all(not b.size for b in needed.values()):
-            # Every count on this g and its powers is zero.
-            pairs += int(cent.size)
-            comparisons += int(cent.size) * len(targets)
+        hist = _histograms(G, g_idx, targets, buckets, skip=reduction)
+        if hist is None:
+            pairs += cent_size
+            comparisons += cent_size * len(targets)
             continue
-        hist = {idx: _u_counts(G, b) for idx, b in needed.items()}
+        cent = _centralizer_indices(G, g_idx, threads)
+        if reduction and cent.size != cent_size:
+            raise VerificationError(
+                f"centralizer of element {g_idx} has {cent.size} elements, but "
+                f"|G| / |class| = {cent_size}"
+            )
         counts_g = hist[g_idx][cent]
         mismatch = np.empty((int(cent.size), len(targets)), dtype=bool)
         for col, (_, t_idx) in enumerate(targets):
@@ -228,14 +312,14 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
                 "comparisons": comparisons + u_pos * len(targets) + t_pos + 1,
             }
             if reduction:
-                stats["conjugacy_classes"] = len(reps)
+                stats["conjugacy_classes"] = len(classes)
             return FszVerdict(
                 group=G.describe(),
                 n=n,
                 verdict=f"non-FSZ_{n}",
                 witness=FszWitness(
                     G.to_element(u_idx),
-                    g_el,
+                    G.to_element(g_idx),
                     m,
                     int(counts_g[u_pos]),
                     int(hist[t_idx][cent][u_pos]),
@@ -246,7 +330,7 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
         comparisons += int(cent.size) * len(targets)
     stats = {"pairs_examined": pairs, "comparisons": comparisons}
     if reduction:
-        stats["conjugacy_classes"] = len(reps)
+        stats["conjugacy_classes"] = len(classes)
     return FszVerdict(
         group=G.describe(), n=n, verdict=f"FSZ_{n}", witness=None, statistics=stats
     )
@@ -404,10 +488,14 @@ def check_fsz(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     threads: int | None = None,
 ) -> list[FszVerdict]:
-    """Verdicts for every n dividing the exponent, ascending.
+    """Verdicts for every n dividing the exponent e, ascending.
 
-    FSZ for all n reduces to these n: a^n only depends on n modulo the
-    order of a, and every order divides the exponent.
+    FSZ for all n reduces to these n.  Let d = gcd(n, e).  Then n = d w
+    (mod e) for a w coprime to e, since the units mod e reach every unit
+    mod e/d.  Every order divides e, so a^n = (a^d)^w, and x -> x^w is a
+    bijection with inverse x -> x^v, v = w^-1 mod e.  Hence G_n(u, g) =
+    G_d(u, g^v), and as g runs over C(u) so does h = g^v, with g^m
+    matching h^m: FSZ_n holds exactly when FSZ_d does.
     """
     e = exponent(G, limit=limit, threads=threads)
     divisors = sorted(d for d in range(1, e + 1) if e % d == 0)

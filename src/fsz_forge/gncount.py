@@ -21,8 +21,8 @@ implement it, and the counters and scans take the group itself:
 - index arrays: pow_index_array(n), rightmul_array(x), leftmul_array(x),
   mul_index_arrays(a, b), invert_index(x), invert_index_array(a),
   orders_exponent(), and class_marker(), which returns a function that
-  marks the conjugacy class of an index.  Methods that sweep the whole
-  group take a per-call threads count.
+  marks the conjugacy class of an index and returns the class size.
+  Methods that sweep the whole group take a per-call threads count.
 """
 
 from __future__ import annotations
@@ -176,13 +176,17 @@ class TableGroup:
     def class_marker(self, threads: int | None = None):
         """mark(a, seen) setting seen over the conjugacy class of a.
 
-        No generating set is known for a raw table, so a is conjugated
-        by every element at once.
+        mark returns the size of the class.  No generating set is known
+        for a raw table, so a is conjugated by every element at once.
+        Marks cover whole classes, so the class of an unseen a is
+        disjoint from seen and its size is the growth of seen.
         """
         T, inv, everyone = self.array, self.inverse, np.arange(self.N)
 
-        def mark(a: int, seen: np.ndarray) -> None:
+        def mark(a: int, seen: np.ndarray) -> int:
+            before = np.count_nonzero(seen)
             seen[T[T[inv, a], everyone]] = True
+            return int(np.count_nonzero(seen) - before)
 
         return mark
 

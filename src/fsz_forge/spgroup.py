@@ -645,9 +645,9 @@ class SpjGroup:
     def class_marker(self, threads: int | None = None):
         """mark(a, seen) setting seen over the conjugacy class of a.
 
-        A breadth-first walk under conjugation by the generators, whose
-        closure is the whole class: conjugation by a product composes
-        the generator actions.
+        mark returns the size of the class.  A breadth-first walk under
+        conjugation by the generators, whose closure is the whole class:
+        conjugation by a product composes the generator actions.
         """
         perms = []
         for c in self.conjugators():
@@ -656,8 +656,9 @@ class SpjGroup:
             right = self.rightmul_array(c_idx, threads)
             perms.append(right[left])
 
-        def mark(a: int, seen: np.ndarray) -> None:
+        def mark(a: int, seen: np.ndarray) -> int:
             seen[a] = True
+            size = 1
             frontier = [a]
             while frontier:
                 nxt = []
@@ -667,6 +668,8 @@ class SpjGroup:
                         if not seen[y]:
                             seen[y] = True
                             nxt.append(y)
+                size += len(nxt)
                 frontier = nxt
+            return size
 
         return mark

@@ -10,11 +10,13 @@ import tablefixtures as tf
 from fsz_forge.mixedmod import GroupParams
 from fsz_forge.gncount import (
     EnumerationLimitError,
+    exponent,
     gn_count_bruteforce,
     validate_table,
 )
 from fsz_forge.fszcheck import (
     VerificationError,
+    _generic_scan,
     _power_buckets,
     _u_counts,
     check_fsz,
@@ -56,16 +58,28 @@ def test_residue_witness_classes_crt_lift():
     assert residue_witness_classes(Z6, 1) == [5]
 
 
+def _orbit(G, x):
+    """Conjugacy class of x, conjugating by every element one at a time."""
+    return {
+        G.multiply(G.multiply(G.invert(t), x), t)
+        for t in (G.to_element(i) for i in range(G.N))
+    }
+
+
 def test_conjugacy_class_reps_on_known_groups():
     Z6 = validate_table(tf.cyclic(6), "Z6")
-    assert conjugacy_class_reps(Z6) == [0, 1, 2, 3, 4, 5]
+    assert conjugacy_class_reps(Z6) == ([0, 1, 2, 3, 4, 5], [1] * 6)
     D4 = validate_table(tf.dihedral(4), "D4")
-    assert conjugacy_class_reps(D4) == [0, 1, 2, 4, 5]
+    reps, sizes = conjugacy_class_reps(D4)
+    assert reps == [0, 1, 2, 4, 5]
+    assert sizes == [1, 2, 1, 2, 2]
+    assert sum(sizes) == D4.N
+    assert sizes == [len(_orbit(D4, r)) for r in reps]
 
 
 def test_conjugacy_class_reps_partition_s31():
     G = SpjGroup(P31)
-    reps = conjugacy_class_reps(G)
+    reps, sizes = conjugacy_class_reps(G)
     # independently partition all 81 elements by conjugation under everything
     els = list(G.enumerate())
     seen: set = set()
@@ -73,14 +87,29 @@ def test_conjugacy_class_reps_partition_s31():
     for x in els:
         if x in seen:
             continue
-        orbit = {G.multiply(G.multiply(G.invert(t), x), t) for t in els}
+        orbit = _orbit(G, x)
         seen |= orbit
         classes.append(orbit)
     assert len(reps) == len(classes)
     assert sum(len(c) for c in classes) == 81
+    assert sum(sizes) == 81
     rep_elements = {G.to_element(r) for r in reps}
     for orbit in classes:
         assert len(orbit & rep_elements) == 1
+    assert sizes == [len(_orbit(G, G.to_element(r))) for r in reps]
+
+
+def test_centralizer_size_must_match_the_class_size(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    # Histograms that differ whenever the buckets do force the centralizer
+    # comparison; a centralizer one short breaks orbit-stabilizer.
+    monkeypatch.setattr(fz, "_u_counts", lambda G, b: np.bincount(b, minlength=G.N))
+    real = fz._centralizer_indices
+    monkeypatch.setattr(fz, "_centralizer_indices", lambda *a: real(*a)[:-1])
+    Z8 = validate_table(tf.cyclic(8), "Z8")
+    with pytest.raises(VerificationError, match="centralizer"):
+        check_fsz_n(Z8, 2)
 
 
 def test_u_counts_histogram_matches_bruteforce():
@@ -110,6 +139,24 @@ def test_check_fsz_n_finds_the_5_1_witness():
     assert gn_count_bruteforce(G, 5, w.u, gm).count == 625
 
 
+def test_generic_scan_finds_the_5_1_witness():
+    # check_fsz_n takes the structured route at n = p^j.  No smaller group
+    # in these tests makes the generic scan compare on a centralizer.
+    G = SpjGroup(P51)
+    verdict = _generic_scan(G, 5, reduction=True, threads=None)
+    assert verdict.as_dict(G.describe_element) == {
+        "group": "S(5,1) (order 15625)",
+        "n": 5,
+        "verdict": "non-FSZ_5",
+        "witness": {"u": "a1^1 b^1", "g": "a1^5", "m": 2, "count_g": 0, "count_gm": 625},
+        "statistics": {
+            "comparisons": 20747251,
+            "conjugacy_classes": 649,
+            "pairs_examined": 1331376,
+        },
+    }
+
+
 def test_check_fsz_n_small_cases():
     assert check_fsz_n(SpjGroup(P31), 3).verdict == "FSZ_3"
     Z6 = validate_table(tf.cyclic(6), "Z6")
@@ -117,15 +164,102 @@ def test_check_fsz_n_small_cases():
     assert v.verdict == "FSZ_2" and v.is_fsz and v.witness is None
 
 
-def test_check_fsz_divisor_sweep():
-    verdicts = check_fsz(SpjGroup(P31))
+def _random_table(seed):
+    return validate_table(tf.random_group_table(random.Random(seed)))
+
+
+SWEEP_GROUPS = {
+    "S(3,1)": lambda: SpjGroup(P31),
+    "Z6": lambda: validate_table(tf.cyclic(6), "Z6"),
+    "D4": lambda: validate_table(tf.dihedral(4), "D4"),
+    "random3": lambda: _random_table(3),
+    "random7": lambda: _random_table(7),
+    "random11": lambda: _random_table(11),
+    "random19": lambda: _random_table(19),
+    "random23": lambda: _random_table(23),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GROUPS))
+def test_check_fsz_divisor_sweep(name):
+    G = SWEEP_GROUPS[name]()
+    e = exponent(G)
+    verdicts = check_fsz(G)
     assert [(v.n, v.verdict) for v in verdicts] == [
-        (1, "FSZ_1"),
-        (3, "FSZ_3"),
-        (9, "FSZ_9"),
+        (d, f"FSZ_{d}") for d in range(1, e + 1) if e % d == 0
     ]
-    plain = check_fsz(SpjGroup(P31), reduction=False)
-    assert [(v.n, v.verdict) for v in plain] == [(v.n, v.verdict) for v in verdicts]
+    plain = check_fsz(SWEEP_GROUPS[name](), reduction=False)
+    assert [(v.n, v.verdict, v.witness) for v in plain] == [
+        (v.n, v.verdict, v.witness) for v in verdicts
+    ]
+
+
+@pytest.mark.parametrize("name", ["S(3,1)", "Z6", "D4", "random3"])
+def test_fsz_n_agrees_with_fsz_at_gcd_with_the_exponent(name):
+    G = SWEEP_GROUPS[name]()
+    e = exponent(G)
+    at_divisor = {d: check_fsz_n(G, d).is_fsz for d in range(1, e + 1) if e % d == 0}
+    for n in range(1, 2 * e + 1):
+        assert check_fsz_n(G, n).is_fsz == at_divisor[math.gcd(n, e)]
+
+
+def _fsz_entries(group, ns, stats):
+    return [
+        {"group": group, "n": n, "verdict": f"FSZ_{n}", "witness": None, "statistics": stats}
+        for n in ns
+    ]
+
+
+# check_fsz output recorded before the class table and the skip rules.
+PINNED_FSZ = {
+    "S(5,1)": [
+        *_fsz_entries(
+            "S(5,1) (order 15625)",
+            [1],
+            {"comparisons": 31045400, "conjugacy_classes": 649, "pairs_examined": 2028625},
+        ),
+        {
+            "group": "S(5,1) (order 15625)",
+            "n": 5,
+            "verdict": "non-FSZ_5",
+            "witness": {"u": "a1^1 b^1", "g": "a1^5", "m": 2, "count_g": 0, "count_gm": 625},
+            "statistics": {
+                "central_targets": 4,
+                "comparisons": 9751,
+                "pairs_examined": 3251,
+                "skipped_by_support": 15620,
+            },
+        },
+        *_fsz_entries(
+            "S(5,1) (order 15625)",
+            [25],
+            {"comparisons": 31045400, "conjugacy_classes": 649, "pairs_examined": 2028625},
+        ),
+    ],
+    "Z6": _fsz_entries(
+        "Z6", [1, 2, 3, 6], {"comparisons": 24, "conjugacy_classes": 6, "pairs_examined": 36}
+    ),
+    "D4": _fsz_entries(
+        "D4", [1, 2, 4], {"comparisons": 4, "conjugacy_classes": 5, "pairs_examined": 36}
+    ),
+    "random3": _fsz_entries(
+        "table group of order 24",
+        [1, 2, 3, 4, 6, 12],
+        {"comparisons": 228, "conjugacy_classes": 15, "pairs_examined": 276},
+    ),
+    "random7": _fsz_entries(
+        "table group of order 12",
+        [1, 2, 3, 4, 6, 12],
+        {"comparisons": 216, "conjugacy_classes": 12, "pairs_examined": 144},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_FSZ))
+def test_check_fsz_output_is_pinned(name):
+    G = SpjGroup(P51) if name == "S(5,1)" else SWEEP_GROUPS[name]()
+    got = [v.as_dict(G.describe_element) for v in check_fsz(G)]
+    assert got == PINNED_FSZ[name]
 
 
 def test_check_fsz_flags_s51_at_n_5():
