@@ -254,7 +254,8 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         )
     )
 
-    # Constructors already assert the invariant; re-check it explicitly here.
+    # Constructors raise MatrixInvariantError on a broken invariant, so no
+    # power reaches this point without it; the check reports it explicitly.
     bad_pow = []
     for k, M in enumerate(chain):
         if any(M.rows[0][c] % pj for c in range(1, params.dim)):

@@ -272,7 +272,6 @@ def _histograms(G, g_idx: int, targets, buckets, *, skip: bool) -> dict | None:
 
 
 def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerdict:
-    N = G.N
     buckets = _power_buckets(G.pow_index_array(n, threads))
     if reduction:
         classes = _class_table(G, threads)
@@ -283,9 +282,11 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
     comparisons = 0
     for g_idx, cent_size, targets in classes:
         if not targets:
-            # Orders 1 and 2 leave no m with a new power g^m; the statistics
-            # count N pairs here.
-            pairs += N
+            # Orders 1 and 2 leave no m with a new power g^m, so nothing is
+            # compared; the statistics still count the |C(g)| pairs (u, g).
+            if cent_size is None:
+                cent_size = int(_centralizer_indices(G, g_idx, threads).size)
+            pairs += cent_size
             continue
         hist = _histograms(G, g_idx, targets, buckets, skip=reduction)
         if hist is None:

@@ -10,15 +10,28 @@ divisibility makes every product independent of which integer lift of a
 mod-p residue is used, which is what justifies multiplying canonical
 residues directly.
 
-All arithmetic uses Python's arbitrary-precision integers; values are
-immutable after construction and safe to share between workers.
+Constructors reduce their inputs as Python integers, which may exceed
+int64 (the closed-form binomial entries do).  Products run on int64
+arrays of the canonical residues and cannot wrap: every stored entry is
+below top_modulus = p^{j+1}, so a dot product of dim such pairs is below
+dim * top_modulus^2, which GroupParams keeps below 2^62 (under the
+default dimension guard of 512 the worst case, S(509,1), reaches about
+3.4e13).  Results go back through the constructors, which reduce them
+and re-check the invariant.  Values are immutable after construction and
+safe to share between workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 DEFAULT_MAX_DIMENSION = 512
+# GroupParams keeps dim * top_modulus^2, which bounds every dot product of
+# residues in mat_mul and mat_apply, below this.
+_INT64_PRODUCT_BOUND = 2 ** 62
 
 
 class ParameterError(ValueError):
@@ -73,6 +86,10 @@ class GroupParams:
             raise ParameterError(
                 f"dimension p^j - 1 = {n - 1} exceeds the size guard {self.max_dim}"
             )
+        if (n - 1) * (n * self.p) ** 2 >= _INT64_PRODUCT_BOUND:
+            raise ParameterError(
+                f"S({self.p},{self.j}) is too large for int64 matrix products"
+            )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", n - 1)
         object.__setattr__(self, "top_modulus", n * self.p)
@@ -81,6 +98,14 @@ class GroupParams:
 
     def row_modulus(self, r: int) -> int:
         return self.top_modulus if r == 0 else self.p
+
+    @cached_property
+    def row_moduli(self) -> np.ndarray:
+        """Read-only int64 array of row_modulus(r) for every row r."""
+        moduli = np.full(self.dim, self.p, dtype=np.int64)
+        moduli[0] = self.top_modulus
+        moduli.flags.writeable = False
+        return moduli
 
     def describe(self) -> str:
         return f"S({self.p},{self.j})"
@@ -171,6 +196,13 @@ class EndoMatrix:
                     f"by p^j = {pj}; the grid is not a well defined endomorphism"
                 )
 
+    @cached_property
+    def array(self) -> np.ndarray:
+        """Read-only int64 copy of rows, the operand of the products."""
+        a = np.array(self.rows, dtype=np.int64)
+        a.flags.writeable = False
+        return a
+
     def entry(self, r: int, c: int) -> int:
         return self.rows[r][c]
 
@@ -198,23 +230,15 @@ def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
     divisible by p^j.
     """
     _require_same_params(M, v)
-    c = v.coords
-    return MixedVector(
-        M.params, tuple(sum(a * b for a, b in zip(row, c)) for row in M.rows)
-    )
+    moved = M.array @ np.array(v.coords, dtype=np.int64)
+    return MixedVector(M.params, tuple(moved.tolist()))
 
 
 def mat_mul(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
     """Matrix product with per-row reduction; preserves the invariant."""
     _require_same_params(M, N)
-    cols = tuple(zip(*N.rows))
-    return EndoMatrix(
-        M.params,
-        tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in M.rows
-        ),
-    )
+    product = (M.array @ N.array) % M.params.row_moduli[:, None]
+    return EndoMatrix(M.params, tuple(map(tuple, product.tolist())))
 
 
 def mat_add(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:

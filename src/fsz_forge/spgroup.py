@@ -75,19 +75,14 @@ def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
 
 
 @lru_cache(maxsize=None)
-def _spj_matrices(params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of B^k transposed for batched row-vector application, and moduli."""
-    # Dot products of dim entries below each modulus must fit in int64.
-    if params.dim * params.top_modulus ** 2 >= 2 ** 62:
-        raise ParameterError(
-            f"{params.describe()} is too large for int64 index arrays"
-        )
-    stack = [_b_power(params, k).rows for k in range(params.b_order)]
-    BkT = np.array(stack, dtype=np.int64).transpose(0, 2, 1)
-    moduli = np.array(
-        [params.row_modulus(r) for r in range(params.dim)], dtype=np.int64
-    )
-    return BkT, moduli
+def _spj_matrices(params: GroupParams) -> np.ndarray:
+    """Stack of B^k transposed for batched row-vector application.
+
+    GroupParams bounds dim * top_modulus^2, so the products fit in int64.
+    """
+    return np.stack(
+        [_b_power(params, k).array for k in range(params.b_order)]
+    ).transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +500,7 @@ class SpjGroup:
         return np.array([p ** (d - 1 - i) for i in range(1, d)], dtype=np.int64)
 
     def _mod(self, V: np.ndarray) -> np.ndarray:
-        np.remainder(V, _spj_matrices(self.params)[1], out=V)
+        np.remainder(V, self.params.row_moduli, out=V)
         return V
 
     def decode(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +521,7 @@ class SpjGroup:
 
     def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
         """B^{K[i]} applied to row i of V."""
-        BkT = _spj_matrices(self.params)[0]
+        BkT = _spj_matrices(self.params)
         out = np.empty_like(V)
         for kk in range(self.params.b_order):
             mask = K == kk
@@ -577,7 +572,7 @@ class SpjGroup:
     def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
         """Index of a*x for every a; one shift row per b-exponent of a."""
         xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
-        BkT = _spj_matrices(self.params)[0]
+        BkT = _spj_matrices(self.params)
         shifts = np.empty((self.params.b_order, self.params.dim), dtype=np.int64)
         for kk in range(self.params.b_order):
             shifts[kk] = xV[0] @ BkT[kk]
@@ -593,7 +588,7 @@ class SpjGroup:
     def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
         """Index of x*a for every a."""
         xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
-        BT = _spj_matrices(self.params)[0][int(xK[0])]
+        BT = _spj_matrices(self.params)[int(xK[0])]
 
         def job(start: int, stop: int) -> np.ndarray:
             V, K = self.decode(np.arange(start, stop, dtype=np.int64))

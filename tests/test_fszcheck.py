@@ -211,6 +211,8 @@ def _fsz_entries(group, ns, stats):
 
 
 # check_fsz output recorded before the class table and the skip rules.
+# pairs_examined is the sum of |C(g)| over the class reps; the D4 and
+# random3 values are that sum, computed by brute force.
 PINNED_FSZ = {
     "S(5,1)": [
         *_fsz_entries(
@@ -240,12 +242,12 @@ PINNED_FSZ = {
         "Z6", [1, 2, 3, 6], {"comparisons": 24, "conjugacy_classes": 6, "pairs_examined": 36}
     ),
     "D4": _fsz_entries(
-        "D4", [1, 2, 4], {"comparisons": 4, "conjugacy_classes": 5, "pairs_examined": 36}
+        "D4", [1, 2, 4], {"comparisons": 4, "conjugacy_classes": 5, "pairs_examined": 28}
     ),
     "random3": _fsz_entries(
         "table group of order 24",
         [1, 2, 3, 4, 6, 12],
-        {"comparisons": 228, "conjugacy_classes": 15, "pairs_examined": 276},
+        {"comparisons": 228, "conjugacy_classes": 15, "pairs_examined": 252},
     ),
     "random7": _fsz_entries(
         "table group of order 12",
@@ -260,6 +262,24 @@ def test_check_fsz_output_is_pinned(name):
     G = SpjGroup(P51) if name == "S(5,1)" else SWEEP_GROUPS[name]()
     got = [v.as_dict(G.describe_element) for v in check_fsz(G)]
     assert got == PINNED_FSZ[name]
+
+
+@pytest.mark.parametrize("name", ["Z6", "D4", "random3", "random7"])
+def test_pairs_examined_counts_the_commuting_pairs(name):
+    G = SWEEP_GROUPS[name]()
+    els = range(G.N)
+    centralizer = [
+        sum(G.multiply(g, u) == G.multiply(u, g) for u in els) for g in els
+    ]
+    reps, seen = [], set()
+    for g in els:
+        if g not in seen:
+            reps.append(g)
+            seen |= {G.multiply(G.multiply(x, g), G.invert(x)) for x in els}
+    for v in check_fsz(G):
+        assert v.statistics["pairs_examined"] == sum(centralizer[g] for g in reps)
+    for v in check_fsz(SWEEP_GROUPS[name](), reduction=False):
+        assert v.statistics["pairs_examined"] == sum(centralizer)
 
 
 def test_check_fsz_flags_s51_at_n_5():

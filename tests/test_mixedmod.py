@@ -53,6 +53,13 @@ def test_params_reject_oversized_dimension():
         GroupParams(3, 6)
 
 
+def test_params_reject_int64_overflow_at_construction():
+    # 5407 is the smallest prime p with (p - 1) * p^4 >= 2^62.
+    with pytest.raises(ParameterError, match="int64"):
+        GroupParams(5407, 1, max_dim=10**4)
+    assert GroupParams(5399, 1, max_dim=10**4).dim == 5398
+
+
 def test_vector_reduces_per_row_modulus():
     p = GroupParams(3, 1)
     assert MixedVector(p, (10, 5)).coords == (1, 2)
@@ -139,3 +146,70 @@ def test_mat_pow_zero_is_identity():
     p = GroupParams(5, 1)
     M = EndoMatrix(p, ((2, 5, 0, 10), (1, 1, 0, 0), (0, 3, 2, 1), (4, 0, 0, 1)))
     assert mat_pow(M, 0).rows == identity_matrix(p).rows
+
+
+def _reference_mul(M, N):
+    """Row-by-column product on Python integers, reduced by the constructor."""
+    cols = tuple(zip(*N.rows))
+    return EndoMatrix(
+        M.params,
+        tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in M.rows),
+    )
+
+
+def _reference_apply(M, v):
+    return MixedVector(
+        M.params, tuple(sum(a * b for a, b in zip(row, v.coords)) for row in M.rows)
+    )
+
+
+def _random_well_defined(p, rng):
+    """Random residues; row-0 columns >= 1 are multiples of p^j."""
+    rows = [[rng.randrange(p.row_modulus(r)) for _ in range(p.dim)] for r in range(p.dim)]
+    rows[0][1:] = [rng.randrange(p.p) * p.n for _ in range(p.dim - 1)]
+    return EndoMatrix(p, tuple(map(tuple, rows)))
+
+
+def _random_vector(p, rng):
+    return MixedVector(p, tuple(rng.randrange(p.row_modulus(r)) for r in range(p.dim)))
+
+
+@pytest.mark.parametrize("pj", [(3, 1), (5, 2), (3, 3), (7, 2)])
+def test_int64_products_match_the_python_reference(pj):
+    p = GroupParams(*pj)
+    rng = random.Random(sum(pj))
+    for _ in range(4):
+        M, N = _random_well_defined(p, rng), _random_well_defined(p, rng)
+        v = _random_vector(p, rng)
+        assert mat_mul(M, N) == _reference_mul(M, N)
+        assert mat_apply(M, v) == _reference_apply(M, v)
+    acc = identity_matrix(p)
+    for e in range(6):
+        assert mat_pow(M, e) == acc
+        acc = _reference_mul(acc, M)
+
+
+def test_int64_apply_matches_the_python_reference_at_the_largest_guarded_size():
+    # dim 508 and top modulus 509^2 give the largest dim * top^2 that the
+    # default dimension guard admits; entries sit at or near their moduli.
+    p = GroupParams(509, 1)
+    assert p.dim == 508
+    rng = random.Random(509)
+    top = p.top_modulus
+    rows = [[p.p - 1 - rng.randrange(3) for _ in range(p.dim)] for _ in range(p.dim)]
+    rows[0] = [top - 1 - rng.randrange(3)] + [(p.p - 1) * p.n] * (p.dim - 1)
+    M = EndoMatrix(p, tuple(map(tuple, rows)))
+    v = MixedVector(p, (top - 1,) + tuple(p.p - 1 - rng.randrange(3) for _ in range(p.dim - 1)))
+    assert mat_apply(M, v) == _reference_apply(M, v)
+    w = _random_vector(p, rng)
+    assert mat_apply(M, w) == _reference_apply(M, w)
+
+
+def test_matrix_array_is_read_only():
+    p = GroupParams(3, 1)
+    M = EndoMatrix(p, ((1, 6), (2, 1)))
+    assert M.array.tolist() == [[1, 6], [2, 1]]
+    with pytest.raises(ValueError):
+        M.array[0, 0] = 0
+    with pytest.raises(ValueError):
+        p.row_moduli[0] = 1
