@@ -24,10 +24,16 @@ counted as |C(g)| examined pairs, when no count on it can differ:
 Only the remaining classes build C(g) and compare on it, which keeps the
 witness at the smallest u and the statistics of the full comparison.
 
-For the built-in family at n = p^j the scan never enumerates candidate
-elements a: the per-u counts come from the congruence analysis, and only
-the p - 1 nonidentity elements of the central subgroup of p^j-th powers
-can give a nonzero count, so every other g is skipped soundly.
+For the built-in family at n = p^j the scan enumerates no elements, so
+no enumeration limit applies to it.  Only the p - 1 nonidentity elements
+of the central subgroup of p^j-th powers can give a nonzero count, so
+every other g is skipped soundly.  The per-u counts come from the
+congruence analysis and depend only on the class of u given by its
+b-exponent k and v_0 mod p: row 0 of every B^m is e_0 mod p, so the
+correction term of the congruence is -v_0 mod p for every m.  A table of
+p^{j+1} classes thus stands for all |G| elements.  The scan checks that
+premise at run time on the b_power_row0 rows and raises
+VerificationError when it fails.
 """
 
 from __future__ import annotations
@@ -342,62 +348,82 @@ def _central_target(params: GroupParams, s: int) -> SElement:
     return SElement(MixedVector(params, coords), 0)
 
 
-def _structured_full_scan(G: SpjGroup, threads: int | None) -> FszVerdict:
-    """Complete FSZ_{p^j} scan of S(p,j) without enumerating candidates.
+def _consistency_histogram(params: GroupParams) -> np.ndarray:
+    """Histogram of the consistency congruence per b-exponent, shape (p^j, p).
+
+    With c(m) the power coefficient of structured_tables and w the vector
+    part of u^-1, b-exponent m is consistent for u (b-exponent k) against
+    the central target a_1^{s p^j} when s/c(m) = s/c(m - k) - delta(m)
+    (mod p), where delta(m) is the first coordinate mod p of B^m w.  When
+    row 0 of every B^m is e_0 mod p, delta(m) = w_0 = -v_0 (mod p) for all
+    m, so the count sees only the class (k, v_0 mod p) of u; that premise
+    is checked here on the b_power_row0 rows.  Entry [k, v] counts the m
+    with 1/c(m) - 1/c(m - k) = v (mod p), and the consistency number of
+    class (k, r) against a_1^{s p^j} is entry [k, r/s mod p].
+    """
+    p, pj = params.p, params.n
+    row0 = np.array(b_power_row0(params), dtype=np.int64) % p
+    broken = np.nonzero((row0[:, 0] != 1) | row0[:, 1:].any(axis=1))[0]
+    if broken.size:
+        raise VerificationError(
+            f"row 0 of B^{int(broken[0])} is not e_0 mod {p}, so the consistency "
+            f"count is not a function of the class (k, v_0 mod p)"
+        )
+    t_table, ic = (np.array(x, dtype=np.int64) for x in structured_tables(params))
+    ic1 = ic[t_table]  # [m]
+    grid = np.arange(pj)
+    diff = (ic1[None, :] - ic1[(grid[None, :] - grid[:, None]) % pj]) % p  # [k, m]
+    return np.bincount((grid[:, None] * p + diff).ravel(), minlength=pj * p).reshape(pj, p)
+
+
+def _structured_full_scan(G: SpjGroup) -> FszVerdict:
+    """Complete FSZ_{p^j} scan of S(p,j) over p^{j+1} classes of u.
 
     For every u the count against the central target a_1^{s p^j} is
     (number of consistent b-exponents) times a fixed positive constant,
-    so the scan stores only that small consistency number per (u, s) and
-    compares columns.  g outside the central subgroup contributes zero
-    against every power, hence never violates.
+    and by the lemma checked in _consistency_histogram that number depends
+    only on the class (k, v_0 mod p) of u.  The scan compares, per s, the
+    column of the p^{j+1} class numbers; the smallest index in class
+    (k, r) is k |G| / p^j + r p^{dim-1}, so class order is index order and
+    the witness (smallest s, then u, then m) and the statistics are those
+    of a scan over every element.  g outside the central subgroup
+    contributes zero against every power, hence never violates.  The
+    witness counts are recounted by the scalar structured counter.
     """
     params = G.params
     p, pj, d = params.p, params.n, params.dim
     N = G.N
-    row0 = np.array(b_power_row0(params), dtype=np.int64)
-    t_table_t, ic_t = structured_tables(params)
-    t_table = np.array(t_table_t, dtype=np.int64)
-    ic = np.array(ic_t, dtype=np.int64)
-    m_grid = np.arange(pj, dtype=np.int64)
+    hist = _consistency_histogram(params)
+    residues = np.arange(p)
 
-    def job(start: int, stop: int) -> np.ndarray:
-        V, K = G.decode(np.arange(start, stop, dtype=np.int64))
-        Wv, Kb = G.inv(V, K)
-        deltas = (Wv @ row0.T) % p
-        ic2 = ic[t_table[(m_grid[None, :] + Kb[:, None]) % pj]]
-        ic1 = ic[t_table]
-        block = np.empty((stop - start, p - 1), dtype=np.int16)
-        for rhs in range(1, p):
-            s1 = rhs * ic1 % p
-            s2 = (rhs * ic2 - deltas) % p
-            block[:, rhs - 1] = (s1[None, :] == s2).sum(axis=1)
-        return block
+    def column(s: int) -> np.ndarray:
+        """Consistency numbers against a_1^{s p^j}, class (k, r) at k p + r."""
+        return hist[:, residues * pow(s, -1, p) % p].ravel()
 
-    consist = np.concatenate(G.map_chunks(job, threads))
     per_m = pj * p ** (pj - 2)
-    ms = [m for m in range(2, p)]
+    ms = list(range(2, p))
 
     for s in range(1, p):
-        col = consist[:, s - 1]
-        viol = np.zeros(N, dtype=bool)
+        col = column(s)
+        viol = np.zeros(pj * p, dtype=bool)
         for m in ms:
-            viol |= col != consist[:, (s * m % p) - 1]
+            viol |= col != column(s * m % p)
         if not viol.any():
             continue
-        u_idx = int(np.nonzero(viol)[0][0])
-        m_hit = next(
-            m for m in ms if consist[u_idx, s - 1] != consist[u_idx, (s * m % p) - 1]
-        )
+        c_idx = int(np.nonzero(viol)[0][0])
+        m_hit = next(m for m in ms if column(s * m % p)[c_idx] != col[c_idx])
+        k, r = divmod(c_idx, p)
+        u_idx = k * (N // pj) + r * p ** (d - 1)
         u = element_at(params, u_idx)
         g = _central_target(params, s)
         gm = _central_target(params, s * m_hit % p)
         count_g = gn_count_structured(params, u, g).count
         count_gm = gn_count_structured(params, u, gm).count
-        if count_g != int(consist[u_idx, s - 1]) * per_m or count_gm != int(
-            consist[u_idx, (s * m_hit % p) - 1]
+        if count_g != int(col[c_idx]) * per_m or count_gm != int(
+            column(s * m_hit % p)[c_idx]
         ) * per_m:
             raise VerificationError(
-                "scalar recount disagrees with the vectorized scan at the witness"
+                "scalar recount disagrees with the class table at the witness"
             )
         stats = {
             "pairs_examined": (s - 1) * N + u_idx + 1,
@@ -430,33 +456,6 @@ def _designated_pair(params: GroupParams) -> tuple[SElement, SElement, SElement]
     return u, g, g2
 
 
-def _structured_partial(G: SpjGroup) -> FszVerdict:
-    params = G.params
-    u, g, g2 = _designated_pair(params)
-    c1 = gn_count_structured(params, u, g)
-    c2 = gn_count_structured(params, u, g2)
-    stats = {
-        "pairs_examined": 1,
-        "comparisons": 1,
-        "group_order_over_limit": 1,
-    }
-    if c1.count != c2.count:
-        return FszVerdict(
-            group=G.describe(),
-            n=params.n,
-            verdict=f"non-FSZ_{params.n} (partial scan)",
-            witness=FszWitness(u, g, 2, c1.count, c2.count),
-            statistics=stats,
-        )
-    return FszVerdict(
-        group=G.describe(),
-        n=params.n,
-        verdict="inconclusive (partial scan)",
-        witness=None,
-        statistics=stats,
-    )
-
-
 def check_fsz_n(
     G,
     n: int,
@@ -470,9 +469,7 @@ def check_fsz_n(
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     if reduction and isinstance(G, SpjGroup) and n == G.params.n:
-        if G.order() <= limit:
-            return _structured_full_scan(G, threads)
-        return _structured_partial(G)
+        return _structured_full_scan(G)
     if not reduction and G.order() > no_reduction_limit:
         raise EnumerationLimitError(
             f"the no-reduction scan is for cross-validation on tiny groups: "

@@ -124,6 +124,37 @@ def test_fsz_spj_single_n(capsys):
     assert "non-FSZ_5" in out
 
 
+S71_FSZ_7_JSON = (
+    '{"group": "S(7,1) (order 5764801)", "kind": "fsz", "overall": null, '
+    '"verdicts": [{"group": "S(7,1) (order 5764801)", "n": 7, "statistics": '
+    '{"central_targets": 6, "comparisons": 4201751, "pairs_examined": 840351, '
+    '"skipped_by_support": 5764794}, "verdict": "non-FSZ_7", "witness": '
+    '{"count_g": 0, "count_gm": 117649, "g": "a1^7", "m": 2, "u": "a1^1 b^1"}}]}\n'
+)
+S71_FSZ_7_TEXT = (
+    "FSZ scan of S(7,1) (order 5764801)\n"
+    "fsz_n [n=7]: non-FSZ_7\n"
+    "witness [n=7 m=2]: u=a1^1 b^1 g=a1^7 counts 0 vs 117649\n"
+)
+
+
+@pytest.mark.parametrize("fmt,want", [("json", S71_FSZ_7_JSON), ("text", S71_FSZ_7_TEXT)])
+def test_fsz_s71_at_n_7_is_pinned(capsys, fmt, want):
+    code, out, _ = _run(capsys, "fsz", "--p", "7", "--j", "1", "--n", "7", "--format", fmt)
+    assert code == 0
+    assert out == want
+
+
+def test_fsz_at_p_to_the_j_is_complete_beyond_the_limit(capsys):
+    code, out, err = _run(capsys, "fsz", "--p", "5", "--j", "2", "--n", "25")
+    assert code == 0, err
+    assert "partial scan" not in out
+    assert out.splitlines()[1:] == [
+        "fsz_n [n=25]: non-FSZ_25",
+        "witness [n=25 m=2]: u=a1^1 b^1 g=a1^25 counts 0 vs 1490116119384765625",
+    ]
+
+
 def test_fsz_requires_exactly_one_source(capsys, tmp_path):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1, 0]]}))

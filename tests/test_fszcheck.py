@@ -12,10 +12,16 @@ from fsz_forge.gncount import (
     EnumerationLimitError,
     exponent,
     gn_count_bruteforce,
+    gn_count_structured,
+    structured_tables,
     validate_table,
 )
 from fsz_forge.fszcheck import (
+    FszVerdict,
+    FszWitness,
     VerificationError,
+    _central_target,
+    _consistency_histogram,
     _generic_scan,
     _power_buckets,
     _u_counts,
@@ -26,7 +32,10 @@ from fsz_forge.fszcheck import (
     spj_witness,
 )
 from fsz_forge.spgroup import (
+    DEFAULT_ENUMERATION_LIMIT,
     SpjGroup,
+    b_power_row0,
+    element_at,
     generator_a,
     identity_element,
     power_generic,
@@ -298,13 +307,111 @@ def test_check_fsz_n_guards():
         check_fsz_n(SpjGroup(P51), 5, reduction=False)
 
 
-def test_partial_scan_verdict_beyond_the_guard():
-    G = SpjGroup(GroupParams(5, 2))
-    verdict = check_fsz_n(G, 25)
-    assert verdict.verdict == "non-FSZ_25 (partial scan)"
+def _per_element_consistency(G) -> np.ndarray:
+    """Consistency numbers of every u against each central target, per element.
+
+    The reference for the class table: each u is inverted on the index
+    arrays and its congruence correction is read off all of row 0 of every
+    B^m, assuming nothing about those rows.
+    """
+    params = G.params
+    p, pj = params.p, params.n
+    row0 = np.array(b_power_row0(params), dtype=np.int64)
+    t_table_t, ic_t = structured_tables(params)
+    t_table = np.array(t_table_t, dtype=np.int64)
+    ic = np.array(ic_t, dtype=np.int64)
+    V, K = G.decode(np.arange(G.N, dtype=np.int64))
+    Wv, Kb = G.inv(V, K)
+    deltas = (Wv @ row0.T) % p
+    ic2 = ic[t_table[(np.arange(pj)[None, :] + Kb[:, None]) % pj]]
+    ic1 = ic[t_table]
+    out = np.empty((G.N, p - 1), dtype=np.int64)
+    for rhs in range(1, p):
+        s1 = rhs * ic1 % p
+        s2 = (rhs * ic2 - deltas) % p
+        out[:, rhs - 1] = (s1[None, :] == s2).sum(axis=1)
+    return out
+
+
+def _per_element_scan(G) -> FszVerdict:
+    """The FSZ_{p^j} verdict from the per-element table, scanning every u."""
+    params = G.params
+    p, pj, N = params.p, params.n, G.N
+    consist = _per_element_consistency(G)
+    per_m = pj * p ** (pj - 2)
+    ms = list(range(2, p))
+    stats = {"central_targets": p - 1, "skipped_by_support": N - p}
+    for s in range(1, p):
+        col = consist[:, s - 1]
+        viol = np.zeros(N, dtype=bool)
+        for m in ms:
+            viol |= col != consist[:, s * m % p - 1]
+        if not viol.any():
+            continue
+        u_idx = int(np.nonzero(viol)[0][0])
+        m = next(m for m in ms if col[u_idx] != consist[u_idx, s * m % p - 1])
+        stats["pairs_examined"] = (s - 1) * N + u_idx + 1
+        stats["comparisons"] = ((s - 1) * N + u_idx) * len(ms) + ms.index(m) + 1
+        witness = FszWitness(
+            element_at(params, u_idx), _central_target(params, s), m,
+            int(col[u_idx]) * per_m, int(consist[u_idx, s * m % p - 1]) * per_m,
+        )
+        return FszVerdict(G.describe(), pj, f"non-FSZ_{pj}", witness, stats)
+    stats["pairs_examined"] = (p - 1) * N
+    stats["comparisons"] = (p - 1) * N * len(ms)
+    return FszVerdict(G.describe(), pj, f"FSZ_{pj}", None, stats)
+
+
+@pytest.mark.parametrize("p,j", [(3, 1), (5, 1), (3, 2)])
+def test_class_table_matches_the_per_element_table(p, j):
+    G = SpjGroup(GroupParams(p, j))
+    V, K = G.decode(np.arange(G.N, dtype=np.int64))
+    hist = _consistency_histogram(G.params)
+    # class (k, r) against a_1^{s p^j} reads entry [k, r/s mod p]
+    expanded = np.stack(
+        [hist[K, V[:, 0] * pow(s, -1, p) % p] for s in range(1, p)], axis=1
+    )
+    assert np.array_equal(expanded, _per_element_consistency(G))
+
+
+@pytest.mark.parametrize("p,j", [(3, 1), (5, 1), (3, 2)])
+def test_structured_scan_matches_the_per_element_scan(p, j):
+    G = SpjGroup(GroupParams(p, j))
+    got = check_fsz_n(G, G.params.n).as_dict(G.describe_element)
+    assert got == _per_element_scan(G).as_dict(G.describe_element)
+
+
+def test_structured_scan_checks_the_row0_premise(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    def broken(params):
+        rows = [list(r) for r in b_power_row0(params)]
+        rows[2][0] += 1
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(fz, "b_power_row0", broken)
+    with pytest.raises(VerificationError, match="row 0 of B\\^2"):
+        check_fsz_n(SpjGroup(P31), 3)
+
+
+@pytest.mark.parametrize("p,j", [(5, 2), (7, 2), (11, 1)])
+def test_complete_structured_verdict_beyond_the_limit(p, j):
+    params = GroupParams(p, j)
+    G = SpjGroup(params)
+    assert G.order() > DEFAULT_ENUMERATION_LIMIT
+    verdict = check_fsz_n(G, params.n)
+    assert verdict.verdict == f"non-FSZ_{params.n}"
     w = verdict.witness
-    assert (w.count_g, w.m) == (0, 2)
-    assert w.count_gm > 0
+    assert G.describe_element(w.u) == "a1^1 b^1"
+    assert G.describe_element(w.g) == f"a1^{params.n}"
+    assert (w.m, w.count_g) == (2, 0)
+    assert w.count_gm == gn_count_structured(params, w.u, G.power(w.g, 2)).count > 0
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_s3j_is_fsz_at_3_to_the_j(j):
+    params = GroupParams(3, j)
+    assert check_fsz_n(SpjGroup(params), params.n).verdict == f"FSZ_{params.n}"
 
 
 @pytest.mark.parametrize("p,j", [(5, 1), (7, 1), (5, 2), (7, 2)])

@@ -10,6 +10,7 @@ from fsz_forge.spgroup import (
     EnumerationLimitError,
     SElement,
     SpjGroup,
+    b_power_row0,
     element_at,
     element_index,
     enumerate_elements,
@@ -136,6 +137,19 @@ def test_t_of_b_exponent():
     assert t_of_b_exponent(P32, 6) == 1
     assert t_of_b_exponent(P32, 1) == 0
     assert t_of_b_exponent(P32, 8) == 0
+
+
+@pytest.mark.parametrize(
+    "p,j", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
+)
+def test_b_power_row0_is_e0_mod_p(p, j):
+    # The premise of the class table in the structured FSZ_{p^j} scan.
+    params = GroupParams(p, j)
+    e0 = (1,) + (0,) * (params.dim - 1)
+    rows = b_power_row0(params)
+    assert len(rows) == params.b_order
+    for row in rows:
+        assert tuple(c % p for c in row) == e0
 
 
 def test_enumeration_is_a_bijection():
