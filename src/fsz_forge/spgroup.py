@@ -466,9 +466,6 @@ class SpjGroup:
     def power(self, x: SElement, e: int) -> SElement:
         return power_generic(self.params, x, e)
 
-    def enumerate(self, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[SElement]:
-        return enumerate_elements(self.params, limit)
-
     def element_order(self, x: SElement) -> int:
         order = 1
         y = x
@@ -477,10 +474,6 @@ class SpjGroup:
             y = power_generic(self.params, y, self.params.p)
             order *= self.params.p
         return order
-
-    def conjugators(self) -> tuple[SElement, ...]:
-        # Conjugation orbits are already closed under the generators.
-        return generators(self.params)
 
     def describe(self) -> str:
         return f"{self.params.describe()} (order {self.params.group_order})"
@@ -645,7 +638,7 @@ class SpjGroup:
         conjugation by a product composes the generator actions.
         """
         perms = []
-        for c in self.conjugators():
+        for c in generators(self.params):
             c_idx = self.from_element(c)
             left = self.leftmul_array(self.invert_index(c_idx), threads)
             right = self.rightmul_array(c_idx, threads)

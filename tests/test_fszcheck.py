@@ -36,6 +36,7 @@ from fsz_forge.spgroup import (
     SpjGroup,
     b_power_row0,
     element_at,
+    enumerate_elements,
     generator_a,
     identity_element,
     power_generic,
@@ -90,7 +91,7 @@ def test_conjugacy_class_reps_partition_s31():
     G = SpjGroup(P31)
     reps, sizes = conjugacy_class_reps(G)
     # independently partition all 81 elements by conjugation under everything
-    els = list(G.enumerate())
+    els = list(enumerate_elements(G.params))
     seen: set = set()
     classes = []
     for x in els:
@@ -441,7 +442,7 @@ def test_spj_witness_counts_match_the_5_1_goldens():
 
 
 def _random_triples(G, rng, count, ns):
-    els = list(G.enumerate())
+    els = list(enumerate_elements(G.params))
     for _ in range(count):
         yield rng.choice(els), rng.choice(els), rng.choice(ns)
 

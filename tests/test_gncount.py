@@ -196,9 +196,74 @@ def test_validate_table_rejects_shape_errors():
         validate_table([[0, 5], [5, 0]])
 
 
-def test_validate_table_samples_triples_above_the_full_check_cutoff():
-    T = validate_table(tf.cyclic(520), seed=1)
+def test_validate_table_accepts_cyclic_520():
+    T = validate_table(tf.cyclic(520))
     assert T.order() == 520
+
+
+def test_validate_table_rejects_a_rare_associativity_violation():
+    # Z_4000 with the entries at rows 1 and 2001, columns 1 and 2001
+    # swapped: still a Latin square with identity 0.  Only the triples
+    # through those four cells fail, so 10^6 random triples miss them.
+    n = 4000
+    a = np.arange(n)
+    T = (a[:, None] + a[None, :]) % n
+    T[np.ix_([1, 2001], [1, 2001])] = T[np.ix_([1, 2001], [2001, 1])]
+    with pytest.raises(
+        TableError,
+        match=r"associativity violation at \(1,1,2\): \(1\*1\)\*2 = 2004 but 1\*\(1\*2\) = 4",
+    ):
+        validate_table(T.tolist())
+
+
+def _associative(table) -> bool:
+    """Every triple checked: the reference for Light's test."""
+    T = np.array(table)
+    return bool(np.array_equal(T[T], T[:, T]))
+
+
+def _loops(n: int, rng: random.Random | None = None):
+    """Latin squares over 0..n-1 with identity row and column 0.
+
+    Filled cell by cell with backtracking; with rng, each cell tries its
+    values in a random order.
+    """
+    T = [[(r if c == 0 else c if r == 0 else -1) for c in range(n)] for r in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in T]
+            return
+        r, c = cells[k]
+        values = [v for v in range(n) if v not in T[r] and all(T[x][c] != v for x in range(n))]
+        if rng is not None:
+            rng.shuffle(values)
+        for v in values:
+            T[r][c] = v
+            yield from fill(k + 1)
+        T[r][c] = -1
+
+    return fill(0)
+
+
+def test_light_test_accepts_exactly_the_associative_tables():
+    # Every reduced Latin square of orders 5 and 6, then random loops.  A
+    # group G has (|G|-1)!/|Aut G| reduced tables: Z5 6, Z6 60, S3 20.
+    squares = list(_loops(5)) + list(_loops(6))
+    rng = random.Random(6)
+    randoms = [next(_loops(n, rng)) for n in (7, 8) for _ in range(200)]
+    assert len(squares) == 56 + 9408
+    assert sum(map(_associative, squares)) == 6 + 60 + 20
+    for table in squares + randoms:
+        if _associative(table):
+            validate_table(table)
+            continue
+        with pytest.raises(TableError, match="associativity violation") as exc:
+            validate_table(table)
+        a, s, c = map(int, exc.value.args[0].split("(")[1].split(")")[0].split(","))
+        T = np.array(table)
+        assert T[T[a, s], c] != T[a, T[s, c]]
 
 
 def test_load_table_group_round_trip(tmp_path):
