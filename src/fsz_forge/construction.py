@@ -74,7 +74,7 @@ def build_b(params: GroupParams) -> EndoMatrix:
     for c in range(1, d - 1):
         rows[c + 1][c] = 1
     rows[0][d - 1] = -pj
-    return EndoMatrix(params, tuple(tuple(r) for r in rows))
+    return EndoMatrix(params, rows)
 
 
 def build_shift(params: GroupParams) -> EndoMatrix:
@@ -105,7 +105,7 @@ def shift_power_closed(params: GroupParams, k: int) -> EndoMatrix:
             rows[r][0] = -1
         elif c >= 1:
             rows[r][c] = 1
-    return EndoMatrix(params, tuple(tuple(r) for r in rows))
+    return EndoMatrix(params, rows)
 
 
 def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
@@ -126,7 +126,7 @@ def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
         rows[r][0] = -comb(k, r)
         for c in range(1, r + 1):
             rows[r][c] = comb(k, r - c)
-    return EndoMatrix(params, tuple(tuple(r) for r in rows))
+    return EndoMatrix(params, rows)
 
 
 def build_y(params: GroupParams, t: int) -> EndoMatrix:
@@ -148,14 +148,8 @@ def build_y(params: GroupParams, t: int) -> EndoMatrix:
 
 def _is_corner_block(M: EndoMatrix, corner: int) -> bool:
     """True when (0,0) equals corner and every other entry is zero."""
-    d = M.params.dim
-    if M.rows[0][0] != corner % M.params.top_modulus:
-        return False
-    for r in range(d):
-        for c in range(d):
-            if (r, c) != (0, 0) and M.rows[r][c]:
-                return False
-    return True
+    A = M.array
+    return bool(A[0, 0] == corner % M.params.top_modulus and not A.ravel()[1:].any())
 
 
 def verify_construction(params: GroupParams) -> VerificationReport:
@@ -192,7 +186,7 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         )
     )
 
-    corner = chain[pj - 1].rows[0][0]
+    corner = int(chain[pj - 1].array[0, 0])
     results.append(
         CheckResult(
             "b_last_power_corner",
@@ -206,7 +200,7 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         CheckResult(
             "y1_block_form",
             _is_corner_block(y1, 2 * pj),
-            f"Y(1) corner entry {y1.rows[0][0]}, expected {2 * pj} with zeros elsewhere",
+            f"Y(1) corner entry {int(y1.array[0, 0])}, expected {2 * pj} with zeros elsewhere",
         )
     )
 
@@ -256,10 +250,7 @@ def verify_construction(params: GroupParams) -> VerificationReport:
 
     # Constructors raise MatrixInvariantError on a broken invariant, so no
     # power reaches this point without it; the check reports it explicitly.
-    bad_pow = []
-    for k, M in enumerate(chain):
-        if any(M.rows[0][c] % pj for c in range(1, params.dim)):
-            bad_pow.append(k)
+    bad_pow = [k for k, M in enumerate(chain) if (M.array[0, 1:] % pj).any()]
     results.append(
         CheckResult(
             "power_divisibility_invariant",

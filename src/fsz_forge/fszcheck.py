@@ -31,8 +31,9 @@ every other g is skipped soundly.  The per-u counts come from the
 congruence analysis and depend only on the class of u given by its
 b-exponent k and v_0 mod p: row 0 of every B^m is e_0 mod p, so the
 correction term of the congruence is -v_0 mod p for every m.  A table of
-p^{j+1} classes thus stands for all |G| elements.  The scan checks that
-premise at run time on the b_power_row0 rows and raises
+p^{j+1} classes thus stands for all |G| elements.  The premise is
+checked at run time in gncount.structured_tables, on which this scan
+and the scalar structured counter both rest; it raises
 VerificationError when it fails.
 """
 
@@ -52,7 +53,6 @@ from .spgroup import (
     EnumerationLimitError,
     SElement,
     SpjGroup,
-    b_power_row0,
     element_at,
     generator_a,
     generator_b,
@@ -357,18 +357,12 @@ def _consistency_histogram(params: GroupParams) -> np.ndarray:
     (mod p), where delta(m) is the first coordinate mod p of B^m w.  When
     row 0 of every B^m is e_0 mod p, delta(m) = w_0 = -v_0 (mod p) for all
     m, so the count sees only the class (k, v_0 mod p) of u; that premise
-    is checked here on the b_power_row0 rows.  Entry [k, v] counts the m
-    with 1/c(m) - 1/c(m - k) = v (mod p), and the consistency number of
-    class (k, r) against a_1^{s p^j} is entry [k, r/s mod p].
+    is checked by structured_tables, which raises VerificationError when
+    it fails.  Entry [k, v] counts the m with 1/c(m) - 1/c(m - k) = v
+    (mod p), and the consistency number of class (k, r) against
+    a_1^{s p^j} is entry [k, r/s mod p].
     """
     p, pj = params.p, params.n
-    row0 = np.array(b_power_row0(params), dtype=np.int64) % p
-    broken = np.nonzero((row0[:, 0] != 1) | row0[:, 1:].any(axis=1))[0]
-    if broken.size:
-        raise VerificationError(
-            f"row 0 of B^{int(broken[0])} is not e_0 mod {p}, so the consistency "
-            f"count is not a function of the class (k, v_0 mod p)"
-        )
     t_table, ic = (np.array(x, dtype=np.int64) for x in structured_tables(params))
     ic1 = ic[t_table]  # [m]
     grid = np.arange(pj)
@@ -381,7 +375,7 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
 
     For every u the count against the central target a_1^{s p^j} is
     (number of consistent b-exponents) times a fixed positive constant,
-    and by the lemma checked in _consistency_histogram that number depends
+    and by the lemma checked in structured_tables that number depends
     only on the class (k, v_0 mod p) of u.  The scan compares, per s, the
     column of the p^{j+1} class numbers; the smallest index in class
     (k, r) is k |G| / p^j + r p^{dim-1}, so class order is index order and

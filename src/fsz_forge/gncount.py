@@ -36,13 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .mixedmod import GroupParams, MixedVector
+from .mixedmod import GroupParams, MixedVector, VerificationError
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
     SElement,
     b_power_row0,
-    invert,
     t_of_b_exponent,
 )
 
@@ -222,12 +221,25 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
     if N == 0:
         raise TableError("empty table")
     for r, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            raise TableError(f"row {r} is {type(row).__name__}, expected a list")
         if len(row) != N:
             raise TableError(f"row {r} has {len(row)} entries, expected {N}")
-        for c, val in enumerate(row):
-            if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < N:
-                raise TableError(f"entry at row {r} column {c} is {val!r}, expected 0..{N - 1}")
-    T = np.array(table, dtype=np.int64)
+    # Entries are checked on the whole array; the walk only names the first bad one.
+    T = None
+    if set(map(type, itertools.chain.from_iterable(table))) == {int}:
+        try:
+            T = np.array(table, dtype=np.int64)
+        except OverflowError:
+            pass
+    if T is None or T.min() < 0 or T.max() >= N:
+        for r, row in enumerate(table):
+            for c, val in enumerate(row):
+                if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < N:
+                    raise TableError(
+                        f"entry at row {r} column {c} is {val!r}, expected 0..{N - 1}"
+                    )
+        T = np.array(table, dtype=np.int64)
 
     _check_latin(T, "row", "columns")
     _check_latin(T.T, "column", "rows")
@@ -369,38 +381,36 @@ def structured_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, 
     The p^j-th power of an element with b-exponent k is a_1^{c * v_0} with
     c = 2 p^j when t(k) = 0 and c = p^j otherwise; only c / p^j matters
     mod p, so its inverse is all the congruence solving needs.
+    Both structured routes rest on the lemma that row 0 of every B^m is
+    e_0 mod p; it is checked here on the b_power_row0 rows.
     """
+    p = params.p
+    row0 = b_power_row0(params) % p
+    broken = np.nonzero((row0[:, 0] != 1) | row0[:, 1:].any(axis=1))[0]
+    if broken.size:
+        raise VerificationError(
+            f"row 0 of B^{int(broken[0])} is not e_0 mod {p}, so the consistency "
+            f"count is not a function of the class (k, v_0 mod p)"
+        )
     t_table = tuple(t_of_b_exponent(params, k) for k in range(params.b_order))
-    inv2 = pow(2, -1, params.p)
+    inv2 = pow(2, -1, p)
     inv_coeff = tuple(inv2 if t == 0 else 1 for t in range(params.j + 1))
     return t_table, inv_coeff
 
 
-def _structured_profile(params: GroupParams, u: SElement):
-    """Per-exponent data for counting against any central target.
-
-    Returns (kw, deltas, t_table, inv_coeff) where deltas[m] is the first
-    coordinate mod p of B^m applied to the vector part of u^-1.
-    """
-    uinv = invert(params, u)
-    w = uinv.vec.coords
-    row0 = b_power_row0(params)
-    p = params.p
-    deltas = tuple(
-        sum(r * c for r, c in zip(row0[m], w)) % p for m in range(params.b_order)
-    )
-    t_table, inv_coeff = structured_tables(params)
-    return uinv.k, deltas, t_table, inv_coeff
-
-
 def _structured_solutions(params: GroupParams, u: SElement, rhs: int) -> list[tuple[int, int]]:
-    """(m, v_0 residue) for every consistent b-exponent m, ascending in m."""
-    p = params.p
-    kw, deltas, t_table, ic = _structured_profile(params, u)
+    """(m, v_0 residue) for every consistent b-exponent m, ascending in m.
+
+    u^-1 has b-exponent -k, and by the lemma of structured_tables its
+    correction term is -v_0 mod p for every m.
+    """
+    p, pj = params.p, params.n
+    t_table, ic = structured_tables(params)
+    delta = -u.vec.coords[0] % p
     out = []
-    for m in range(params.b_order):
+    for m in range(pj):
         s1 = rhs * ic[t_table[m]] % p
-        s2 = (rhs * ic[t_table[(m + kw) % params.b_order]] - deltas[m]) % p
+        s2 = (rhs * ic[t_table[(m - u.k) % pj]] - delta) % p
         if s1 == s2:
             out.append((m, s1))
     return out

@@ -10,14 +10,15 @@ divisibility makes every product independent of which integer lift of a
 mod-p residue is used, which is what justifies multiplying canonical
 residues directly.
 
-Constructors reduce their inputs as Python integers, which may exceed
-int64 (the closed-form binomial entries do).  Products run on int64
-arrays of the canonical residues and cannot wrap: every stored entry is
-below top_modulus = p^{j+1}, so a dot product of dim such pairs is below
-dim * top_modulus^2, which GroupParams keeps below 2^62 (under the
-default dimension guard of 512 the worst case, S(509,1), reaches about
-3.4e13).  Results go back through the constructors, which reduce them
-and re-check the invariant.  Values are immutable after construction and
+A matrix is stored only as its reduced, read-only int64 array.  An int64
+grid is reduced with numpy; any other grid is reduced once with Python
+integers on entry, because the closed-form binomial entries exceed
+int64.  Products run on the stored arrays and cannot wrap: every stored
+entry is below top_modulus = p^{j+1}, so a dot product of dim such pairs
+is below dim * top_modulus^2, which GroupParams keeps below 2^62 (under
+the default dimension guard of 512 the worst case, S(509,1), reaches
+about 3.4e13).  The constructor reduces each product and re-checks the
+invariant on the array.  Values are immutable after construction and
 safe to share between workers.
 """
 
@@ -77,6 +78,12 @@ class GroupParams:
     group_order: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # p^j - 1 >= max(p - 1, 2^j - 1): reject oversized input before the
+        # trial division and before p ** j, which both grow without bound.
+        if self.p - 1 > self.max_dim or self.j >= (self.max_dim + 1).bit_length():
+            raise ParameterError(
+                f"dimension p^j - 1 exceeds the size guard {self.max_dim}"
+            )
         if self.p < 3 or not _is_prime(self.p):
             raise ParameterError(f"p must be an odd prime >= 3, got {self.p}")
         if self.j < 1:
@@ -138,9 +145,6 @@ class MixedVector:
     def __add__(self, other: "MixedVector") -> "MixedVector":
         return vec_combine(self, other)
 
-    def __neg__(self) -> "MixedVector":
-        return vec_scale(-1, self)
-
 
 def zero_vector(params: GroupParams) -> MixedVector:
     return MixedVector(params, (0,) * params.dim)
@@ -166,62 +170,65 @@ def vec_scale(c: int, v: MixedVector) -> MixedVector:
     return MixedVector(v.params, tuple(c * x for x in v.coords))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndoMatrix:
     """A dim x dim integer matrix with per-row moduli.
 
-    Row 0 is reduced mod p^{j+1}, the others mod p.  Construction reduces
-    the entries and enforces the well-definedness invariant: row-0 entries
-    in columns >= 1 must be divisible by p^j.
+    Row 0 is reduced mod p^{j+1}, the others mod p.  The matrix is stored
+    as its reduced, read-only int64 array.  Construction takes any integer
+    grid, reduces it and enforces the well-definedness invariant: row-0
+    entries in columns >= 1 must be divisible by p^j.  Equality and
+    hashing are by value.
     """
 
     params: GroupParams
-    rows: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
     def __post_init__(self) -> None:
         pr = self.params
         d = pr.dim
-        if len(self.rows) != d or any(len(r) != d for r in self.rows):
+        grid = self.array
+        if not (isinstance(grid, np.ndarray) and grid.dtype == np.int64):
+            # Reduced as Python ints: the closed-form binomial entries exceed int64.
+            grid = np.array(grid, dtype=object)
+        if grid.shape != (d, d):
             raise ParameterError(f"expected a {d}x{d} grid")
-        p, top = pr.p, pr.top_modulus
-        reduced = (tuple(x % top for x in self.rows[0]),) + tuple(
-            tuple(x % p for x in row) for row in self.rows[1:]
-        )
-        object.__setattr__(self, "rows", reduced)
-        pj = pr.n
-        for c in range(1, d):
-            if reduced[0][c] % pj:
-                raise MatrixInvariantError(
-                    f"row 0 column {c} entry {reduced[0][c]} is not divisible "
-                    f"by p^j = {pj}; the grid is not a well defined endomorphism"
-                )
+        reduced = (grid % pr.row_moduli.astype(grid.dtype)[:, None]).astype(np.int64)
+        bad = np.flatnonzero(reduced[0, 1:] % pr.n)
+        if bad.size:
+            c = int(bad[0]) + 1
+            raise MatrixInvariantError(
+                f"row 0 column {c} entry {int(reduced[0, c])} is not divisible "
+                f"by p^j = {pr.n}; the grid is not a well defined endomorphism"
+            )
+        reduced.flags.writeable = False
+        object.__setattr__(self, "array", reduced)
 
-    @cached_property
-    def array(self) -> np.ndarray:
-        """Read-only int64 copy of rows, the operand of the products."""
-        a = np.array(self.rows, dtype=np.int64)
-        a.flags.writeable = False
-        return a
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries as nested tuples of Python ints, for tests and output."""
+        return tuple(map(tuple, self.array.tolist()))
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EndoMatrix):
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self.array, other.array)
 
-    def __add__(self, other: "EndoMatrix") -> "EndoMatrix":
-        return mat_add(self, other)
+    def __hash__(self) -> int:
+        return hash((self.params, self.array.tobytes()))
 
 
 def identity_matrix(params: GroupParams) -> EndoMatrix:
-    d = params.dim
-    return EndoMatrix(
-        params, tuple(tuple(1 if r == c else 0 for c in range(d)) for r in range(d))
-    )
+    return EndoMatrix(params, np.eye(params.dim, dtype=np.int64))
 
 
 def zero_matrix(params: GroupParams) -> EndoMatrix:
-    d = params.dim
-    return EndoMatrix(params, ((0,) * d,) * d)
+    return EndoMatrix(params, np.zeros((params.dim, params.dim), dtype=np.int64))
 
 
+# Every stored entry is below top_modulus and GroupParams keeps
+# dim * top_modulus^2 below 2^62, so the int64 sums, scalings by
+# c % top_modulus and dot products below stay exact before the reduction.
 def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
     """Apply M to v on the left.
 
@@ -237,20 +244,16 @@ def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
 def mat_mul(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
     """Matrix product with per-row reduction; preserves the invariant."""
     _require_same_params(M, N)
-    product = (M.array @ N.array) % M.params.row_moduli[:, None]
-    return EndoMatrix(M.params, tuple(map(tuple, product.tolist())))
+    return EndoMatrix(M.params, M.array @ N.array)
 
 
 def mat_add(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
     _require_same_params(M, N)
-    return EndoMatrix(
-        M.params,
-        tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(M.rows, N.rows)),
-    )
+    return EndoMatrix(M.params, M.array + N.array)
 
 
 def mat_scale(c: int, M: EndoMatrix) -> EndoMatrix:
-    return EndoMatrix(M.params, tuple(tuple(c * x for x in row) for row in M.rows))
+    return EndoMatrix(M.params, (c % M.params.top_modulus) * M.array)
 
 
 def mat_pow(M: EndoMatrix, e: int) -> EndoMatrix:

@@ -86,27 +86,27 @@ def _spj_matrices(params: GroupParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def b_power_row0(params: GroupParams) -> tuple[tuple[int, ...], ...]:
-    """Row 0 of B^k for every k in 0..p^j-1.
+def b_power_row0(params: GroupParams) -> np.ndarray:
+    """Row 0 of B^k for every k in 0..p^j-1, as a read-only int64 array.
 
     Computed by iterated row-vector times matrix products, so the counting
     layer never needs the full matrix powers for large parameters.  The
     row stays mod p^{j+1} throughout; its entries in columns >= 1 remain
     divisible by p^j, which keeps the products lift-independent.
     """
-    B = build_b(params)
-    d, top, pj = params.dim, params.top_modulus, params.n
-    cols = tuple(zip(*B.rows))
-    row = tuple(1 if c == 0 else 0 for c in range(d))
-    out = [row]
+    B = build_b(params).array
+    top, pj = params.top_modulus, params.n
+    out = np.zeros((params.b_order, params.dim), dtype=np.int64)
+    out[0, 0] = 1
     for k in range(1, params.b_order):
-        row = tuple(sum(a * b for a, b in zip(row, col)) % top for col in cols)
-        if any(row[c] % pj for c in range(1, d)):
+        # GroupParams bounds dim * top^2, so the product fits in int64.
+        out[k] = out[k - 1] @ B % top
+        if (out[k, 1:] % pj).any():
             raise MatrixInvariantError(
                 f"row 0 of B^{k} is not divisible by p^j = {pj} past column 0"
             )
-        out.append(row)
-    return tuple(out)
+    out.flags.writeable = False
+    return out
 
 
 def t_of_b_exponent(params: GroupParams, k: int) -> int:

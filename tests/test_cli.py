@@ -174,6 +174,9 @@ def test_fsz_requires_exactly_one_source(capsys, tmp_path):
         ("count", "--p", "3", "--j", "1", "--n", "0", "--u", "e", "--g", "e"),
         ("witness", "--p", "5", "--j", "1", "--format", "yaml"),
         ("fsz", "--table", "/nonexistent/nowhere.json"),
+        ("verify", "--p", "3", "--j", "1000000"),
+        ("verify", "--p", "3", "--j", "100000000"),
+        ("verify", "--p", "2305843009213693951", "--j", "1"),
     ],
 )
 def test_usage_and_input_errors_exit_1(capsys, argv):

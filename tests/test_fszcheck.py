@@ -22,6 +22,7 @@ from fsz_forge.fszcheck import (
     VerificationError,
     _central_target,
     _consistency_histogram,
+    _designated_pair,
     _generic_scan,
     _power_buckets,
     _u_counts,
@@ -383,19 +384,26 @@ def test_structured_scan_matches_the_per_element_scan(p, j):
 
 
 def test_structured_scan_checks_the_row0_premise(monkeypatch):
-    import fsz_forge.fszcheck as fz
+    import fsz_forge.gncount as gc
 
     def broken(params):
-        rows = [list(r) for r in b_power_row0(params)]
-        rows[2][0] += 1
-        return tuple(tuple(r) for r in rows)
+        rows = b_power_row0(params).copy()
+        rows[2, 0] += 1
+        return rows
 
-    monkeypatch.setattr(fz, "b_power_row0", broken)
-    with pytest.raises(VerificationError, match="row 0 of B\\^2"):
-        check_fsz_n(SpjGroup(P31), 3)
+    monkeypatch.setattr(gc, "b_power_row0", broken)
+    structured_tables.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="row 0 of B\\^2"):
+            check_fsz_n(SpjGroup(P31), 3)
+        u, g, _ = _designated_pair(P31)
+        with pytest.raises(VerificationError, match="row 0 of B\\^2"):
+            gn_count_structured(P31, u, g)
+    finally:
+        structured_tables.cache_clear()
 
 
-@pytest.mark.parametrize("p,j", [(5, 2), (7, 2), (11, 1)])
+@pytest.mark.parametrize("p,j", [(5, 2), (7, 2), (11, 1), (509, 1)])
 def test_complete_structured_verdict_beyond_the_limit(p, j):
     params = GroupParams(p, j)
     G = SpjGroup(params)

@@ -77,10 +77,12 @@ def test_oracle_equivalence_on_sampled_pairs(params):
     rng = random.Random(17)
     u_des = multiply(params, generator_b(params), generator_a(params, 1))
     pairs = []
-    # every central g = a_1^{s p^j} against the designated u
+    # every central g = a_1^{s p^j} against the designated u and random u
     for s in range(params.p):
         coords = (s * params.n % params.top_modulus,) + (0,) * (params.dim - 1)
-        pairs.append((u_des, SElement(MixedVector(params, coords), 0)))
+        g = SElement(MixedVector(params, coords), 0)
+        pairs.append((u_des, g))
+        pairs.extend((random_element(params, rng), g) for _ in range(4))
     while len(pairs) < 60:
         pairs.append((random_element(params, rng), random_element(params, rng)))
     for u, g in pairs:
@@ -194,6 +196,10 @@ def test_validate_table_rejects_shape_errors():
         validate_table([[0, 1], [1]])
     with pytest.raises(TableError, match="expected 0..1"):
         validate_table([[0, 5], [5, 0]])
+    with pytest.raises(TableError, match="row 0 is int"):
+        validate_table([1, 2])
+    with pytest.raises(TableError, match="row 1 is NoneType"):
+        validate_table([[0, 1], None])
 
 
 def test_validate_table_accepts_cyclic_520():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from fsz_forge.mixedmod import (
@@ -213,3 +214,14 @@ def test_matrix_array_is_read_only():
         M.array[0, 0] = 0
     with pytest.raises(ValueError):
         p.row_moduli[0] = 1
+
+
+def test_matrix_from_any_grid_is_one_value():
+    p = GroupParams(3, 1)
+    big = 2 ** 64 + 5
+    M = EndoMatrix(p, ((big, 3 * big + 3), (-big, big + 1)))
+    assert M.rows == ((big % 9, (3 * big + 3) % 9), (-big % 3, (big + 1) % 3))
+    A = np.array(M.rows, dtype=np.int64)
+    N = EndoMatrix(p, A + np.array([[9, 18], [-3, 30]], dtype=np.int64))
+    assert M == N and hash(M) == hash(N)
+    assert M != identity_matrix(p)
