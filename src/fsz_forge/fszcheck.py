@@ -457,17 +457,16 @@ def check_fsz_n(
     reduction: bool = True,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     threads: int | None = None,
-    no_reduction_limit: int = NO_REDUCTION_LIMIT,
 ) -> FszVerdict:
     """Decide FSZ_n for one n, with a witness when the answer is no."""
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     if reduction and isinstance(G, SpjGroup) and n == G.params.n:
         return _structured_full_scan(G)
-    if not reduction and G.order() > no_reduction_limit:
+    if not reduction and G.order() > NO_REDUCTION_LIMIT:
         raise EnumerationLimitError(
             f"the no-reduction scan is for cross-validation on tiny groups: "
-            f"order {G.order()} exceeds {no_reduction_limit}"
+            f"order {G.order()} exceeds {NO_REDUCTION_LIMIT}"
         )
     _guard(G, limit)
     return _generic_scan(G, n, reduction=reduction, threads=threads)

@@ -1,8 +1,9 @@
 """Counting the sets G_n(u, g) = {a : a^n = (a u^-1)^n = g}.
 
 Two independent routes are provided on purpose.  The brute-force scan
-enumerates every group element and evaluates both n-th powers honestly
-by square-and-multiply; it works for any enumerable group handle.  The
+enumerates every group element and evaluates both n-th powers with the
+group's own product (for S(p,j), square-and-multiply on probe rows
+extended by the affine sweep); it works for any enumerable group handle.  The
 structured counter works only for the built-in family at n = p^j and
 never enumerates: membership reduces to one linear congruence per
 b-exponent of the candidate.  Tests hold the two routes against each
@@ -326,7 +327,6 @@ def gn_count_bruteforce_many(
     *,
     threads: int | None = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> list[GnCount]:
     """One full scan, counted against several targets g at once.
 
@@ -344,7 +344,7 @@ def gn_count_bruteforce_many(
     for t in tgt:
         mask = (powers == t) & (powers[shifted] == t)
         counts.append(int(mask.sum()))
-        witness_idx.append([int(i) for i in np.nonzero(mask)[0][:max_witnesses]])
+        witness_idx.append([int(i) for i in np.nonzero(mask)[0][:MAX_WITNESSES]])
     return [
         GnCount(
             n=n,
@@ -366,12 +366,9 @@ def gn_count_bruteforce(
     *,
     threads: int | None = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> GnCount:
     """|G_n(u,g)| by scanning every element of G."""
-    return gn_count_bruteforce_many(
-        G, n, u, [g], threads=threads, limit=limit, max_witnesses=max_witnesses
-    )[0]
+    return gn_count_bruteforce_many(G, n, u, [g], threads=threads, limit=limit)[0]
 
 
 @lru_cache(maxsize=None)
@@ -420,8 +417,6 @@ def gn_count_structured(
     params: GroupParams,
     u: SElement,
     g: SElement,
-    *,
-    max_witnesses: int = MAX_WITNESSES,
 ) -> GnCount:
     """|G_{p^j}(u, g)| from the congruence analysis; no enumeration.
 
@@ -446,14 +441,14 @@ def gn_count_structured(
     witnesses = []
     p, d = params.p, params.dim
     for m, v0_res in solutions:
-        if len(witnesses) >= max_witnesses:
+        if len(witnesses) >= MAX_WITNESSES:
             break
         for v0 in range(v0_res, params.top_modulus, p):
-            if len(witnesses) >= max_witnesses:
+            if len(witnesses) >= MAX_WITNESSES:
                 break
             for tail in itertools.product(range(p), repeat=d - 1):
                 witnesses.append(SElement(MixedVector(params, (v0,) + tail), m))
-                if len(witnesses) >= max_witnesses:
+                if len(witnesses) >= MAX_WITNESSES:
                     break
     return GnCount(
         n=n, u=u, g=g, count=count, witnesses=tuple(witnesses), method="structured"

@@ -307,19 +307,18 @@ def _in_central_cyclic(params: GroupParams, x: SElement) -> bool:
 
 
 CENTER_SCAN_CAP = 100_000
+CENTER_SAMPLE_SIZE = 50
 
 
 def structure_report(
     params: GroupParams,
     *,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    exhaustive_below: int = CENTER_SCAN_CAP,
     rng=None,
-    sample_size: int = 50,
 ) -> StructureReport:
     """Order, a_1 order and center verification for one parameter pair.
 
-    When the group order is at most exhaustive_below (and the general
+    When the group order is at most CENTER_SCAN_CAP (and the general
     enumeration limit) the center is found exactly by scanning for
     elements that commute with every generator.  Otherwise the check
     degrades to generator commutation for powers of a_1^p plus a random
@@ -376,7 +375,7 @@ def structure_report(
         )
     )
 
-    if params.group_order <= min(limit, exhaustive_below):
+    if params.group_order <= min(limit, CENTER_SCAN_CAP):
         center = [
             x
             for x in enumerate_elements(params, limit)
@@ -399,7 +398,7 @@ def structure_report(
     else:
         rng = rng if rng is not None else random.Random(0)
         misses = 0
-        for _ in range(sample_size):
+        for _ in range(CENTER_SAMPLE_SIZE):
             cand = random_element(params, rng)
             if _in_central_cyclic(params, cand):
                 continue
@@ -411,7 +410,7 @@ def structure_report(
                 "center_order",
                 misses == 0,
                 f"claimed order {params.n}; no central element outside a_1^p powers "
-                f"in a sample of {sample_size}"
+                f"in a sample of {CENTER_SAMPLE_SIZE}"
                 if misses == 0
                 else f"{misses} sampled elements outside a_1^p powers are central",
             )
@@ -439,10 +438,10 @@ class SpjGroup:
     """S(p,j) behind the group interface described in gncount.
 
     The scalar methods work on SElements.  The index-array methods work
-    on enumeration indices (element_index): they decode indices into
-    (vector, b-exponent) arrays in fixed-size chunks, so results never
-    depend on the worker count.  The B^k stack they need is built on
-    their first call, so handles that never scan never pay for it.
+    on enumeration indices (element_index) through the kernels mul, inv
+    and pow on (vector, b-exponent) arrays.  The whole-group maps (powers,
+    left and right multiplication) are one _sweep each: the kernels run on
+    (dim + 1) * p^j probe rows, and one affine pass maps every index.
     """
 
     def __init__(self, params: GroupParams):
@@ -544,51 +543,62 @@ class SpjGroup:
                 bV, bK = self.mul(bV, bK, bV, bK)
         return rV, rK
 
-    def map_chunks(self, fn, threads: int | None = None):
-        """Run fn(start, stop) over all chunks, merged in chunk order."""
-        _spj_matrices(self.params)  # build the B^k stack before any worker needs it
-        spans = [(s, min(s + _CHUNK, self.N)) for s in range(0, self.N, _CHUNK)]
+    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
+        """Index of f(a) for every a; f maps (V, K) arrays through mul, inv and pow.
+
+        The affine lemma: (v,k)(w,l) = (v + B^k w, k+l), (v,k)^-1 =
+        (-B^-k v, -k) and (v,k)^e = ((sum_{i<e} B^{ik}) v, ek).  So at a fixed
+        b-exponent k each of these maps, and every composition of them, is
+        (v, k) -> (M_k v + c_k, s(k)) with M_k an endomorphism of the abelian
+        part.  f runs once on the zero vector and the dim basis vectors at
+        each k: c_k is the image of zero, row i of M_k^T the image of e_i
+        minus c_k.  Being an endomorphism, M_k sends each e_i, i >= 1, of
+        order p to an element whose coordinate 0 is divisible by p^j, so
+        M_k applied to residues is lift-independent; GroupParams bounds
+        dim * top^2, so V @ M_k^T + c_k fits in int64.  Fixed-size chunks
+        keep the result independent of the worker count, and the workers
+        read only the finished table.
+        """
+        d, bo, A = self.params.dim, self.params.b_order, self._abelian
+        probe = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
+        FV, FK = f(np.tile(probe, (bo, 1)), np.repeat(np.arange(bo, dtype=np.int64), d + 1))
+        FV = FV.reshape(bo, d + 1, d)
+        c, s = FV[:, 0], FK[:: d + 1]
+        MT = (FV[:, 1:] - c[:, None]) % self.params.row_moduli
+        out = np.empty(self.N, dtype=np.int64)
+
+        def job(start: int) -> None:
+            stop = min(start + _CHUNK, self.N)
+            for k in range(start // A, (stop - 1) // A + 1):
+                lo, hi = max(start, k * A), min(stop, k * A + A)
+                V, _ = self.decode(np.arange(lo, hi, dtype=np.int64))
+                out[lo:hi] = self.encode(self._mod(V @ MT[k] + c[k]), s[k])
+
+        starts = range(0, self.N, _CHUNK)
         threads = _default_threads(threads)
-        if threads <= 1 or len(spans) <= 1:
-            return [fn(*span) for span in spans]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: fn(*s), spans))
+        if threads <= 1 or len(starts) <= 1:
+            for start in starts:
+                job(start)
+        else:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(job, starts))  # reading each result re-raises a worker's error
+        return out
 
     def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
         """x^n for every x at once, as an index array."""
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            return self.encode(*self.pow(V, K, n))
-
-        return np.concatenate(self.map_chunks(job, threads))
+        return self._sweep(lambda V, K: self.pow(V, K, n), threads)
 
     def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
-        """Index of a*x for every a; one shift row per b-exponent of a."""
-        xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
-        BkT = _spj_matrices(self.params)
-        shifts = np.empty((self.params.b_order, self.params.dim), dtype=np.int64)
-        for kk in range(self.params.b_order):
-            shifts[kk] = xV[0] @ BkT[kk]
-        self._mod(shifts)
-
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            V = self._mod(V + shifts[K])
-            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
-
-        return np.concatenate(self.map_chunks(job, threads))
+        """Index of a*x for every a."""
+        return self._sweep(
+            lambda V, K: self.mul(V, K, *self.decode(np.full(len(K), x_idx))), threads
+        )
 
     def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
         """Index of x*a for every a."""
-        xV, xK = self.decode(np.array([x_idx], dtype=np.int64))
-        BT = _spj_matrices(self.params)[int(xK[0])]
-
-        def job(start: int, stop: int) -> np.ndarray:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            V = self._mod(self._mod(V @ BT) + xV[0])
-            return self.encode(V, (K + int(xK[0])) % self.params.b_order)
-
-        return np.concatenate(self.map_chunks(job, threads))
+        return self._sweep(
+            lambda V, K: self.mul(*self.decode(np.full(len(K), x_idx)), V, K), threads
+        )
 
     def invert_index(self, x_idx: int) -> int:
         V, K = self.decode(np.array([x_idx], dtype=np.int64))
@@ -604,31 +614,17 @@ class SpjGroup:
         return self.encode(*self.inv(V, K))
 
     def orders_exponent(self, threads: int | None = None) -> int:
-        """lcm of all element orders, scanned in chunks."""
-        p = self.params.p
-
-        def job(start: int, stop: int) -> int:
-            V, K = self.decode(np.arange(start, stop, dtype=np.int64))
-            alive = np.ones(stop - start, dtype=bool)
-            steps = 0
-            local = 0
-            while alive.any():
-                done = alive & ~(V.any(axis=1) | (K != 0))
-                if done.any():
-                    local = max(local, steps)
-                    alive &= ~done
-                if not alive.any():
-                    break
-                V, K = self.pow(V, K, p)
-                steps += 1
-                if steps > self.params.j + 2:
-                    raise VerificationError(
-                        f"an element of {self.params.describe()} has order above "
-                        f"p^{self.params.j + 2}"
-                    )
-            return local
-
-        return p ** max(self.map_chunks(job, threads))
+        """lcm of all element orders, by iterating the p-th-power index map."""
+        P = self.pow_index_array(self.params.p, threads)
+        x, steps = np.arange(self.N), 0
+        while x.any():
+            if steps == self.params.j + 2:
+                raise VerificationError(
+                    f"an element of {self.params.describe()} has order above "
+                    f"p^{self.params.j + 2}"
+                )
+            x, steps = P[x], steps + 1
+        return self.params.p ** steps
 
     def class_marker(self, threads: int | None = None):
         """mark(a, seen) setting seen over the conjugacy class of a.

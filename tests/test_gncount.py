@@ -3,12 +3,13 @@
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 import tablefixtures as tf
-from fsz_forge.mixedmod import GroupParams, MixedVector
+from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.gncount import (
     EnumerationLimitError,
     TableError,
@@ -340,3 +341,52 @@ def test_table_group_power_and_orders(G, orders):
 
     lcm = math.lcm(*[G.element_order(x) for x in els])
     assert G.orders_exponent() == lcm == exponent(G)
+
+
+@pytest.mark.parametrize("params", [P51, GroupParams(3, 2)], ids=["S51", "S32"])
+def test_sweep_maps_match_scalar_methods(params):
+    """The affine sweep against G.power and G.multiply on seeded positions.
+
+    S(3,2) has dim 8, b-order 9 and 9 chunks.  The positions include both
+    sides of every b-exponent and chunk boundary.  One, two and four threads
+    agree, also with a short switch interval that interleaves the workers'
+    writes into the shared output.
+    """
+    G = SpjGroup(params)
+    rng = random.Random(8)
+    abelian = G.N // params.b_order
+    edges = [k * abelian + d for k in range(1, params.b_order) for d in (-1, 0)]
+    edges += [c + d for c in range(1 << 16, G.N, 1 << 16) for d in (-1, 0)]
+    positions = sorted(set(rng.sample(range(G.N), 30) + edges + [G.N - 1]))
+    els = [G.to_element(i) for i in positions]
+
+    def agrees(arr, scalar):
+        return [int(arr[i]) for i in positions] == [G.from_element(scalar(a)) for a in els]
+
+    for n in (-1, 2, params.p, params.n, params.top_modulus + 1):
+        assert agrees(G.pow_index_array(n, threads=2), lambda a: G.power(a, n))
+    for x_idx in rng.sample(range(G.N), 2):
+        x = G.to_element(x_idx)
+        assert agrees(G.rightmul_array(x_idx, threads=2), lambda a: G.multiply(a, x))
+        assert agrees(G.leftmul_array(x_idx, threads=2), lambda a: G.multiply(x, a))
+    x_idx = positions[len(positions) // 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for sweep in (lambda t: G.pow_index_array(params.p, t),
+                      lambda t: G.rightmul_array(x_idx, t),
+                      lambda t: G.leftmul_array(x_idx, t)):
+            single = sweep(1)
+            assert np.array_equal(single, sweep(2))
+            assert np.array_equal(single, sweep(4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert G.orders_exponent(threads=2) == params.top_modulus
+
+
+def test_orders_exponent_guards_orders_above_p_j_plus_2(monkeypatch):
+    G = SpjGroup(P31)
+    # i -> i + 1 mod N: every index but 0 needs more than j + 2 steps to reach 0
+    monkeypatch.setattr(G, "pow_index_array", lambda n, threads=None: np.roll(np.arange(G.N), -1))
+    with pytest.raises(VerificationError, match=r"S\(3,1\) has order above p\^3"):
+        G.orders_exponent()
