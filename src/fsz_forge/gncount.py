@@ -331,7 +331,8 @@ def gn_count_bruteforce_many(
     """One full scan, counted against several targets g at once.
 
     Each target costs only the final comparisons; the two n-th powers per
-    element are computed once.  Witnesses come back in enumeration order.
+    element are computed once, and the second is tested only where the
+    first equals the target.  Witnesses come back in enumeration order.
     """
     _guard(G, limit)
     uinv = G.invert_index(G.from_element(u))
@@ -342,9 +343,10 @@ def gn_count_bruteforce_many(
     counts = []
     witness_idx = []
     for t in tgt:
-        mask = (powers == t) & (powers[shifted] == t)
-        counts.append(int(mask.sum()))
-        witness_idx.append([int(i) for i in np.nonzero(mask)[0][:MAX_WITNESSES]])
+        first = np.flatnonzero(powers == t)
+        hits = first[powers[shifted[first]] == t]
+        counts.append(len(hits))
+        witness_idx.append([int(i) for i in hits[:MAX_WITNESSES]])
     return [
         GnCount(
             n=n,

@@ -554,10 +554,20 @@ class SpjGroup:
         each k: c_k is the image of zero, row i of M_k^T the image of e_i
         minus c_k.  Being an endomorphism, M_k sends each e_i, i >= 1, of
         order p to an element whose coordinate 0 is divisible by p^j, so
-        M_k applied to residues is lift-independent; GroupParams bounds
-        dim * top^2, so V @ M_k^T + c_k fits in int64.  Fixed-size chunks
-        keep the result independent of the worker count, and the workers
-        read only the finished table.
+        M_k applied to residues is lift-independent.
+
+        The coordinates split into a head prefix and a tail suffix, the
+        longest suffix with at most _CHUNK vectors (L of them), so the index
+        within a b-exponent is h * L + l.  M_k is additive, hence the image
+        of (head h, tail l) is (h M_k^T + c_k) + l M_k^T: one head table and
+        one tail table per k, and each chunk of _CHUNK // L head rows is one
+        broadcast sum, one reduction and one encode.  Head and tail cover
+        disjoint coordinates of the canonical residue vector V, so the sum
+        is exactly the V @ M_k^T + c_k of the map above: it stays under the
+        dim * top^2 bound that GroupParams keeps below int64, and its
+        residues are lift-independent for the same reason.  One job per
+        b-exponent builds its tables once and writes its own slice of the
+        result, so the result does not depend on the worker count.
         """
         d, bo, A = self.params.dim, self.params.b_order, self._abelian
         probe = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
@@ -565,23 +575,31 @@ class SpjGroup:
         FV = FV.reshape(bo, d + 1, d)
         c, s = FV[:, 0], FK[:: d + 1]
         MT = (FV[:, 1:] - c[:, None]) % self.params.row_moduli
+        L = 1
+        for m in self.params.row_moduli[::-1].tolist():
+            if L * m > _CHUNK:
+                break
+            L *= m
+        heads, _ = self.decode(np.arange(0, A, L, dtype=np.int64))
+        tails, _ = self.decode(np.arange(L, dtype=np.int64))
+        rows = _CHUNK // L
         out = np.empty(self.N, dtype=np.int64)
 
-        def job(start: int) -> None:
-            stop = min(start + _CHUNK, self.N)
-            for k in range(start // A, (stop - 1) // A + 1):
-                lo, hi = max(start, k * A), min(stop, k * A + A)
-                V, _ = self.decode(np.arange(lo, hi, dtype=np.int64))
-                out[lo:hi] = self.encode(self._mod(V @ MT[k] + c[k]), s[k])
+        def job(k: int) -> None:
+            head = heads @ MT[k] + c[k]
+            tail = tails @ MT[k]
+            for h in range(0, len(head), rows):
+                V = self._mod((head[h : h + rows, None] + tail).reshape(-1, d))
+                lo = k * A + h * L
+                out[lo : lo + len(V)] = self.encode(V, s[k])
 
-        starts = range(0, self.N, _CHUNK)
         threads = _default_threads(threads)
-        if threads <= 1 or len(starts) <= 1:
-            for start in starts:
-                job(start)
+        if threads <= 1 or self.N <= _CHUNK:
+            for k in range(bo):
+                job(k)
         else:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(job, starts))  # reading each result re-raises a worker's error
+                list(pool.map(job, range(bo)))  # reading each result re-raises a worker's error
         return out
 
     def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
@@ -631,14 +649,19 @@ class SpjGroup:
 
         mark returns the size of the class.  A breadth-first walk under
         conjugation by the generators, whose closure is the whole class:
-        conjugation by a product composes the generator actions.
+        conjugation by a product composes the generator actions.  Each
+        permutation a -> c^-1 a c is one sweep through the mul kernel twice.
         """
         perms = []
         for c in generators(self.params):
             c_idx = self.from_element(c)
-            left = self.leftmul_array(self.invert_index(c_idx), threads)
-            right = self.rightmul_array(c_idx, threads)
-            perms.append(right[left])
+            ci_idx = self.invert_index(c_idx)
+
+            def conj(V, K, c_idx=c_idx, ci_idx=ci_idx):
+                left = self.mul(*self.decode(np.full(len(K), ci_idx)), V, K)
+                return self.mul(*left, *self.decode(np.full(len(K), c_idx)))
+
+            perms.append(self._sweep(conj, threads))
 
         def mark(a: int, seen: np.ndarray) -> int:
             seen[a] = True

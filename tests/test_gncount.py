@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tablefixtures as tf
+from fsz_forge import spgroup
 from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.gncount import (
     EnumerationLimitError,
@@ -343,20 +344,30 @@ def test_table_group_power_and_orders(G, orders):
     assert G.orders_exponent() == lcm == exponent(G)
 
 
-@pytest.mark.parametrize("params", [P51, GroupParams(3, 2)], ids=["S51", "S32"])
-def test_sweep_maps_match_scalar_methods(params):
+@pytest.mark.parametrize(
+    "params, chunk, tail",
+    [(P51, 1 << 16, 3125), (GroupParams(3, 2), 1 << 16, 59049), (P51, 100, 25)],
+    ids=["S51", "S32", "S51-chunk100"],
+)
+def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     """The affine sweep against G.power and G.multiply on seeded positions.
 
-    S(3,2) has dim 8, b-order 9 and 9 chunks.  The positions include both
-    sides of every b-exponent and chunk boundary.  One, two and four threads
-    agree, also with a short switch interval that interleaves the workers'
-    writes into the shared output.
+    S(3,2) has dim 8, b-order 9 and one chunk per b-exponent.  With _CHUNK
+    at 100, S(5,1) has a tail of 25 vectors, 125 head rows and 4 head rows
+    per chunk, so each b-exponent ends in a ragged chunk of one row.  The
+    positions include both sides of every chunk start, b-exponent
+    boundaries among them.  One, two and four threads agree, also with a
+    short switch interval that interleaves the workers' writes into the
+    shared output.
     """
+    monkeypatch.setattr(spgroup, "_CHUNK", chunk)
     G = SpjGroup(params)
     rng = random.Random(8)
     abelian = G.N // params.b_order
-    edges = [k * abelian + d for k in range(1, params.b_order) for d in (-1, 0)]
-    edges += [c + d for c in range(1 << 16, G.N, 1 << 16) for d in (-1, 0)]
+    rows = chunk // tail
+    starts = [k * abelian + h * tail for k in range(params.b_order)
+              for h in range(0, abelian // tail, rows)]
+    edges = [start + d for start in starts[1:] for d in (-1, 0)]
     positions = sorted(set(rng.sample(range(G.N), 30) + edges + [G.N - 1]))
     els = [G.to_element(i) for i in positions]
 
