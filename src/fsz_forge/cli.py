@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import construction, fszcheck, gncount, spgroup
 from .mixedmod import (
@@ -34,24 +33,6 @@ from .gncount import TableError
 
 DEFAULT_LIMIT = spgroup.DEFAULT_ENUMERATION_LIMIT
 SELFTEST_GRID = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    p: int | None = None
-    j: int | None = None
-    n: int | None = None
-    u_text: str | None = None
-    g_text: str | None = None
-    table_path: str | None = None
-    format: str = "text"
-    threads: int | None = None
-    seed: int = 0
-    limit: int = DEFAULT_LIMIT
-    samples: int = 200
-    brute: bool = False
-    no_reduction: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,15 +115,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_threads(threads: int | None) -> int | None:
-    if threads is not None:
-        return threads
-    env = os.environ.get("FSZ_FORGE_THREADS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return None
-
-
 def serialize_report(report: dict, fmt: str) -> str:
     """Render a report dict; identical input gives identical bytes."""
     if fmt == "json":
@@ -169,10 +141,6 @@ def serialize_report(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _params(cfg: RunConfig) -> GroupParams:
-    return GroupParams(cfg.p, cfg.j)
-
-
 def _pass(ok: bool, detail: str = "") -> str:
     if ok:
         return "PASS" if not detail else f"PASS ({detail})"
@@ -196,12 +164,12 @@ def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, s
     return True, f"{len(elements)} elements, every b-order included"
 
 
-def _do_verify(cfg: RunConfig) -> tuple[dict, int]:
-    params = _params(cfg)
+def _do_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    params = GroupParams(args.p, args.j)
     report = construction.verify_construction(params)
-    sample_ok, sample_detail = _power_sample(params, cfg.samples, cfg.seed)
+    sample_ok, sample_detail = _power_sample(params, args.samples, args.seed)
     structure = spgroup.structure_report(
-        params, limit=cfg.limit, rng=random.Random(cfg.seed)
+        params, limit=args.limit, rng=random.Random(args.seed)
     )
 
     rows = [
@@ -232,8 +200,8 @@ def _do_verify(cfg: RunConfig) -> tuple[dict, int]:
     return out, 0 if ok else 2
 
 
-def _do_witness(cfg: RunConfig) -> tuple[dict, int]:
-    params = _params(cfg)
+def _do_witness(args: argparse.Namespace) -> tuple[dict, int]:
+    params = GroupParams(args.p, args.j)
     G = SpjGroup(params)
     verdict = fszcheck.spj_witness(params)
     describe = G.describe_element
@@ -260,32 +228,31 @@ def _do_witness(cfg: RunConfig) -> tuple[dict, int]:
     return out, 0
 
 
-def _do_count(cfg: RunConfig) -> tuple[dict, int]:
-    params = _params(cfg)
+def _do_count(args: argparse.Namespace) -> tuple[dict, int]:
+    params = GroupParams(args.p, args.j)
     G = SpjGroup(params)
-    u = spgroup.parse_element(params, cfg.u_text)
-    g = spgroup.parse_element(params, cfg.g_text)
+    u = spgroup.parse_element(params, args.u)
+    g = spgroup.parse_element(params, args.g)
     describe = G.describe_element
-    threads = _resolve_threads(cfg.threads)
 
     structured = None
-    if cfg.n == params.n:
+    if args.n == params.n:
         structured = gncount.gn_count_structured(params, u, g)
     brute = None
-    brute_feasible = params.group_order <= cfg.limit
-    if cfg.brute and not brute_feasible:
+    brute_feasible = params.group_order <= args.limit
+    if args.brute and not brute_feasible:
         raise EnumerationLimitError(
             f"--brute requested but group order {params.group_order} exceeds "
-            f"the limit {cfg.limit}"
+            f"the limit {args.limit}"
         )
     if brute_feasible:
         brute = gncount.gn_count_bruteforce(
-            G, cfg.n, u, g, threads=threads, limit=cfg.limit
+            G, args.n, u, g, threads=args.threads, limit=args.limit
         )
     if structured is None and brute is None:
         raise EnumerationLimitError(
-            f"no counter applies: n = {cfg.n} differs from p^j = {params.n} and "
-            f"group order {params.group_order} exceeds the limit {cfg.limit}"
+            f"no counter applies: n = {args.n} differs from p^j = {params.n} and "
+            f"group order {params.group_order} exceeds the limit {args.limit}"
         )
 
     agree = None
@@ -293,7 +260,7 @@ def _do_count(cfg: RunConfig) -> tuple[dict, int]:
         agree = structured.count == brute.count
 
     rows = []
-    query = f"n={cfg.n} u={describe(u)} g={describe(g)}"
+    query = f"n={args.n} u={describe(u)} g={describe(g)}"
     for label, result in (("structured", structured), ("bruteforce", brute)):
         if result is None:
             continue
@@ -308,7 +275,7 @@ def _do_count(cfg: RunConfig) -> tuple[dict, int]:
     out = {
         "kind": "count",
         "group": G.describe(),
-        "n": cfg.n,
+        "n": args.n,
         "u": describe(u),
         "g": describe(g),
         "structured": None if structured is None else structured.as_dict(describe),
@@ -321,25 +288,24 @@ def _do_count(cfg: RunConfig) -> tuple[dict, int]:
     return out, 2 if agree is False else 0
 
 
-def _do_fsz(cfg: RunConfig) -> tuple[dict, int]:
-    threads = _resolve_threads(cfg.threads)
-    if cfg.table_path is not None:
-        G = gncount.load_table_group(cfg.table_path)
+def _do_fsz(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.table is not None:
+        G = gncount.load_table_group(args.table)
     else:
-        G = SpjGroup(_params(cfg))
+        G = SpjGroup(GroupParams(args.p, args.j))
     describe = G.describe_element
-    reduction = not cfg.no_reduction
+    reduction = not args.no_reduction
 
-    if cfg.n is not None:
+    if args.n is not None:
         verdicts = [
             fszcheck.check_fsz_n(
-                G, cfg.n, reduction=reduction, limit=cfg.limit, threads=threads
+                G, args.n, reduction=reduction, limit=args.limit, threads=args.threads
             )
         ]
         overall = None
     else:
         verdicts = fszcheck.check_fsz(
-            G, reduction=reduction, limit=cfg.limit, threads=threads
+            G, reduction=reduction, limit=args.limit, threads=args.threads
         )
         overall = all(v.is_fsz for v in verdicts)
 
@@ -369,8 +335,7 @@ def _do_fsz(cfg: RunConfig) -> tuple[dict, int]:
     return out, 0
 
 
-def _do_selftest(cfg: RunConfig) -> tuple[dict, int]:
-    threads = _resolve_threads(cfg.threads)
+def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
     rows = []
     checks = []
     ok_all = True
@@ -389,10 +354,10 @@ def _do_selftest(cfg: RunConfig) -> tuple[dict, int]:
         report = construction.verify_construction(params)
         add("construction", where, report.all_passed,
             "" if report.all_passed else "see verify")
-        sample_ok, sample_detail = _power_sample(params, 50, cfg.seed)
+        sample_ok, sample_detail = _power_sample(params, 50, args.seed)
         add("power_sample", where, sample_ok, sample_detail)
         structure = spgroup.structure_report(
-            params, limit=cfg.limit, rng=random.Random(cfg.seed)
+            params, limit=args.limit, rng=random.Random(args.seed)
         )
         add("structure", where, structure.all_passed, structure.center_method)
 
@@ -405,7 +370,7 @@ def _do_selftest(cfg: RunConfig) -> tuple[dict, int]:
     G = SpjGroup(params)
     u, g, g2 = fszcheck._designated_pair(params)
     brute = gncount.gn_count_bruteforce_many(
-        G, params.n, u, [g, g2], threads=threads, limit=cfg.limit
+        G, params.n, u, [g, g2], threads=args.threads, limit=args.limit
     )
     s1 = gncount.gn_count_structured(params, u, g)
     s2 = gncount.gn_count_structured(params, u, g2)
@@ -414,7 +379,7 @@ def _do_selftest(cfg: RunConfig) -> tuple[dict, int]:
         f"counts ({s1.count}, {s2.count})")
 
     params31 = GroupParams(3, 1)
-    verdicts = fszcheck.check_fsz(SpjGroup(params31), limit=cfg.limit, threads=threads)
+    verdicts = fszcheck.check_fsz(SpjGroup(params31), limit=args.limit, threads=args.threads)
     add("fsz_overall", params31.describe(), all(v.is_fsz for v in verdicts),
         ", ".join(v.verdict for v in verdicts))
 
@@ -428,25 +393,6 @@ def _do_selftest(cfg: RunConfig) -> tuple[dict, int]:
         "rows": rows,
     }
     return out, 0 if ok_all else 2
-
-
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        p=getattr(args, "p", None),
-        j=getattr(args, "j", None),
-        n=getattr(args, "n", None),
-        u_text=getattr(args, "u", None),
-        g_text=getattr(args, "g", None),
-        table_path=getattr(args, "table", None),
-        format=args.format,
-        threads=args.threads,
-        seed=args.seed,
-        limit=args.limit,
-        samples=getattr(args, "samples", 200),
-        brute=getattr(args, "brute", False),
-        no_reduction=getattr(args, "no_reduction", False),
-    )
 
 
 _DISPATCH = {
@@ -475,9 +421,12 @@ def run(argv: list[str] | None = None) -> int:
             print("error: fsz needs either --p and --j, or --table FILE",
                   file=sys.stderr)
             return 1
-    cfg = _make_config(args)
+    if args.threads is None:
+        env = os.environ.get("FSZ_FORGE_THREADS", "").strip()
+        if env.isdigit() and int(env) >= 1:
+            args.threads = int(env)
     try:
-        report, status = _DISPATCH[cfg.subcommand](cfg)
+        report, status = _DISPATCH[args.subcommand](args)
     except (ParameterError, ElementSyntaxError, TableError, EnumerationLimitError,
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -485,7 +434,7 @@ def run(argv: list[str] | None = None) -> int:
     except (VerificationError, MatrixInvariantError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(serialize_report(report, cfg.format))
+    sys.stdout.write(serialize_report(report, args.format))
     return status
 
 

@@ -153,19 +153,33 @@ def residue_witness_classes(G, g) -> list[int]:
 def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list[int]]:
     """Smallest-index representatives of the conjugacy classes, and their sizes.
 
-    G.class_marker marks the whole class of each new representative:
-    tables conjugate it by every element at once, S(p,j) walks its orbit
-    under the few generators.
+    G.conjugation_arrays gives, per generator c, the permutation
+    P[a] = c^-1 a c.  Starting from label[a] = a, each round sets label
+    to min(label, label[P]) for every P and then to label[label], until
+    no label changes.  Labels only decrease, so an unchanged sum means
+    an unchanged array.  At the fixed point label[a] is the minimum of
+    the class of a:
+
+    - label[a] stays in the class of a and at most a: both rules take a
+      label of an element of that class;
+    - label[a] <= label[P[a]] for every P, and a class is one forward
+      orbit under the P (conjugation by a product composes the generator
+      actions, and a permutation of a finite set returns to its start),
+      so label is constant on each class;
+    - so the class minimum m has label[m] <= m, and the constant label
+      of the class, lying in it, is m.
     """
-    visited = np.zeros(G.N, dtype=bool)
-    reps = []
-    sizes = []
-    mark = G.class_marker(threads)
-    for a in range(G.N):
-        if not visited[a]:
-            reps.append(a)
-            sizes.append(mark(a, visited))
-    return reps, sizes
+    perms = G.conjugation_arrays(threads)
+    label = np.arange(G.N)
+    total, before = int(label.sum()), None
+    while total != before:
+        for P in perms:
+            np.minimum(label, label[P], out=label)
+        label = label[label]
+        before, total = total, int(label.sum())
+    del perms  # free the permutations before the two N-length passes below
+    reps = np.flatnonzero(label == np.arange(G.N))
+    return reps.tolist(), np.bincount(label)[reps].tolist()
 
 
 class _ClassRow(NamedTuple):

@@ -21,8 +21,8 @@ implement it, and the counters and scans take the group itself:
   elements and their indices 0..N-1;
 - index arrays: pow_index_array(n), rightmul_array(x), leftmul_array(x),
   mul_index_arrays(a, b), invert_index(x), invert_index_array(a),
-  orders_exponent(), and class_marker(), which returns a function that
-  marks the conjugacy class of an index and returns the class size.
+  orders_exponent(), and conjugation_arrays(), one index array of
+  c^-1 a c per generator c of a fixed generating set.
   Methods that sweep the whole group take a per-call threads count.
 """
 
@@ -79,15 +79,22 @@ class TableGroup:
     """Group given by a validated multiplication table over 0..order-1.
 
     Implements the group interface above; elements already are indices.
+    generators is a generating set, the greedy one of validate_table.
     """
 
-    def __init__(self, array: np.ndarray, identity_index: int, name: str | None):
+    def __init__(
+        self,
+        array: np.ndarray,
+        identity_index: int,
+        name: str | None,
+        generators: Sequence[int],
+    ):
         self.array = array
         self.N = len(array)
         self.identity_index = identity_index
         self.name = name
+        self.generators = tuple(generators)
         self.inverse = np.argmax(array == identity_index, axis=1)
-        self._pow_cache: dict[int, np.ndarray] = {}
 
     def order(self) -> int:
         return len(self.array)
@@ -134,22 +141,16 @@ class TableGroup:
 
     def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
         """x^n for every x at once, as an index array."""
-        if n not in self._pow_cache:
-            N = len(self.array)
-            e = n
-            invert_first = e < 0
-            if invert_first:
-                e = -e
-            result = np.full(N, self.identity_index, dtype=np.int64)
-            base = self.inverse.copy() if invert_first else np.arange(N, dtype=np.int64)
-            while e:
-                if e & 1:
-                    result = self.array[result, base]
-                e >>= 1
-                if e:
-                    base = self.array[base, base]
-            self._pow_cache[n] = np.ascontiguousarray(result)
-        return self._pow_cache[n]
+        e = abs(n)
+        result = np.full(self.N, self.identity_index, dtype=np.int64)
+        base = self.inverse if n < 0 else np.arange(self.N, dtype=np.int64)
+        while e:
+            if e & 1:
+                result = self.array[result, base]
+            e >>= 1
+            if e:
+                base = self.array[base, base]
+        return result
 
     def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
         return self.array[:, x_idx].copy()
@@ -169,22 +170,10 @@ class TableGroup:
     def orders_exponent(self, threads: int | None = None) -> int:
         return math.lcm(*(self.element_order(x) for x in range(self.N)))
 
-    def class_marker(self, threads: int | None = None):
-        """mark(a, seen) setting seen over the conjugacy class of a.
-
-        mark returns the size of the class.  No generating set is known
-        for a raw table, so a is conjugated by every element at once.
-        Marks cover whole classes, so the class of an unseen a is
-        disjoint from seen and its size is the growth of seen.
-        """
-        T, inv, everyone = self.array, self.inverse, np.arange(self.N)
-
-        def mark(a: int, seen: np.ndarray) -> int:
-            before = np.count_nonzero(seen)
-            seen[T[T[inv, a], everyone]] = True
-            return int(np.count_nonzero(seen) - before)
-
-        return mark
+    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
+        """Index of c^-1 a c for every a, one array per generator c."""
+        T = self.array
+        return [T[T[self.inverse[c]], c] for c in self.generators]
 
 
 def _check_latin(T: np.ndarray, line: str, place: str) -> None:
@@ -276,7 +265,7 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
                     f"({a}*{s})*{c} = {int(left[c])} but {a}*({s}*{c}) = {int(right[c])}"
                 )
 
-    return TableGroup(T, identity_index, name)
+    return TableGroup(T, identity_index, name, gens)
 
 
 def load_table_group(path: str) -> TableGroup:

@@ -644,14 +644,8 @@ class SpjGroup:
             x, steps = P[x], steps + 1
         return self.params.p ** steps
 
-    def class_marker(self, threads: int | None = None):
-        """mark(a, seen) setting seen over the conjugacy class of a.
-
-        mark returns the size of the class.  A breadth-first walk under
-        conjugation by the generators, whose closure is the whole class:
-        conjugation by a product composes the generator actions.  Each
-        permutation a -> c^-1 a c is one sweep through the mul kernel twice.
-        """
+    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
+        """Index of c^-1 a c for every a, one sweep per c in generators()."""
         perms = []
         for c in generators(self.params):
             c_idx = self.from_element(c)
@@ -662,21 +656,4 @@ class SpjGroup:
                 return self.mul(*left, *self.decode(np.full(len(K), c_idx)))
 
             perms.append(self._sweep(conj, threads))
-
-        def mark(a: int, seen: np.ndarray) -> int:
-            seen[a] = True
-            size = 1
-            frontier = [a]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for perm in perms:
-                        y = int(perm[x])
-                        if not seen[y]:
-                            seen[y] = True
-                            nxt.append(y)
-                size += len(nxt)
-                frontier = nxt
-            return size
-
-        return mark
+        return perms

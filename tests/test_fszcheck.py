@@ -21,6 +21,7 @@ from fsz_forge.fszcheck import (
     FszWitness,
     VerificationError,
     _central_target,
+    _centralizer_indices,
     _consistency_histogram,
     _designated_pair,
     _generic_scan,
@@ -108,6 +109,55 @@ def test_conjugacy_class_reps_partition_s31():
     for orbit in classes:
         assert len(orbit & rep_elements) == 1
     assert sizes == [len(_orbit(G, G.to_element(r))) for r in reps]
+
+
+def _orbit_partition(G):
+    """(reps, sizes) of the classes from _orbit, smallest index first."""
+    seen, reps, sizes = set(), [], []
+    for a in range(G.N):
+        if a not in seen:
+            orbit = {G.from_element(x) for x in _orbit(G, G.to_element(a))}
+            seen |= orbit
+            reps.append(a)
+            sizes.append(len(orbit))
+    return reps, sizes
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_conjugacy_class_reps_match_the_orbit_partition(seed):
+    G = validate_table(tf.random_group_table(random.Random(seed)))
+    assert conjugacy_class_reps(G) == _orbit_partition(G)
+
+
+def test_conjugacy_class_reps_of_the_trivial_group():
+    G = validate_table([[0]])
+    assert G.conjugation_arrays() == []
+    assert conjugacy_class_reps(G) == ([0], [1]) == _orbit_partition(G)
+
+
+def test_conjugacy_class_reps_on_s32():
+    G = SpjGroup(GroupParams(3, 2))
+    reps, sizes = conjugacy_class_reps(G, threads=1)
+    assert len(reps) == 6705
+    assert sum(sizes) == G.N == 531441
+    assert reps == sorted(reps) and reps[0] == 0
+    assert conjugacy_class_reps(G, threads=2) == (reps, sizes)
+    # Orbit-stabilizer, with centralizers that use no conjugation array.
+    for i in random.Random(32).sample(range(len(reps)), 30):
+        assert sizes[i] * _centralizer_indices(G, reps[i], 2).size == G.N
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SpjGroup(P51), lambda: validate_table(tf.direct_product(tf.dihedral(4), tf.cyclic(4)))],
+    ids=["S51", "D4xC4"],
+)
+def test_conjugacy_class_reps_ignore_the_generator_order(make, monkeypatch):
+    G = make()
+    expected = conjugacy_class_reps(G)
+    forward = G.conjugation_arrays
+    monkeypatch.setattr(G, "conjugation_arrays", lambda threads=None: forward(threads)[::-1])
+    assert conjugacy_class_reps(G) == expected
 
 
 def test_centralizer_size_must_match_the_class_size(monkeypatch):
