@@ -12,8 +12,10 @@ every centralizer and every histogram.
 Nothing in the class table depends on n, so it is built once per group
 and reused for every n: the representatives g, |C(g)| = |G| / |class of
 g|, and the residues m with their targets g^m, walked on index arrays
-for all representatives at once.  For each n a class is skipped, and
-counted as |C(g)| examined pairs, when no count on it can differ:
+for all representatives at once.  The residues depend only on the order
+of g, which gncount.element_orders reads off the power maps.  For each n
+a class is skipped, and counted as |C(g)| examined pairs, when no count
+on it can differ:
 
 - every needed power bucket B = {a : a^n = h} has at most one element.
   A bucket {a} pairs a only with itself (a u^-1 = a forces u = e), so
@@ -46,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gncount import _guard, exponent, gn_count_structured, structured_tables
+from .gncount import (_guard, _prime_factors, element_orders, exponent,
+                      gn_count_structured, structured_tables)
 from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -104,35 +107,16 @@ class FszVerdict:
         }
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+def residue_witness_classes(og: int, N: int) -> list[int]:
+    """Representatives m, coprime to N = |G|, one per distinct power g^m.
 
-
-def residue_witness_classes(G, g) -> list[int]:
-    """Representatives m, coprime to |G|, one per distinct power g^m.
-
-    Units mod |g| other than 1 enumerate the distinct powers; each is
-    lifted so it is also a unit modulo every prime of |G| that misses
-    |g|.  The lift changes nothing inside a p-group.
+    og is the order of g.  Units mod og other than 1 enumerate the
+    distinct powers; each is lifted so it is also a unit modulo every
+    prime of N that misses og.  The lift changes nothing inside a p-group.
     """
-    og = G.element_order(g)
     if og == 1:
         return []
-    N = G.order()
-    R = 1
-    for q in _prime_factors(N):
-        if og % q:
-            R *= q
+    R = math.prod(q for q in _prime_factors(N) if og % q)
     out = []
     for m in range(2, og):
         if math.gcd(m, og) != 1:
@@ -198,7 +182,9 @@ def _class_table(G, threads: int | None) -> list[_ClassRow]:
     if table is not None:
         return table
     reps, sizes = conjugacy_class_reps(G, threads)
-    ms = [residue_witness_classes(G, G.to_element(g)) for g in reps]
+    orders = element_orders(G, threads)[reps].tolist()
+    by_order = {og: residue_witness_classes(og, G.N) for og in set(orders)}
+    ms = [by_order[og] for og in orders]
     # Walk g^k for every rep at once and keep g^m at k = m.  The walk is
     # shorter than the exponent: a lifted m is below |g| R, a divisor of it.
     rep_arr = np.array(reps, dtype=np.int64)
@@ -222,12 +208,12 @@ def _class_table(G, threads: int | None) -> list[_ClassRow]:
     return table
 
 
-def _reference_rows(G):
+def _reference_rows(G, threads: int | None):
     """Every element as its own class, with scalar power targets."""
-    for g_idx in range(G.N):
+    for g_idx, og in enumerate(element_orders(G, threads).tolist()):
         g = G.to_element(g_idx)
         targets = tuple(
-            (m, G.from_element(G.power(g, m))) for m in residue_witness_classes(G, g)
+            (m, G.from_element(G.power(g, m))) for m in residue_witness_classes(og, G.N)
         )
         yield _ClassRow(g_idx, None, targets)
 
@@ -238,15 +224,11 @@ def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
     )[0]
 
 
-def _power_buckets(P: np.ndarray) -> dict[int, np.ndarray]:
-    """Preimages of the n-th power map, index array per attained value."""
+def _power_buckets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Preimages of the n-th power map as the stable sort order of P and the offset
+    in it of each value h: the preimage of h is order[starts[h] : starts[h + 1]]."""
     order = np.argsort(P, kind="stable")
-    values, starts = np.unique(P[order], return_index=True)
-    out = {}
-    bounds = list(starts) + [len(P)]
-    for i, v in enumerate(values):
-        out[int(v)] = order[bounds[i] : bounds[i + 1]]
-    return out
+    return order, np.searchsorted(P[order], np.arange(len(P) + 1))
 
 
 _PAIR_CHUNK = 1 << 22
@@ -278,14 +260,13 @@ def _histograms(G, g_idx: int, targets, buckets, *, skip: bool) -> dict | None:
     With skip, None when one of the two rules in the module docstring
     shows that no count on g can differ from a target's.
     """
-    empty = np.empty(0, dtype=np.int64)
-    needed = {g_idx: buckets.get(g_idx, empty)}
-    for _, t_idx in targets:
-        needed.setdefault(t_idx, buckets.get(t_idx, empty))
-    sizes = {int(b.size) for b in needed.values()}
-    if skip and max(sizes) <= 1 and len(sizes) == 1:
+    order, starts = buckets
+    hs = np.array([g_idx, *(t for _, t in targets)])
+    lo, hi = starts[hs], starts[hs + 1]
+    sizes = hi - lo
+    if skip and sizes.max() <= 1 and sizes.min() == sizes.max():
         return None
-    hist = {idx: _u_counts(G, b) for idx, b in needed.items()}
+    hist = {h: _u_counts(G, order[a:b]) for h, a, b in zip(hs.tolist(), lo, hi)}
     if skip and all(np.array_equal(hist[t_idx], hist[g_idx]) for _, t_idx in targets):
         return None
     return hist
@@ -296,7 +277,7 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
     if reduction:
         classes = _class_table(G, threads)
     else:
-        classes = _reference_rows(G)
+        classes = _reference_rows(G, threads)
 
     pairs = 0
     comparisons = 0

@@ -16,14 +16,15 @@ The group interface.  Both families, spgroup.SpjGroup and TableGroup,
 implement it, and the counters and scans take the group itself:
 
 - N, identity_index, order(), identity(), describe();
-- scalar elements: multiply, invert, power, element_order,
-  describe_element, and to_element / from_element, which map between
-  elements and their indices 0..N-1;
+- scalar elements: multiply, invert, power, describe_element, and
+  to_element / from_element, which map between elements and their
+  indices 0..N-1;
 - index arrays: pow_index_array(n), rightmul_array(x), leftmul_array(x),
-  mul_index_arrays(a, b), invert_index(x), invert_index_array(a),
-  orders_exponent(), and conjugation_arrays(), one index array of
-  c^-1 a c per generator c of a fixed generating set.
+  mul_index_arrays(a, b), invert_index(x), invert_index_array(a), and
+  conjugation_arrays(), one index array of c^-1 a c per generator c of a
+  fixed generating set.
   Methods that sweep the whole group take a per-call threads count.
+  Element orders and the exponent come from pow_index_array alone.
 """
 
 from __future__ import annotations
@@ -120,13 +121,6 @@ class TableGroup:
                 base = int(self.array[base, base])
         return result
 
-    def element_order(self, x: int) -> int:
-        order, y = 1, x
-        while y != self.identity_index:
-            y = int(self.array[y, x])
-            order += 1
-        return order
-
     def describe(self) -> str:
         return self.name or f"table group of order {len(self.array)}"
 
@@ -166,9 +160,6 @@ class TableGroup:
 
     def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
         return self.inverse[idx]
-
-    def orders_exponent(self, threads: int | None = None) -> int:
-        return math.lcm(*(self.element_order(x) for x in range(self.N)))
 
     def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
         """Index of c^-1 a c for every a, one array per generator c."""
@@ -446,7 +437,56 @@ def gn_count_structured(
     )
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+            continue
+        out.append(d)
+        while n % d == 0:
+            n //= d
+    return out + [n] if n > 1 else out
+
+
+def element_orders(G, threads: int | None = None) -> np.ndarray:
+    """The order of every element, as an array over the indices 0..N-1.
+
+    Every order divides N = |G| (Lagrange).  For each prime q of N, with
+    q^v exactly dividing N, x^{N/q^v} has order the q-part of the order
+    of x, which is the number of q-th powers it takes to reach 1.  So
+    the walk x <- x^q from x^{N/q^v} multiplies the order by q at every
+    step where x is not yet 1, and reaches 1 within v steps.
+    """
+    N, one = G.order(), G.identity_index
+    orders = np.ones(N, dtype=np.int64)
+    for q in _prime_factors(N):
+        v, rest = 0, N
+        while rest % q == 0:
+            v, rest = v + 1, rest // q
+        x = G.pow_index_array(rest, threads) if rest > 1 else np.arange(N)
+        P = G.pow_index_array(q, threads)
+        for _ in range(v):
+            live = x != one
+            orders[live] *= q
+            x = P[x]
+        if (x != one).any():
+            raise VerificationError(
+                f"the walk x -> x^{q} on {G.describe()} does not reach the "
+                f"identity in {v} steps, so some order does not divide {N}"
+            )
+    return orders
+
+
 def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT, threads: int | None = None) -> int:
-    """Least common multiple of all element orders."""
+    """Least common multiple of all element orders, certified on the power maps:
+    x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
     _guard(G, limit)
-    return G.orders_exponent(threads)
+    e = math.lcm(*np.unique(element_orders(G, threads)).tolist())
+
+    def kills(k: int) -> bool:
+        return bool((G.pow_index_array(k, threads) == G.identity_index).all())
+
+    if not kills(e) or any(kills(e // q) for q in _prime_factors(e)):
+        raise VerificationError(f"power maps of {G.describe()} do not certify exponent {e}")
+    return e

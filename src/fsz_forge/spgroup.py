@@ -28,7 +28,6 @@ from .mixedmod import (
     MatrixInvariantError,
     MixedVector,
     ParameterError,
-    VerificationError,
     basis_vector,
     mat_apply,
     mat_pow,
@@ -465,15 +464,6 @@ class SpjGroup:
     def power(self, x: SElement, e: int) -> SElement:
         return power_generic(self.params, x, e)
 
-    def element_order(self, x: SElement) -> int:
-        order = 1
-        y = x
-        ident = self.identity()
-        while y != ident:
-            y = power_generic(self.params, y, self.params.p)
-            order *= self.params.p
-        return order
-
     def describe(self) -> str:
         return f"{self.params.describe()} (order {self.params.group_order})"
 
@@ -630,19 +620,6 @@ class SpjGroup:
     def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
         V, K = self.decode(np.asarray(idx, dtype=np.int64))
         return self.encode(*self.inv(V, K))
-
-    def orders_exponent(self, threads: int | None = None) -> int:
-        """lcm of all element orders, by iterating the p-th-power index map."""
-        P = self.pow_index_array(self.params.p, threads)
-        x, steps = np.arange(self.N), 0
-        while x.any():
-            if steps == self.params.j + 2:
-                raise VerificationError(
-                    f"an element of {self.params.describe()} has order above "
-                    f"p^{self.params.j + 2}"
-                )
-            x, steps = P[x], steps + 1
-        return self.params.p ** steps
 
     def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
         """Index of c^-1 a c for every a, one sweep per c in generators()."""

@@ -1,4 +1,5 @@
-"""Multiplication-table builders and corrupted fixtures shared by tests.
+"""Multiplication-table builders, corrupted fixtures and a scalar order
+oracle shared by tests.
 
 Tables are lists of rows of 0-based indices; table[a][b] is the product
 a*b.  Builders return plain lists so tests can corrupt copies freely.
@@ -61,6 +62,14 @@ def random_group_table(rng: random.Random) -> list[list[int]]:
     perm = list(range(len(table)))
     rng.shuffle(perm)
     return relabel(table, perm)
+
+
+def scalar_order(G, x) -> int:
+    """The order of the element x of G, by multiplying by x until the identity."""
+    order, y, one = 1, x, G.identity()
+    while y != one:
+        y, order = G.multiply(y, x), order + 1
+    return order
 
 
 # Row 1 repeats the entry 1, violating the Latin-square property.

@@ -10,6 +10,7 @@ import tablefixtures as tf
 from fsz_forge.mixedmod import GroupParams
 from fsz_forge.gncount import (
     EnumerationLimitError,
+    element_orders,
     exponent,
     gn_count_bruteforce,
     gn_count_structured,
@@ -53,9 +54,9 @@ def test_residue_witness_classes_values():
     G = SpjGroup(P51)
     a1 = generator_a(P51, 1)
     g5 = power_generic(P51, a1, 5)
-    assert residue_witness_classes(G, g5) == [2, 3, 4]
-    assert residue_witness_classes(G, identity_element(P51)) == []
-    r25 = residue_witness_classes(G, a1)
+    assert residue_witness_classes(tf.scalar_order(G, g5), G.order()) == [2, 3, 4]
+    assert residue_witness_classes(tf.scalar_order(G, identity_element(P51)), G.order()) == []
+    r25 = residue_witness_classes(tf.scalar_order(G, a1), G.order())
     assert len(r25) == 19
     assert sorted(m % 25 for m in r25) == [m for m in range(2, 25) if m % 5]
     assert all(math.gcd(m, G.order()) == 1 for m in r25)
@@ -64,10 +65,17 @@ def test_residue_witness_classes_values():
 def test_residue_witness_classes_crt_lift():
     Z6 = validate_table(tf.cyclic(6), "Z6")
     # element 2 has order 3; unit 2 mod 3 must lift to a unit mod 6
-    lifts = residue_witness_classes(Z6, 2)
+    lifts = residue_witness_classes(tf.scalar_order(Z6, 2), 6)
     assert len(lifts) == 1
     assert lifts[0] % 3 == 2 and math.gcd(lifts[0], 6) == 1
-    assert residue_witness_classes(Z6, 1) == [5]
+    assert residue_witness_classes(tf.scalar_order(Z6, 1), 6) == [5]
+
+
+def test_element_orders_of_every_class_rep_of_s51():
+    G = SpjGroup(P51)
+    orders = element_orders(G)
+    reps, _ = conjugacy_class_reps(G)
+    assert [int(orders[r]) for r in reps] == [tf.scalar_order(G, G.to_element(r)) for r in reps]
 
 
 def _orbit(G, x):
@@ -175,9 +183,12 @@ def test_centralizer_size_must_match_the_class_size(monkeypatch):
 
 def test_u_counts_histogram_matches_bruteforce():
     D4 = validate_table(tf.dihedral(4), "D4")
-    buckets = _power_buckets(D4.pow_index_array(2))
+    P = D4.pow_index_array(2)
+    order, starts = _power_buckets(P)
     for g in range(8):
-        hist = _u_counts(D4, buckets.get(g, np.empty(0, dtype=np.int64)))
+        bucket = order[starts[g] : starts[g + 1]]
+        assert bucket.tolist() == np.flatnonzero(P == g).tolist()
+        hist = _u_counts(D4, bucket)
         for u in range(8):
             assert hist[u] == gn_count_bruteforce(D4, 2, u, g).count
 

@@ -14,6 +14,7 @@ from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.gncount import (
     EnumerationLimitError,
     TableError,
+    element_orders,
     exponent,
     gn_count_bruteforce,
     gn_count_bruteforce_many,
@@ -314,9 +315,10 @@ def test_exponent_values():
         # S(3,1) index = 27 k + 3 v_0 + v_1, so 3 is a1, 1 is a2 and 27 is b
         (SpjGroup(P31), {0: 1, 3: 9, 1: 3, 27: 3}),
         (validate_table(tf.dihedral(4), "D4"), {1: 4, 4: 2, 0: 1}),
+        (validate_table(tf.cyclic(6), "Z6"), {1: 6, 2: 3, 3: 2}),
         (validate_table(tf.random_group_table(random.Random(7))), {}),
     ],
-    ids=["S31", "D4", "random"],
+    ids=["S31", "D4", "Z6", "random"],
 )
 def test_table_group_power_and_orders(G, orders):
     """Every index-array method against the scalar methods, element by element."""
@@ -324,9 +326,9 @@ def test_table_group_power_and_orders(G, orders):
     idx = G.from_element
     assert [idx(x) for x in els] == list(range(G.N))
     assert els[G.identity_index] == G.identity()
-    assert G.element_order(G.identity()) == 1
+    assert tf.scalar_order(G, G.identity()) == 1
     for i, order in orders.items():
-        assert G.element_order(els[i]) == order
+        assert tf.scalar_order(G, els[i]) == order
     everyone = np.arange(G.N)
 
     products = G.mul_index_arrays(np.repeat(everyone, G.N), np.tile(everyone, G.N))
@@ -340,8 +342,9 @@ def test_table_group_power_and_orders(G, orders):
     for n in (-1, 2, 3):
         assert G.pow_index_array(n).tolist() == [idx(G.power(x, n)) for x in els]
 
-    lcm = math.lcm(*[G.element_order(x) for x in els])
-    assert G.orders_exponent() == lcm == exponent(G)
+    scalar = [tf.scalar_order(G, x) for x in els]
+    assert element_orders(G, threads=2).tolist() == scalar
+    assert exponent(G) == math.lcm(*scalar)
 
 
 @pytest.mark.parametrize(
@@ -392,12 +395,28 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
             assert np.array_equal(single, sweep(4))
     finally:
         sys.setswitchinterval(interval)
-    assert G.orders_exponent(threads=2) == params.top_modulus
+    orders = element_orders(G, threads=2)
+    assert [int(orders[i]) for i in positions] == [tf.scalar_order(G, a) for a in els]
+    assert np.unique(orders).tolist() == [params.p ** i for i in range(params.j + 2)]
+    assert exponent(G, threads=2) == params.top_modulus
 
 
-def test_orders_exponent_guards_orders_above_p_j_plus_2(monkeypatch):
+def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
     G = SpjGroup(P31)
-    # i -> i + 1 mod N: every index but 0 needs more than j + 2 steps to reach 0
+    # i -> i + 1 mod N: every index but 0 needs more than v = 4 steps to reach 0
     monkeypatch.setattr(G, "pow_index_array", lambda n, threads=None: np.roll(np.arange(G.N), -1))
-    with pytest.raises(VerificationError, match=r"S\(3,1\) has order above p\^3"):
-        G.orders_exponent()
+    with pytest.raises(VerificationError, match=r"x -> x\^3 on S\(3,1\).* in 4 steps"):
+        element_orders(G)
+    with pytest.raises(VerificationError, match="in 4 steps"):
+        exponent(G)
+
+
+@pytest.mark.parametrize("wrong", [3, 27], ids=["x^e-not-1", "x^(e/q)-all-1"])
+def test_exponent_rejects_a_value_the_power_maps_do_not_certify(wrong, monkeypatch):
+    import fsz_forge.gncount as gc
+
+    # The exponent of S(3,1) is 9: a_1 has a_1^3 != 1, and x^27 = x^9 = 1 for all x.
+    G = SpjGroup(P31)
+    monkeypatch.setattr(gc, "element_orders", lambda G, threads=None: np.full(G.N, wrong))
+    with pytest.raises(VerificationError, match=f"do not certify exponent {wrong}"):
+        exponent(G)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tablefixtures as tf
 from fsz_forge.mixedmod import GroupParams, MixedVector
 from fsz_forge.spgroup import (
     ElementSyntaxError,
@@ -195,8 +196,8 @@ def test_group_handle():
     assert G.order() == 81
     assert G.describe() == "S(3,1) (order 81)"
     a1 = generator_a(P31, 1)
-    assert G.element_order(a1) == 9
-    assert G.element_order(generator_b(P31)) == 3
-    assert G.element_order(G.identity()) == 1
+    assert tf.scalar_order(G, a1) == 9
+    assert tf.scalar_order(G, generator_b(P31)) == 3
+    assert tf.scalar_order(G, G.identity()) == 1
     assert G.describe_element(a1) == "a1^1"
     assert G.power(a1, 10) == G.multiply(a1, G.power(a1, 9))
