@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -449,15 +450,24 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+# One order array per live group: exponent and the class table of one
+# check_fsz share it.  An entry dies with its group.
+_ELEMENT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def element_orders(G, threads: int | None = None) -> np.ndarray:
-    """The order of every element, as an array over the indices 0..N-1.
+    """The order of every element, as a read-only array over the indices 0..N-1.
 
     Every order divides N = |G| (Lagrange).  For each prime q of N, with
     q^v exactly dividing N, x^{N/q^v} has order the q-part of the order
     of x, which is the number of q-th powers it takes to reach 1.  So
     the walk x <- x^q from x^{N/q^v} multiplies the order by q at every
-    step where x is not yet 1, and reaches 1 within v steps.
+    step where x is not yet 1, and reaches 1 within v steps.  The array
+    is computed once per group; a walk that fails its check stores nothing.
     """
+    cached = _ELEMENT_ORDERS.get(G)
+    if cached is not None:
+        return cached
     N, one = G.order(), G.identity_index
     orders = np.ones(N, dtype=np.int64)
     for q in _prime_factors(N):
@@ -475,6 +485,8 @@ def element_orders(G, threads: int | None = None) -> np.ndarray:
                 f"the walk x -> x^{q} on {G.describe()} does not reach the "
                 f"identity in {v} steps, so some order does not divide {N}"
             )
+    orders.flags.writeable = False
+    _ELEMENT_ORDERS[G] = orders
     return orders
 
 

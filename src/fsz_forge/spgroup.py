@@ -11,6 +11,7 @@ which is the structured route the counting layer depends on.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import re
@@ -477,9 +478,10 @@ class SpjGroup:
         return element_index(self.params, x)
 
     @cached_property
-    def _tail_weights(self) -> np.ndarray:
+    def _place_values(self) -> np.ndarray:
+        """p^(dim-1-i) for coordinate i: the index of (V, K) is K * A + V @ _place_values."""
         p, d = self.params.p, self.params.dim
-        return np.array([p ** (d - 1 - i) for i in range(1, d)], dtype=np.int64)
+        return np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
 
     def _mod(self, V: np.ndarray) -> np.ndarray:
         np.remainder(V, self.params.row_moduli, out=V)
@@ -495,11 +497,7 @@ class SpjGroup:
         return V, K
 
     def encode(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
-        p, d = self.params.p, self.params.dim
-        idx = K * self._abelian + V[:, 0] * p ** (d - 1)
-        if d > 1:
-            idx = idx + V[:, 1:] @ self._tail_weights
-        return idx
+        return K * self._abelian + V @ self._place_values
 
     def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
         """B^{K[i]} applied to row i of V."""
@@ -547,41 +545,60 @@ class SpjGroup:
         M_k applied to residues is lift-independent.
 
         The coordinates split into a head prefix and a tail suffix, the
-        longest suffix with at most _CHUNK vectors (L of them), so the index
-        within a b-exponent is h * L + l.  M_k is additive, hence the image
-        of (head h, tail l) is (h M_k^T + c_k) + l M_k^T: one head table and
-        one tail table per k, and each chunk of _CHUNK // L head rows is one
-        broadcast sum, one reduction and one encode.  Head and tail cover
-        disjoint coordinates of the canonical residue vector V, so the sum
-        is exactly the V @ M_k^T + c_k of the map above: it stays under the
-        dim * top^2 bound that GroupParams keeps below int64, and its
-        residues are lift-independent for the same reason.  One job per
-        b-exponent builds its tables once and writes its own slice of the
-        result, so the result does not depend on the worker count.
+        longest suffix with at most isqrt(A) vectors (L of them), so the
+        index within a b-exponent is h * L + l.  M_k is additive, hence the
+        image of (head h, tail l) is (h M_k^T + c_k) + l M_k^T: one head
+        table and one tail table per k.  Both are built on canonical residue
+        vectors, so their entries stay under the dim * top^2 bound that
+        GroupParams keeps below int64, and each is reduced mod row_moduli
+        once.  Coordinate i of both tables is then scaled by its place value
+        w_i, so a head entry plus a tail entry is below 2 m_i w_i <= 2A, and
+        one compare-and-subtract of m_i w_i gives w_i times coordinate i of
+        the image.  Their sum plus s(k) A is the image's index: no element is
+        reduced by division or encoded.  A chunk of _CHUNK // L head rows
+        takes this pass once per coordinate, straight into its slice of the
+        result.  One job per b-exponent builds its tables once and writes
+        its own slice, so the result does not depend on the worker count.
         """
         d, bo, A = self.params.dim, self.params.b_order, self._abelian
+        m, w = self.params.row_moduli, self._place_values
         probe = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
         FV, FK = f(np.tile(probe, (bo, 1)), np.repeat(np.arange(bo, dtype=np.int64), d + 1))
         FV = FV.reshape(bo, d + 1, d)
         c, s = FV[:, 0], FK[:: d + 1]
-        MT = (FV[:, 1:] - c[:, None]) % self.params.row_moduli
+        MT = (FV[:, 1:] - c[:, None]) % m
         L = 1
-        for m in self.params.row_moduli[::-1].tolist():
-            if L * m > _CHUNK:
+        for m_i in m[::-1].tolist():
+            if L * m_i > math.isqrt(A):
                 break
-            L *= m
+            L *= m_i
         heads, _ = self.decode(np.arange(0, A, L, dtype=np.int64))
         tails, _ = self.decode(np.arange(L, dtype=np.int64))
-        rows = _CHUNK // L
+        rows = max(1, _CHUNK // L)
+        wrap = (m * w).astype(np.uint64)
         out = np.empty(self.N, dtype=np.int64)
+        flat = out.view(np.uint64)
+
+        def table(images: np.ndarray) -> np.ndarray:
+            return np.ascontiguousarray((images % m * w).T, dtype=np.uint64)
 
         def job(k: int) -> None:
-            head = heads @ MT[k] + c[k]
-            tail = tails @ MT[k]
-            for h in range(0, len(head), rows):
-                V = self._mod((head[h : h + rows, None] + tail).reshape(-1, d))
+            head, tail = table(heads @ MT[k] + c[k]), table(tails @ MT[k])
+            base = np.uint64(int(s[k]) * A)
+            x = np.empty((rows, L), dtype=np.uint64)
+            y = np.empty_like(x)
+            for h in range(0, len(heads), rows):
+                r = min(rows, len(heads) - h)
                 lo = k * A + h * L
-                out[lo : lo + len(V)] = self.encode(V, s[k])
+                acc, xr, yr = flat[lo : lo + r * L].reshape(r, L), x[:r], y[:r]
+                acc.fill(base)
+                for i in range(d):
+                    np.add(head[i, h : h + r, None], tail[i], out=xr)
+                    # Unsigned, xr - m_i w_i wraps above xr where xr < m_i w_i,
+                    # so the minimum of the two is xr reduced mod m_i w_i.
+                    np.subtract(xr, wrap[i], out=yr)
+                    np.minimum(xr, yr, out=xr)
+                    acc += xr
 
         threads = _default_threads(threads)
         if threads <= 1 or self.N <= _CHUNK:

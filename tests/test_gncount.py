@@ -349,7 +349,7 @@ def test_table_group_power_and_orders(G, orders):
 
 @pytest.mark.parametrize(
     "params, chunk, tail",
-    [(P51, 1 << 16, 3125), (GroupParams(3, 2), 1 << 16, 59049), (P51, 100, 25)],
+    [(P51, 1 << 16, 25), (GroupParams(3, 2), 1 << 16, 243), (P51, 100, 25)],
     ids=["S51", "S32", "S51-chunk100"],
 )
 def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
@@ -399,6 +399,41 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     assert [int(orders[i]) for i in positions] == [tf.scalar_order(G, a) for a in els]
     assert np.unique(orders).tolist() == [params.p ** i for i in range(params.j + 2)]
     assert exponent(G, threads=2) == params.top_modulus
+
+
+@pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])
+def test_sweep_equals_the_per_element_kernels(params):
+    """Every entry of every whole-group map against mul, inv and pow on all elements.
+
+    The sweep builds its indices from reduced, scaled head and tail tables
+    with one compare-and-subtract per coordinate; the kernels reduce each
+    element by remainder and encode it.
+    """
+    G = SpjGroup(params)
+    V, K = G.decode(np.arange(G.N))
+
+    def at(idx):
+        return G.decode(np.full(G.N, idx))
+
+    ns = (-1, 2, params.p, params.n, params.top_modulus + 1)
+    powers = {n: G.encode(*G.pow(V, K, n)) for n in ns}
+    x_idx = random.Random(12).randrange(G.N)
+    right = G.encode(*G.mul(V, K, *at(x_idx)))
+    left = G.encode(*G.mul(*at(x_idx), V, K))
+    conj = []
+    for c in spgroup.generators(params):
+        c_idx = G.from_element(c)
+        inner = G.mul(*at(G.invert_index(c_idx)), V, K)
+        conj.append(G.encode(*G.mul(*inner, *at(c_idx))))
+    for threads in (1, 2):
+        for n, expected in powers.items():
+            assert np.array_equal(G.pow_index_array(n, threads), expected), n
+        assert np.array_equal(G.rightmul_array(x_idx, threads), right)
+        assert np.array_equal(G.leftmul_array(x_idx, threads), left)
+        got = G.conjugation_arrays(threads)
+        assert len(got) == len(conj)
+        for perm, expected in zip(got, conj):
+            assert np.array_equal(perm, expected)
 
 
 def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
