@@ -423,8 +423,12 @@ def run(argv: list[str] | None = None) -> int:
             return 1
     if args.threads is None:
         env = os.environ.get("FSZ_FORGE_THREADS", "").strip()
-        if env.isdigit() and int(env) >= 1:
-            args.threads = int(env)
+        try:
+            env_threads = int(env) if env.isdigit() else 0
+        except ValueError:  # past int()'s digit limit, or a digit like '²': ignored
+            env_threads = 0
+        if env_threads >= 1:
+            args.threads = env_threads
     try:
         report, status = _DISPATCH[args.subcommand](args)
     except (ParameterError, ElementSyntaxError, TableError, EnumerationLimitError,

@@ -269,6 +269,8 @@ def load_table_group(path: str) -> TableGroup:
         raise TableError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # bytes that are not UTF-8, or a literal past int()'s digit limit
+        raise TableError(f"{path}: unreadable JSON: {exc}") from exc
     except OSError as exc:
         raise TableError(f"{path}: {exc.strerror or exc}") from exc
     if not isinstance(data, dict):

@@ -10,16 +10,18 @@ divisibility makes every product independent of which integer lift of a
 mod-p residue is used, which is what justifies multiplying canonical
 residues directly.
 
-A matrix is stored only as its reduced, read-only int64 array.  An int64
-grid is reduced with numpy; any other grid is reduced once with Python
-integers on entry, because the closed-form binomial entries exceed
-int64.  Products run on the stored arrays and cannot wrap: every stored
-entry is below top_modulus = p^{j+1}, so a dot product of dim such pairs
-is below dim * top_modulus^2, which GroupParams keeps below 2^62 (under
-the default dimension guard of 512 the worst case, S(509,1), reaches
-about 3.4e13).  The constructor reduces each product and re-checks the
-invariant on the array.  Values are immutable after construction and
-safe to share between workers.
+Vectors and matrices share one stored form: a reduced, read-only int64
+array of canonical residues, row r (coordinate r of a vector) reduced mod
+row_modulus(r).  An int64 array is reduced with numpy; any other integer
+input is reduced once with Python integers on entry, because the
+closed-form binomial entries exceed int64.  Sums, scalings and products
+run on the stored arrays and cannot wrap: every stored entry is below
+top_modulus = p^{j+1}, so a dot product of dim such pairs, in mat_mul and
+in mat_apply alike, is below dim * top_modulus^2, which GroupParams keeps
+below 2^62 (under the default dimension guard of 512 the worst case,
+S(509,1), reaches about 3.4e13).  The constructor reduces each result,
+and a matrix re-checks the invariant on its array.  Values are immutable
+after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -119,103 +121,94 @@ class GroupParams:
 
 
 def _require_same_params(a, b) -> None:
-    if a.params != b.params:
+    if a.params is not b.params and a.params != b.params:
         raise ParameterError(f"mixed parameters: {a.params} vs {b.params}")
 
 
-@dataclass(frozen=True)
-class MixedVector:
-    """An element of the abelian group, stored as canonical residues."""
-
-    params: GroupParams
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        pr = self.params
-        if len(self.coords) != pr.dim:
-            raise ParameterError(
-                f"expected {pr.dim} coordinates, got {len(self.coords)}"
-            )
-        p, top = pr.p, pr.top_modulus
-        c = self.coords
-        object.__setattr__(
-            self, "coords", (c[0] % top,) + tuple(x % p for x in c[1:])
-        )
-
-    def __add__(self, other: "MixedVector") -> "MixedVector":
-        return vec_combine(self, other)
-
-
-def zero_vector(params: GroupParams) -> MixedVector:
-    return MixedVector(params, (0,) * params.dim)
-
-
-def basis_vector(params: GroupParams, i: int) -> MixedVector:
-    """Standard basis vector e_{i+1}; i is a 0-based coordinate index."""
-    if not 0 <= i < params.dim:
-        raise ParameterError(f"basis index {i} out of range 0..{params.dim - 1}")
-    coords = [0] * params.dim
-    coords[i] = 1
-    return MixedVector(params, tuple(coords))
-
-
-def vec_combine(v: MixedVector, w: MixedVector) -> MixedVector:
-    """Componentwise sum, the abelian group operation."""
-    _require_same_params(v, w)
-    return MixedVector(v.params, tuple(a + b for a, b in zip(v.coords, w.coords)))
-
-
-def vec_scale(c: int, v: MixedVector) -> MixedVector:
-    """Scalar multiple: each coordinate times c, reduced by its modulus."""
-    return MixedVector(v.params, tuple(c * x for x in v.coords))
-
-
 @dataclass(frozen=True, eq=False)
-class EndoMatrix:
-    """A dim x dim integer matrix with per-row moduli.
+class _Residues:
+    """The stored form of vectors (_ndim 1) and matrices (_ndim 2).
 
-    Row 0 is reduced mod p^{j+1}, the others mod p.  The matrix is stored
-    as its reduced, read-only int64 array.  Construction takes any integer
-    grid, reduces it and enforces the well-definedness invariant: row-0
-    entries in columns >= 1 must be divisible by p^j.  Equality and
-    hashing are by value.
+    array holds the canonical residues, reduced as the module docstring
+    describes; equality and hashing are by value.
     """
 
     params: GroupParams
     array: np.ndarray
 
     def __post_init__(self) -> None:
-        pr = self.params
-        d = pr.dim
-        grid = self.array
+        pr, grid = self.params, self.array
+        moduli = pr.row_moduli if self._ndim == 1 else pr.row_moduli[:, None]
         if not (isinstance(grid, np.ndarray) and grid.dtype == np.int64):
-            # Reduced as Python ints: the closed-form binomial entries exceed int64.
-            grid = np.array(grid, dtype=object)
-        if grid.shape != (d, d):
-            raise ParameterError(f"expected a {d}x{d} grid")
-        reduced = (grid % pr.row_moduli.astype(grid.dtype)[:, None]).astype(np.int64)
-        bad = np.flatnonzero(reduced[0, 1:] % pr.n)
+            grid, moduli = np.array(grid, dtype=object), moduli.astype(object)
+        if grid.shape != (pr.dim,) * self._ndim:
+            raise ParameterError(f"expected shape {(pr.dim,) * self._ndim}, got {grid.shape}")
+        reduced = (grid % moduli).astype(np.int64, copy=False)
+        reduced.flags.writeable = False
+        object.__setattr__(self, "array", reduced)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # Equal params give equal shapes, so the bytes decide.
+        return self.params == other.params and self.array.tobytes() == other.array.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.array.tobytes()))
+
+
+class MixedVector(_Residues):
+    """An element of the abelian group: dim coordinates as canonical residues."""
+
+    _ndim = 1
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The coordinates as Python ints, for output and index arithmetic."""
+        return tuple(self.array.tolist())
+
+    def __add__(self, other: "MixedVector") -> "MixedVector":
+        return vec_combine(self, other)
+
+
+def zero_vector(params: GroupParams) -> MixedVector:
+    return MixedVector(params, np.zeros(params.dim, dtype=np.int64))
+
+
+def basis_vector(params: GroupParams, i: int) -> MixedVector:
+    """Standard basis vector e_{i+1}; i is a 0-based coordinate index."""
+    if not 0 <= i < params.dim:
+        raise ParameterError(f"basis index {i} out of range 0..{params.dim - 1}")
+    coords = np.zeros(params.dim, dtype=np.int64)
+    coords[i] = 1
+    return MixedVector(params, coords)
+
+
+class EndoMatrix(_Residues):
+    """A dim x dim integer matrix with per-row moduli.
+
+    Row 0 is reduced mod p^{j+1}, the others mod p.  Construction also
+    enforces the well-definedness invariant: row-0 entries in columns >= 1
+    must be divisible by p^j.
+    """
+
+    _ndim = 2
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        pr = self.params
+        bad = np.flatnonzero(self.array[0, 1:] % pr.n)
         if bad.size:
             c = int(bad[0]) + 1
             raise MatrixInvariantError(
-                f"row 0 column {c} entry {int(reduced[0, c])} is not divisible "
+                f"row 0 column {c} entry {int(self.array[0, c])} is not divisible "
                 f"by p^j = {pr.n}; the grid is not a well defined endomorphism"
             )
-        reduced.flags.writeable = False
-        object.__setattr__(self, "array", reduced)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The entries as nested tuples of Python ints, for tests and output."""
         return tuple(map(tuple, self.array.tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EndoMatrix):
-            return NotImplemented
-        return self.params == other.params and np.array_equal(self.array, other.array)
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.array.tobytes()))
 
 
 def identity_matrix(params: GroupParams) -> EndoMatrix:
@@ -229,6 +222,17 @@ def zero_matrix(params: GroupParams) -> EndoMatrix:
 # Every stored entry is below top_modulus and GroupParams keeps
 # dim * top_modulus^2 below 2^62, so the int64 sums, scalings by
 # c % top_modulus and dot products below stay exact before the reduction.
+def vec_combine(v: MixedVector, w: MixedVector) -> MixedVector:
+    """Componentwise sum, the abelian group operation."""
+    _require_same_params(v, w)
+    return MixedVector(v.params, v.array + w.array)
+
+
+def vec_scale(c: int, v: MixedVector) -> MixedVector:
+    """Scalar multiple: each coordinate times c, reduced by its modulus."""
+    return MixedVector(v.params, (c % v.params.top_modulus) * v.array)
+
+
 def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
     """Apply M to v on the left.
 
@@ -237,8 +241,7 @@ def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
     divisible by p^j.
     """
     _require_same_params(M, v)
-    moved = M.array @ np.array(v.coords, dtype=np.int64)
-    return MixedVector(M.params, tuple(moved.tolist()))
+    return MixedVector(M.params, M.array @ v.array)
 
 
 def mat_mul(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:

@@ -10,7 +10,6 @@ which is the structured route the counting layer depends on.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import random
@@ -18,7 +17,6 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -38,6 +36,7 @@ from .mixedmod import (
 
 DEFAULT_ENUMERATION_LIMIT = 10 ** 8
 _MAX_PARSE_EXPONENT = 2 ** 63
+_MAX_PARSE_DIGITS = len(str(_MAX_PARSE_EXPONENT))
 _CHUNK = 1 << 16
 
 
@@ -191,11 +190,13 @@ def parse_element(params: GroupParams, text: str) -> SElement:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ElementSyntaxError(f"malformed token {token!r}")
-        exponent = int(m.group(2)) if m.group(2) is not None else 1
-        if abs(exponent) > _MAX_PARSE_EXPONENT:
+        # Lengths are checked first: int() refuses strings of over 4300 digits.
+        digits = (m.group(2) or "1").lstrip("-0")
+        if len(digits) > _MAX_PARSE_DIGITS or int(digits or 0) > _MAX_PARSE_EXPONENT:
             raise ElementSyntaxError(f"exponent overflow in {token!r}")
+        exponent = int(m.group(2) or 1)
         if m.group(1) is not None:
-            i = int(m.group(1))
+            i = int(m.group(1)) if len(m.group(1)) <= len(str(params.dim)) else 0
             if not 1 <= i <= params.dim:
                 raise ElementSyntaxError(
                     f"generator index out of range in {token!r}: valid are a1..a{params.dim}"
@@ -217,23 +218,8 @@ def format_element(params: GroupParams, x: SElement) -> str:
     return " ".join(parts) if parts else "e"
 
 
-def enumerate_elements(
-    params: GroupParams, limit: int = DEFAULT_ENUMERATION_LIMIT
-) -> Iterator[SElement]:
-    """All elements exactly once, lexicographic on (k, coords)."""
-    if params.group_order > limit:
-        raise EnumerationLimitError(
-            f"group order {params.group_order} exceeds the enumeration limit {limit}"
-        )
-    p, top, d = params.p, params.top_modulus, params.dim
-    for k in range(params.b_order):
-        for v0 in range(top):
-            for rest in itertools.product(range(p), repeat=d - 1):
-                yield SElement(MixedVector(params, (v0,) + rest), k)
-
-
 def element_index(params: GroupParams, x: SElement) -> int:
-    """Position of x in the enumeration order."""
+    """Position of x in the enumeration order, lexicographic on (k, coords)."""
     p = params.p
     idx = x.k * (params.group_order // params.b_order)
     idx += x.vec.coords[0] * p ** (params.dim - 1)
@@ -254,7 +240,7 @@ def element_at(params: GroupParams, idx: int) -> SElement:
     coords = [v0] + [0] * (d - 1)
     for i in range(d - 1, 0, -1):
         tail, coords[i] = divmod(tail, p)
-    return SElement(MixedVector(params, tuple(coords)), k)
+    return SElement(MixedVector(params, np.array(coords, dtype=np.int64)), k)
 
 
 def random_element(params: GroupParams, rng) -> SElement:
@@ -319,10 +305,10 @@ def structure_report(
     """Order, a_1 order and center verification for one parameter pair.
 
     When the group order is at most CENTER_SCAN_CAP (and the general
-    enumeration limit) the center is found exactly by scanning for
-    elements that commute with every generator.  Otherwise the check
-    degrades to generator commutation for powers of a_1^p plus a random
-    sample of outside elements that must all fail to be central.
+    enumeration limit) the center is found exactly: the elements that every
+    generator's conjugation array fixes.  Otherwise the check degrades to
+    generator commutation for powers of a_1^p plus a random sample of
+    outside elements that must all fail to be central.
     """
     p = params.p
     ident = identity_element(params)
@@ -376,11 +362,9 @@ def structure_report(
     )
 
     if params.group_order <= min(limit, CENTER_SCAN_CAP):
-        center = [
-            x
-            for x in enumerate_elements(params, limit)
-            if all(_commutes(params, x, g) for g in gens)
-        ]
+        G = SpjGroup(params)
+        moved = np.any([conj != np.arange(G.N) for conj in G.conjugation_arrays(1)], axis=0)
+        center = [G.to_element(i) for i in np.flatnonzero(~moved).tolist()]
         center_order = len(center)
         exact = center_order == params.n and all(
             _in_central_cyclic(params, x) for x in center

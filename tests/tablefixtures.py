@@ -1,5 +1,5 @@
-"""Multiplication-table builders, corrupted fixtures and a scalar order
-oracle shared by tests.
+"""Multiplication-table builders, corrupted fixtures, a scalar order
+oracle and a lexicographic element oracle shared by tests.
 
 Tables are lists of rows of 0-based indices; table[a][b] is the product
 a*b.  Builders return plain lists so tests can corrupt copies freely.
@@ -7,7 +7,11 @@ a*b.  Builders return plain lists so tests can corrupt copies freely.
 
 from __future__ import annotations
 
+import itertools
 import random
+
+from fsz_forge.mixedmod import GroupParams, MixedVector
+from fsz_forge.spgroup import SElement
 
 
 def cyclic(n: int) -> list[list[int]]:
@@ -70,6 +74,14 @@ def scalar_order(G, x) -> int:
     while y != one:
         y, order = G.multiply(y, x), order + 1
     return order
+
+
+def lexicographic_elements(params: GroupParams):
+    """Every element of S(p,j) once, lexicographic on (k, coords)."""
+    ranges = [range(params.row_modulus(r)) for r in range(params.dim)]
+    for k in range(params.b_order):
+        for coords in itertools.product(*ranges):
+            yield SElement(MixedVector(params, coords), k)
 
 
 # Row 1 repeats the entry 1, violating the Latin-square property.

@@ -32,7 +32,6 @@ from fsz_forge.construction import (
 from fsz_forge.spgroup import (
     SElement,
     SpjGroup,
-    enumerate_elements,
     generator_a,
     generator_b,
     multiply,
@@ -267,7 +266,7 @@ def test_c11_property_suite_and_corrupted_tables():
 
     rng = random.Random(2024)
     G31 = SpjGroup(GroupParams(3, 1))
-    check_properties(G31, list(enumerate_elements(G31.params)), [1, 2, 3, 6, 9], rng, 60)
+    check_properties(G31, [G31.to_element(i) for i in range(G31.N)], [1, 2, 3, 6, 9], rng, 60)
     for _ in range(3):
         T = validate_table(tf.random_group_table(rng))
         check_properties(T, list(range(T.order())), [1, 2, 3, 4], rng, 20)

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -39,6 +40,29 @@ def test_verify_passes_on_the_default_grid(capsys):
         code, out, err = _run(capsys, "verify", "--p", str(p), "--j", str(j))
         assert code == 0, err
         assert "all checks passed: yes" in out
+
+
+# sha256 of the full --format json stdout; a change to these bytes is a
+# change to the output format or to a check, never a side effect.
+VERIFY_JSON_SHA256 = {
+    ("verify", "--p", "3", "--j", "1"):
+        "915a513e8fd1ddf44fed70656085fe508c8513cdcbde03c0839f4f3e7a35551f",
+    ("verify", "--p", "5", "--j", "1"):
+        "4473376d42d5181f63cdab01f8c95ae437c16e5b0dd7a65c8b5f9e0e9a6209ae",
+    ("verify", "--p", "5", "--j", "2"):
+        "d4208967661b1d79cc4a51a777d37ab5a972f001c5db59bea23b8e6cbaa884e5",
+    ("verify", "--p", "7", "--j", "2", "--seed", "3"):
+        "ca9ff5d602b8a40e0ae848a714599243a33c8cfb736d81cd0d8ad7644a24a830",
+    ("selftest",):
+        "8bff02099b3e10e99f96d6a93ff31399125cc13e58c0a2360ae59e9d370cca55",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_JSON_SHA256), ids=" ".join)
+def test_verify_and_selftest_json_bytes_are_pinned(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[argv]
 
 
 def test_witness_json_fields(capsys):
@@ -185,6 +209,20 @@ def test_usage_and_input_errors_exit_1(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"order": 1, "table": [[' + b"9" * 5000 + b"]]}", b'{"name": "\xff"}'],
+    ids=["integer past the digit limit", "not UTF-8"],
+)
+def test_table_json_with_a_plain_value_error_exits_1(capsys, tmp_path, content):
+    # json.load raises ValueError, not JSONDecodeError, for both files.
+    path = tmp_path / "table.json"
+    path.write_bytes(content)
+    code, out, err = _run(capsys, "fsz", "--table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_verification_failure_exits_2(capsys, monkeypatch):
     import fsz_forge.cli as cli
     from fsz_forge.fszcheck import VerificationError
@@ -206,6 +244,17 @@ def test_threads_env_variable_is_honored(capsys, monkeypatch):
     )
     assert code == 0
     assert "counters_agree" in out
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "\u00b2"], ids=["5000 nines", "superscript two"])
+def test_threads_env_variable_int_cannot_read_is_ignored(capsys, monkeypatch, value):
+    # Ignored, as a non-numeric value is: the run uses the default worker count.
+    argv = ("count", "--p", "3", "--j", "1", "--n", "3", "--u", "b a1", "--g", "a1^3")
+    monkeypatch.setenv("FSZ_FORGE_THREADS", "many")
+    want = _run(capsys, *argv)
+    monkeypatch.setenv("FSZ_FORGE_THREADS", value)
+    assert _run(capsys, *argv) == want
+    assert want[0] == 0
 
 
 def test_selftest_grid_passes(capsys):

@@ -39,7 +39,6 @@ from fsz_forge.spgroup import (
     SpjGroup,
     b_power_row0,
     element_at,
-    enumerate_elements,
     generator_a,
     identity_element,
     power_generic,
@@ -101,7 +100,7 @@ def test_conjugacy_class_reps_partition_s31():
     G = SpjGroup(P31)
     reps, sizes = conjugacy_class_reps(G)
     # independently partition all 81 elements by conjugation under everything
-    els = list(enumerate_elements(G.params))
+    els = [G.to_element(i) for i in range(G.N)]
     seen: set = set()
     classes = []
     for x in els:
@@ -511,7 +510,7 @@ def test_spj_witness_counts_match_the_5_1_goldens():
 
 
 def _random_triples(G, rng, count, ns):
-    els = list(enumerate_elements(G.params))
+    els = [G.to_element(i) for i in range(G.N)]
     for _ in range(count):
         yield rng.choice(els), rng.choice(els), rng.choice(ns)
 

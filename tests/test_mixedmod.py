@@ -225,3 +225,34 @@ def test_matrix_from_any_grid_is_one_value():
     N = EndoMatrix(p, A + np.array([[9, 18], [-3, 30]], dtype=np.int64))
     assert M == N and hash(M) == hash(N)
     assert M != identity_matrix(p)
+
+
+def test_vector_from_any_integers_is_one_value():
+    p = GroupParams(5, 1)
+    big = 2 ** 64 + 5
+    v = MixedVector(p, (big, -big, -1, 7))
+    assert v.coords == (big % 25, -big % 5, 4, 2)
+    assert all(type(c) is int for c in v.coords)
+    w = MixedVector(p, np.array(v.coords, dtype=np.int64) + np.array([-25, 10, 5, -15]))
+    assert v == w and hash(v) == hash(w)
+    assert v != zero_vector(p)
+
+
+def test_vector_array_is_read_only():
+    p = GroupParams(3, 1)
+    v = MixedVector(p, (10, 5))
+    assert v.array.dtype == np.int64 and v.array.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        v.array[0] = 0
+    # A caller's int64 array is copied, not adopted.
+    raw = np.array([1, 2], dtype=np.int64)
+    u = MixedVector(p, raw)
+    raw[0] = 0
+    assert u.coords == (1, 2)
+
+
+def test_vector_scale_by_extreme_scalars_matches_python_ints():
+    p = GroupParams(5, 1)
+    v = MixedVector(p, (24, 4, 3, 1))
+    for c in (2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 64 + 5):
+        assert vec_scale(c, v) == MixedVector(p, tuple(c * x for x in v.coords))

@@ -2,19 +2,18 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import tablefixtures as tf
 from fsz_forge.mixedmod import GroupParams, MixedVector
 from fsz_forge.spgroup import (
     ElementSyntaxError,
-    EnumerationLimitError,
     SElement,
     SpjGroup,
     b_power_row0,
     element_at,
     element_index,
-    enumerate_elements,
     format_element,
     generator_a,
     generator_b,
@@ -119,11 +118,52 @@ def test_parse_format_roundtrip():
 
 @pytest.mark.parametrize(
     "text",
-    ["a0", "a3^2", "a1^^2", "xyz", "a", "b b^%d" % (2**64), "a1^2b"],
+    ["a0", "a3^2", "a1^^2", "xyz", "a", "b b^%d" % (2**64), "a1^2b",
+     # int() refuses strings over 4300 digits, so these are rejected as text.
+     pytest.param("a1^" + "9" * 5000, id="a1^<5000 nines>"),
+     pytest.param("a" + "9" * 5000, id="a<5000 nines>")],
 )
 def test_parse_rejects_malformed_input(text):
     with pytest.raises(ElementSyntaxError):
         parse_element(P31, text)
+
+
+def test_parse_extreme_exponents_match_python_int_residues():
+    big = 2 ** 63
+    for e in (big, -big):
+        for i in (1, 2):
+            vec = MixedVector(P51, tuple(e if r == i - 1 else 0 for r in range(P51.dim)))
+            assert parse_element(P51, f"a{i}^{e}") == SElement(vec, 0)
+        assert parse_element(P51, f"b^{e}") == SElement(MixedVector(P51, (0,) * P51.dim), e)
+    with pytest.raises(ElementSyntaxError):
+        parse_element(P51, f"a1^{big + 1}")
+    assert parse_element(P51, "a1^-000" + str(big)) == parse_element(P51, f"a1^{-big}")
+
+
+@pytest.mark.parametrize("params", [P31, GroupParams(7, 2)])
+def test_scalar_arithmetic_matches_the_index_kernels(params):
+    # S(7,2) has dimension 48 and is never enumerated; the kernels take
+    # (V, K) arrays, not indices.
+    G = SpjGroup(params)
+    rng = random.Random(40)
+    xs, ys = _samples(params, rng, 40), _samples(params, rng, 40)
+
+    def arrays(elements):
+        return (np.array([x.vec.array for x in elements]),
+                np.array([x.k for x in elements], dtype=np.int64))
+
+    def rows(elements):
+        return [(x.vec.array.tolist(), x.k) for x in elements]
+
+    def kernel_rows(V, K):
+        return list(zip(V.tolist(), K.tolist()))
+
+    (VX, KX), (VY, KY) = arrays(xs), arrays(ys)
+    products = [multiply(params, x, y) for x, y in zip(xs, ys)]
+    assert rows(products) == kernel_rows(*G.mul(VX, KX, VY, KY))
+    assert rows(invert(params, x) for x in xs) == kernel_rows(*G.inv(VX, KX))
+    for e in (0, 5, params.n, -7):
+        assert rows(power_generic(params, x, e) for x in xs) == kernel_rows(*G.pow(VX, KX, e))
 
 
 def test_element_k_reduces_mod_b_order():
@@ -154,18 +194,13 @@ def test_b_power_row0_is_e0_mod_p(p, j):
 
 
 def test_enumeration_is_a_bijection():
-    elements = list(enumerate_elements(P31))
+    elements = list(tf.lexicographic_elements(P31))
     assert len(elements) == P31.group_order == 81
     assert len(set(elements)) == 81
     assert elements[0] == identity_element(P31)
     for idx, x in enumerate(elements):
         assert element_index(P31, x) == idx
         assert element_at(P31, idx) == x
-
-
-def test_enumeration_respects_limit():
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_elements(P31, limit=80))
 
 
 def test_random_element_is_seed_deterministic():
@@ -181,6 +216,31 @@ def test_structure_report_exact_mode():
     assert report.center_order == 3
     assert report.a1_order == 9
     assert report.group_order == 81
+
+
+def _scalar_center_order(params):
+    gens = generators(params)
+    return sum(
+        all(multiply(params, x, g) == multiply(params, g, x) for g in gens)
+        for x in tf.lexicographic_elements(params)
+    )
+
+
+@pytest.mark.parametrize("params", [P31, P51])
+def test_structure_report_center_matches_scalar_commutation(params):
+    report = structure_report(params)
+    assert report.center_method == "enumeration"
+    assert report.center_order == _scalar_center_order(params) == params.n
+
+
+def test_structure_report_center_fails_without_the_b_conjugation_array(monkeypatch):
+    # Without the last array (conjugation by b) the fixed points are the
+    # centralizer of the a_i, 27 elements.  Dropping one a_i array instead
+    # leaves the center unchanged: the other generators still generate S(3,1).
+    full = SpjGroup.conjugation_arrays
+    monkeypatch.setattr(SpjGroup, "conjugation_arrays", lambda G, threads=None: full(G, threads)[:-1])
+    checks = {c.name: c for c in structure_report(P31).checks}
+    assert not checks["center_order"].passed
 
 
 def test_structure_report_sampled_mode():
