@@ -219,9 +219,8 @@ def _reference_rows(G, threads: int | None):
 
 
 def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
-    return np.nonzero(
-        G.rightmul_array(g_idx, threads) == G.leftmul_array(g_idx, threads)
-    )[0]
+    """The a with g^-1 a g = a, ascending."""
+    return np.flatnonzero(G.conjugation_array(g_idx, threads) == np.arange(G.N))
 
 
 def _power_buckets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,10 +19,16 @@ implement it, and the counters and scans take the group itself:
 - scalar elements: multiply, invert, power, describe_element, and
   to_element / from_element, which map between elements and their
   indices 0..N-1;
-- index arrays: pow_index_array(n), rightmul_array(x), leftmul_array(x),
-  mul_index_arrays(a, b), invert_index(x), invert_index_array(a), and
-  conjugation_arrays(), one index array of c^-1 a c per generator c of a
-  fixed generating set.
+- index arrays.  A family supplies generators, a tuple of the indices of
+  a generating set, two index kernels, mul_index_arrays(a, b) and
+  invert_index_array(a), and _sweep(f, threads), the index of f(a) for
+  every a.  The base spgroup.IndexGroup writes every whole-group map once
+  on these: power_indices(a, n), pow_index_array(n), rightmul_array(x),
+  conjugation_array(x), the index array of x^-1 a x, and
+  conjugation_arrays(), one per generator.  TableGroup._sweep evaluates
+  f on every index.  The S(p,j) sweep evaluates f on probe rows and
+  extends it by an affine pass, so it is exact only for word maps:
+  products of a, a^-1 and fixed elements, powers included.
   Methods that sweep the whole group take a per-call threads count.
   Element orders and the exponent come from pow_index_array alone.
 """
@@ -43,6 +49,7 @@ from .mixedmod import GroupParams, MixedVector, VerificationError
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
+    IndexGroup,
     SElement,
     b_power_row0,
     t_of_b_exponent,
@@ -77,7 +84,7 @@ class GnCount:
         }
 
 
-class TableGroup:
+class TableGroup(IndexGroup):
     """Group given by a validated multiplication table over 0..order-1.
 
     Implements the group interface above; elements already are indices.
@@ -111,16 +118,7 @@ class TableGroup:
         return int(self.inverse[x])
 
     def power(self, x: int, e: int) -> int:
-        if e < 0:
-            x, e = self.invert(x), -e
-        result, base = self.identity_index, x
-        while e:
-            if e & 1:
-                result = int(self.array[result, base])
-            e >>= 1
-            if e:
-                base = int(self.array[base, base])
-        return result
+        return int(self.power_indices(np.array([x]), e)[0])
 
     def describe(self) -> str:
         return self.name or f"table group of order {len(self.array)}"
@@ -134,38 +132,15 @@ class TableGroup:
     def from_element(self, x: int) -> int:
         return x
 
-    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
-        """x^n for every x at once, as an index array."""
-        e = abs(n)
-        result = np.full(self.N, self.identity_index, dtype=np.int64)
-        base = self.inverse if n < 0 else np.arange(self.N, dtype=np.int64)
-        while e:
-            if e & 1:
-                result = self.array[result, base]
-            e >>= 1
-            if e:
-                base = self.array[base, base]
-        return result
-
-    def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
-        return self.array[:, x_idx].copy()
-
-    def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
-        return self.array[x_idx].copy()
-
-    def invert_index(self, x_idx: int) -> int:
-        return self.invert(x_idx)
-
     def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         return self.array[a_idx, b_idx]
 
     def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
         return self.inverse[idx]
 
-    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
-        """Index of c^-1 a c for every a, one array per generator c."""
-        T = self.array
-        return [T[T[self.inverse[c]], c] for c in self.generators]
+    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
+        """Index of f(a) for every a, by evaluating f on every index."""
+        return f(np.arange(self.N))
 
 
 def _check_latin(T: np.ndarray, line: str, place: str) -> None:
@@ -318,7 +293,7 @@ def gn_count_bruteforce_many(
     first equals the target.  Witnesses come back in enumeration order.
     """
     _guard(G, limit)
-    uinv = G.invert_index(G.from_element(u))
+    uinv = int(G.invert_index_array(np.array([G.from_element(u)]))[0])
     shifted = G.rightmul_array(uinv, threads)
     powers = G.pow_index_array(n, threads)
     tgt = np.array([G.from_element(g) for g in targets], dtype=np.int64)
@@ -466,12 +441,15 @@ def element_orders(G, threads: int | None = None) -> np.ndarray:
     the walk x <- x^q from x^{N/q^v} multiplies the order by q at every
     step where x is not yet 1, and reaches 1 within v steps.  The array
     is computed once per group; a walk that fails its check stores nothing.
+    Its dtype is the narrowest unsigned type that holds N: every order
+    divides N, and the walk multiplies in each prime's part at most v
+    times, so no entry ever exceeds N and nothing wraps.
     """
     cached = _ELEMENT_ORDERS.get(G)
     if cached is not None:
         return cached
     N, one = G.order(), G.identity_index
-    orders = np.ones(N, dtype=np.int64)
+    orders = np.ones(N, dtype=np.min_scalar_type(N))
     for q in _prime_factors(N):
         v, rest = 0, N
         while rest % q == 0:

@@ -74,17 +74,6 @@ def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
 
 
 @lru_cache(maxsize=None)
-def _spj_matrices(params: GroupParams) -> np.ndarray:
-    """Stack of B^k transposed for batched row-vector application.
-
-    GroupParams bounds dim * top_modulus^2, so the products fit in int64.
-    """
-    return np.stack(
-        [_b_power(params, k).array for k in range(params.b_order)]
-    ).transpose(0, 2, 1)
-
-
-@lru_cache(maxsize=None)
 def b_power_row0(params: GroupParams) -> np.ndarray:
     """Row 0 of B^k for every k in 0..p^j-1, as a read-only int64 array.
 
@@ -418,13 +407,58 @@ def _default_threads(threads: int | None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class SpjGroup:
+class IndexGroup:
+    """The whole-group maps on enumeration indices, written once for every family.
+
+    A family supplies N, identity_index, generators (the indices of a
+    generating set), the index kernels mul_index_arrays(a, b) and
+    invert_index_array(a), and _sweep(f, threads): the index of f(a) for
+    every a, where f maps an index array entrywise by a word map, a
+    product of a, a^-1 and fixed elements.  Every map below is such a word.
+    """
+
+    def power_indices(self, a: np.ndarray, n: int) -> np.ndarray:
+        """a^n for each entry of the index array a, by square-and-multiply."""
+        if n < 0:
+            a, n = self.invert_index_array(a), -n
+        result = np.full(len(a), self.identity_index, dtype=np.int64)
+        while n:
+            if n & 1:
+                result = self.mul_index_arrays(result, a)
+            n >>= 1
+            if n:
+                a = self.mul_index_arrays(a, a)
+        return result
+
+    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
+        """Index of a^n for every a."""
+        return self._sweep(lambda a: self.power_indices(a, n), threads)
+
+    def rightmul_array(self, x: int, threads: int | None = None) -> np.ndarray:
+        """Index of a*x for every a."""
+        return self._sweep(lambda a: self.mul_index_arrays(a, np.full(len(a), x)), threads)
+
+    def conjugation_array(self, x: int, threads: int | None = None) -> np.ndarray:
+        """Index of x^-1 a x for every a."""
+        x_inv = self.invert_index_array(np.array([x]))[0]
+
+        def conj(a: np.ndarray) -> np.ndarray:
+            left = self.mul_index_arrays(np.full(len(a), x_inv), a)
+            return self.mul_index_arrays(left, np.full(len(a), x))
+
+        return self._sweep(conj, threads)
+
+    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
+        """conjugation_array(c) for every c in generators."""
+        return [self.conjugation_array(c, threads) for c in self.generators]
+
+
+class SpjGroup(IndexGroup):
     """S(p,j) behind the group interface described in gncount.
 
-    The scalar methods work on SElements.  The index-array methods work
-    on enumeration indices (element_index) through the kernels mul, inv
-    and pow on (vector, b-exponent) arrays.  The whole-group maps (powers,
-    left and right multiplication) are one _sweep each: the kernels run on
+    The scalar methods work on SElements.  The index kernels decode
+    enumeration indices (element_index) to (vector, b-exponent) arrays, run
+    mul or inv on those and encode the result.  _sweep runs its map on
     (dim + 1) * p^j probe rows, and one affine pass maps every index.
     """
 
@@ -462,6 +496,11 @@ class SpjGroup:
         return element_index(self.params, x)
 
     @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Indices of a_1, ..., a_dim and b."""
+        return tuple(self.from_element(c) for c in generators(self.params))
+
+    @cached_property
     def _place_values(self) -> np.ndarray:
         """p^(dim-1-i) for coordinate i: the index of (V, K) is K * A + V @ _place_values."""
         p, d = self.params.p, self.params.dim
@@ -485,12 +524,12 @@ class SpjGroup:
 
     def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
         """B^{K[i]} applied to row i of V."""
-        BkT = _spj_matrices(self.params)
         out = np.empty_like(V)
         for kk in range(self.params.b_order):
             mask = K == kk
             if mask.any():
-                out[mask] = V[mask] @ BkT[kk]
+                # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
+                out[mask] = V[mask] @ _b_power(self.params, kk).array.T
         return self._mod(out)
 
     def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:
@@ -501,32 +540,29 @@ class SpjGroup:
         Kb = (self.params.b_order - K) % self.params.b_order
         return self._mod(-self._apply_by_k(Kb, V)), Kb
 
-    def pow(self, V, K, e: int) -> tuple[np.ndarray, np.ndarray]:
-        if e < 0:
-            (V, K), e = self.inv(V, K), -e
-        rV = np.zeros_like(V)
-        rK = np.zeros_like(K)
-        bV, bK = V.copy(), K.copy()
-        while e:
-            if e & 1:
-                rV, rK = self.mul(rV, rK, bV, bK)
-            e >>= 1
-            if e:
-                bV, bK = self.mul(bV, bK, bV, bK)
-        return rV, rK
+    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
+        V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))
+        V2, K2 = self.decode(np.asarray(b_idx, dtype=np.int64))
+        return self.encode(*self.mul(V1, K1, V2, K2))
+
+    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
+        V, K = self.decode(np.asarray(idx, dtype=np.int64))
+        return self.encode(*self.inv(V, K))
 
     def _sweep(self, f, threads: int | None = None) -> np.ndarray:
-        """Index of f(a) for every a; f maps (V, K) arrays through mul, inv and pow.
+        """Index of f(a) for every a; f maps index arrays by a word map.
 
-        The affine lemma: (v,k)(w,l) = (v + B^k w, k+l), (v,k)^-1 =
-        (-B^-k v, -k) and (v,k)^e = ((sum_{i<e} B^{ik}) v, ek).  So at a fixed
-        b-exponent k each of these maps, and every composition of them, is
-        (v, k) -> (M_k v + c_k, s(k)) with M_k an endomorphism of the abelian
-        part.  f runs once on the zero vector and the dim basis vectors at
-        each k: c_k is the image of zero, row i of M_k^T the image of e_i
-        minus c_k.  Being an endomorphism, M_k sends each e_i, i >= 1, of
-        order p to an element whose coordinate 0 is divisible by p^j, so
-        M_k applied to residues is lift-independent.
+        Exact only for word maps: products of a, a^-1 and fixed elements,
+        powers included.  The affine lemma: (v,k)(w,l) = (v + B^k w, k+l)
+        and (v,k)^-1 = (-B^-k v, -k).  So at a fixed b-exponent k every word
+        map is (v, k) -> (M_k v + c_k, s(k)) with M_k an endomorphism of the
+        abelian part.  f runs once on the zero vector and the dim basis
+        vectors at each k; these probe rows are canonical residues, so they
+        encode to indices, and f's indices decode to the images.  c_k is the
+        image of zero, row i of M_k^T the image of e_i minus c_k.  Being an
+        endomorphism, M_k sends each e_i, i >= 1, of order p to an element
+        whose coordinate 0 is divisible by p^j, so M_k applied to residues
+        is lift-independent.
 
         The coordinates split into a head prefix and a tail suffix, the
         longest suffix with at most isqrt(A) vectors (L of them), so the
@@ -547,7 +583,8 @@ class SpjGroup:
         d, bo, A = self.params.dim, self.params.b_order, self._abelian
         m, w = self.params.row_moduli, self._place_values
         probe = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
-        FV, FK = f(np.tile(probe, (bo, 1)), np.repeat(np.arange(bo, dtype=np.int64), d + 1))
+        ks = np.repeat(np.arange(bo, dtype=np.int64), d + 1)
+        FV, FK = self.decode(f(self.encode(np.tile(probe, (bo, 1)), ks)))
         FV = FV.reshape(bo, d + 1, d)
         c, s = FV[:, 0], FK[:: d + 1]
         MT = (FV[:, 1:] - c[:, None]) % m
@@ -592,46 +629,3 @@ class SpjGroup:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(job, range(bo)))  # reading each result re-raises a worker's error
         return out
-
-    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
-        """x^n for every x at once, as an index array."""
-        return self._sweep(lambda V, K: self.pow(V, K, n), threads)
-
-    def rightmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
-        """Index of a*x for every a."""
-        return self._sweep(
-            lambda V, K: self.mul(V, K, *self.decode(np.full(len(K), x_idx))), threads
-        )
-
-    def leftmul_array(self, x_idx: int, threads: int | None = None) -> np.ndarray:
-        """Index of x*a for every a."""
-        return self._sweep(
-            lambda V, K: self.mul(*self.decode(np.full(len(K), x_idx)), V, K), threads
-        )
-
-    def invert_index(self, x_idx: int) -> int:
-        V, K = self.decode(np.array([x_idx], dtype=np.int64))
-        return int(self.encode(*self.inv(V, K))[0])
-
-    def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-        V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))
-        V2, K2 = self.decode(np.asarray(b_idx, dtype=np.int64))
-        return self.encode(*self.mul(V1, K1, V2, K2))
-
-    def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
-        V, K = self.decode(np.asarray(idx, dtype=np.int64))
-        return self.encode(*self.inv(V, K))
-
-    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
-        """Index of c^-1 a c for every a, one sweep per c in generators()."""
-        perms = []
-        for c in generators(self.params):
-            c_idx = self.from_element(c)
-            ci_idx = self.invert_index(c_idx)
-
-            def conj(V, K, c_idx=c_idx, ci_idx=ci_idx):
-                left = self.mul(*self.decode(np.full(len(K), ci_idx)), V, K)
-                return self.mul(*left, *self.decode(np.full(len(K), c_idx)))
-
-            perms.append(self._sweep(conj, threads))
-        return perms

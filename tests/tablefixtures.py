@@ -1,5 +1,5 @@
-"""Multiplication-table builders, corrupted fixtures, a scalar order
-oracle and a lexicographic element oracle shared by tests.
+"""Multiplication-table builders, corrupted fixtures, scalar order and
+power oracles and a lexicographic element oracle shared by tests.
 
 Tables are lists of rows of 0-based indices; table[a][b] is the product
 a*b.  Builders return plain lists so tests can corrupt copies freely.
@@ -74,6 +74,14 @@ def scalar_order(G, x) -> int:
     while y != one:
         y, order = G.multiply(y, x), order + 1
     return order
+
+
+def repeated_power(G, x, n: int):
+    """x^n by |n| multiplications by x, or by its inverse when n < 0."""
+    y, step = G.identity(), x if n >= 0 else G.invert(x)
+    for _ in range(abs(n)):
+        y = G.multiply(y, step)
+    return y
 
 
 def lexicographic_elements(params: GroupParams):

@@ -75,6 +75,8 @@ def test_element_orders_of_every_class_rep_of_s51():
     orders = element_orders(G)
     reps, _ = conjugacy_class_reps(G)
     assert [int(orders[r]) for r in reps] == [tf.scalar_order(G, G.to_element(r)) for r in reps]
+    # Every order divides |G| = 3125, so the array is narrower than int64.
+    assert orders.itemsize < 8
 
 
 def _orbit(G, x):
@@ -149,7 +151,8 @@ def test_conjugacy_class_reps_on_s32():
     assert sum(sizes) == G.N == 531441
     assert reps == sorted(reps) and reps[0] == 0
     assert conjugacy_class_reps(G, threads=2) == (reps, sizes)
-    # Orbit-stabilizer, with centralizers that use no conjugation array.
+    # Orbit-stabilizer, with centralizers from conjugation by each rep
+    # itself rather than from the generator arrays.
     for i in random.Random(32).sample(range(len(reps)), 30):
         assert sizes[i] * _centralizer_indices(G, reps[i], 2).size == G.N
 
@@ -165,6 +168,20 @@ def test_conjugacy_class_reps_ignore_the_generator_order(make, monkeypatch):
     forward = G.conjugation_arrays
     monkeypatch.setattr(G, "conjugation_arrays", lambda threads=None: forward(threads)[::-1])
     assert conjugacy_class_reps(G) == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: validate_table(tf.dihedral(4), "D4"), lambda: SpjGroup(P31),
+     lambda: validate_table(tf.random_group_table(random.Random(7)))],
+    ids=["D4", "S31", "random7"],
+)
+def test_centralizer_is_the_scalar_commutant(make):
+    G = make()
+    els = [G.to_element(i) for i in range(G.N)]
+    for g_idx, g in enumerate(els):
+        commutant = [i for i, a in enumerate(els) if G.multiply(a, g) == G.multiply(g, a)]
+        assert _centralizer_indices(G, g_idx, 1).tolist() == commutant
 
 
 def test_centralizer_size_must_match_the_class_size(monkeypatch):

@@ -334,13 +334,15 @@ def test_table_group_power_and_orders(G, orders):
     products = G.mul_index_arrays(np.repeat(everyone, G.N), np.tile(everyone, G.N))
     table = [[idx(G.multiply(x, y)) for y in els] for x in els]
     assert products.tolist() == [v for row in table for v in row]
-    for x in range(G.N):
+    for x, el in enumerate(els):
         assert G.rightmul_array(x).tolist() == [row[x] for row in table]
-        assert G.leftmul_array(x, threads=1).tolist() == table[x]
-        assert G.invert_index(x) == idx(G.invert(els[x]))
+        conj = [idx(G.multiply(G.multiply(G.invert(el), a), el)) for a in els]
+        assert G.conjugation_array(x, threads=1).tolist() == conj
     assert G.invert_index_array(everyone).tolist() == [idx(G.invert(x)) for x in els]
     for n in (-1, 2, 3):
-        assert G.pow_index_array(n).tolist() == [idx(G.power(x, n)) for x in els]
+        repeated = [idx(tf.repeated_power(G, x, n)) for x in els]
+        assert G.pow_index_array(n).tolist() == repeated
+        assert [idx(G.power(x, n)) for x in els] == repeated
 
     scalar = [tf.scalar_order(G, x) for x in els]
     assert element_orders(G, threads=2).tolist() == scalar
@@ -381,15 +383,17 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
         assert agrees(G.pow_index_array(n, threads=2), lambda a: G.power(a, n))
     for x_idx in rng.sample(range(G.N), 2):
         x = G.to_element(x_idx)
+        x_inv = G.invert(x)
         assert agrees(G.rightmul_array(x_idx, threads=2), lambda a: G.multiply(a, x))
-        assert agrees(G.leftmul_array(x_idx, threads=2), lambda a: G.multiply(x, a))
+        assert agrees(G.conjugation_array(x_idx, threads=2),
+                      lambda a: G.multiply(G.multiply(x_inv, a), x))
     x_idx = positions[len(positions) // 2]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for sweep in (lambda t: G.pow_index_array(params.p, t),
                       lambda t: G.rightmul_array(x_idx, t),
-                      lambda t: G.leftmul_array(x_idx, t)):
+                      lambda t: G.conjugation_array(x_idx, t)):
             single = sweep(1)
             assert np.array_equal(single, sweep(2))
             assert np.array_equal(single, sweep(4))
@@ -401,39 +405,45 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     assert exponent(G, threads=2) == params.top_modulus
 
 
-@pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])
-def test_sweep_equals_the_per_element_kernels(params):
-    """Every entry of every whole-group map against mul, inv and pow on all elements.
+@pytest.mark.parametrize(
+    "params, chunk",
+    [(P31, 1 << 16), (P51, 1 << 16), (GroupParams(3, 2), 1 << 16), (P51, 100)],
+    ids=["S31", "S51", "S32", "S51-chunk100"],
+)
+def test_sweep_equals_the_per_element_kernels(params, chunk, monkeypatch):
+    """Every entry of every whole-group map against direct evaluation.
 
-    The sweep builds its indices from reduced, scaled head and tail tables
-    with one compare-and-subtract per coordinate; the kernels reduce each
-    element by remainder and encode it.
+    The sweep evaluates its word map on probe rows only and builds every
+    index from reduced, scaled head and tail tables, with one
+    compare-and-subtract per coordinate.  The reference evaluates the same
+    word on every index, f(arange(N)), through the kernels, which reduce
+    each element by remainder and encode it.
     """
+    monkeypatch.setattr(spgroup, "_CHUNK", chunk)
     G = SpjGroup(params)
-    V, K = G.decode(np.arange(G.N))
+    everyone = np.arange(G.N)
 
-    def at(idx):
-        return G.decode(np.full(G.N, idx))
+    def fixed(x, a):
+        return np.full(len(a), x)
+
+    def conj(x):
+        x_inv = int(G.invert_index_array(np.array([x]))[0])
+        return lambda a: G.mul_index_arrays(G.mul_index_arrays(fixed(x_inv, a), a), fixed(x, a))
 
     ns = (-1, 2, params.p, params.n, params.top_modulus + 1)
-    powers = {n: G.encode(*G.pow(V, K, n)) for n in ns}
+    powers = {n: G.power_indices(everyone, n) for n in ns}
     x_idx = random.Random(12).randrange(G.N)
-    right = G.encode(*G.mul(V, K, *at(x_idx)))
-    left = G.encode(*G.mul(*at(x_idx), V, K))
-    conj = []
-    for c in spgroup.generators(params):
-        c_idx = G.from_element(c)
-        inner = G.mul(*at(G.invert_index(c_idx)), V, K)
-        conj.append(G.encode(*G.mul(*inner, *at(c_idx))))
+    right = G.mul_index_arrays(everyone, fixed(x_idx, everyone))
+    conjugates = {c: conj(c)(everyone) for c in (*G.generators, x_idx)}
     for threads in (1, 2):
         for n, expected in powers.items():
             assert np.array_equal(G.pow_index_array(n, threads), expected), n
         assert np.array_equal(G.rightmul_array(x_idx, threads), right)
-        assert np.array_equal(G.leftmul_array(x_idx, threads), left)
+        assert np.array_equal(G.conjugation_array(x_idx, threads), conjugates[x_idx])
         got = G.conjugation_arrays(threads)
-        assert len(got) == len(conj)
-        for perm, expected in zip(got, conj):
-            assert np.array_equal(perm, expected)
+        assert len(got) == len(G.generators) == params.dim + 1
+        for perm, c in zip(got, G.generators):
+            assert np.array_equal(perm, conjugates[c]), c
 
 
 def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
