@@ -338,7 +338,8 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
 
 
 def _central_target(params: GroupParams, s: int) -> SElement:
-    coords = (s * params.n % params.top_modulus,) + (0,) * (params.dim - 1)
+    coords = np.zeros(params.dim, dtype=np.int64)
+    coords[0] = s * params.n % params.top_modulus
     return SElement(MixedVector(params, coords), 0)
 
 

@@ -10,7 +10,10 @@ b-exponent of the candidate.  Tests hold the two routes against each
 other; nothing here shares intermediate results between them.
 
 Multiplication tables for external groups enter through validate_table,
-which checks the group axioms before anything downstream trusts them.
+or through load_table_group from a file, and both check the group axioms
+before anything downstream trusts them.  A file whose table is a plain
+decimal grid is scanned straight into the int64 array; any other file is
+read by json.load.
 
 The group interface.  Both families, spgroup.SpjGroup and TableGroup,
 implement it, and the counters and scans take the group itself:
@@ -161,18 +164,8 @@ def _check_latin(T: np.ndarray, line: str, place: str) -> None:
 def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> TableGroup:
     """Check the group axioms on a raw grid and wrap it as a TableGroup.
 
-    Rejections carry the offending indices.  Inverses need no separate
-    check: a Latin square with a two-sided identity puts the identity
-    exactly once in every row.
-
-    Associativity is decided exactly, for every triple, by Light's test
-    (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2).  The set
-    of s with (x*s)*y = x*(s*y) for all x, y contains the identity and
-    is closed under the product, so checking every s in a generating set
-    checks every triple.  Generators are picked greedily: the smallest
-    index not yet reached from the identity by right multiplication by
-    the generators so far.  Each check of s compares two rows per a, so
-    a violation is reported as (a, s, c) with s a generator.
+    The list-level checks, shape and entry types, are made here; the
+    group axioms are checked by _validate_grid on the int64 array.
     """
     N = len(table)
     if N == 0:
@@ -189,7 +182,7 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
             T = np.array(table, dtype=np.int64)
         except OverflowError:
             pass
-    if T is None or T.min() < 0 or T.max() >= N:
+    if T is None:
         for r, row in enumerate(table):
             for c, val in enumerate(row):
                 if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < N:
@@ -197,6 +190,29 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
                         f"entry at row {r} column {c} is {val!r}, expected 0..{N - 1}"
                     )
         T = np.array(table, dtype=np.int64)
+    return _validate_grid(T, name)
+
+
+def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
+    """Check the group axioms on a square int64 array and wrap it as a TableGroup.
+
+    Rejections carry the offending indices.  Inverses need no separate
+    check: a Latin square with a two-sided identity puts the identity
+    exactly once in every row.
+
+    Associativity is decided exactly, for every triple, by Light's test
+    (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2).  The set
+    of s with (x*s)*y = x*(s*y) for all x, y contains the identity and
+    is closed under the product, so checking every s in a generating set
+    checks every triple.  Generators are picked greedily: the smallest
+    index not yet reached from the identity by right multiplication by
+    the generators so far.  Each check of s compares two rows per a, so
+    a violation is reported as (a, s, c) with s a generator.
+    """
+    N = len(T)
+    if T.min() < 0 or T.max() >= N:
+        r, c = divmod(int(np.argmax((T < 0) | (T >= N))), N)
+        raise TableError(f"entry at row {r} column {c} is {int(T[r, c])}, expected 0..{N - 1}")
 
     _check_latin(T, "row", "columns")
     _check_latin(T.T, "column", "rows")
@@ -235,11 +251,95 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
     return TableGroup(T, identity_index, name, gens)
 
 
-def load_table_group(path: str) -> TableGroup:
-    """Read a JSON table file: {"order": N, "table": [[...]], "name"?: str}."""
+_JSON_SPACE = b" \t\n\r"
+# Byte classes of a grid once JSON whitespace is deleted: "[" 0, "]" 1, "," 2,
+# "0" 3, "1"-"9" 4, and 5 for every byte that a plain decimal grid cannot hold.
+_CLASS = bytes(min(i, 4) if i >= 0 else 5 for i in map(b"[],0123456789".find, range(256)))
+# The grid grammar [[num(,num)*(],[num(,num)*)*]], num = 0 | [1-9][0-9]*, as
+# the bytes that may follow each pair of bytes ("d" is any of 1-9).  The pair
+# fixes the parser state, so a grid that starts with "[[", ends with "]]" and
+# has only these 3-byte windows is in the grammar.  A window is coded
+# 25 a + 5 b + c in the byte classes.
+_FOLLOW = {
+    "[[": "0d", ",[": "0d", "d,": "0d", "0,": "0d",
+    "[0": ",]", ",0": ",]", "d]": ",]", "0]": ",]",
+    "[d": "0d,]", ",d": "0d,]", "d0": "0d,]", "dd": "0d,]", "00": "0d,]", "0d": "0d,]",
+    "],": "[",
+}
+_WINDOWS = bytes(
+    25 * "[],0d".index(a) + 5 * "[],0d".index(b) + "[],0d".index(c)
+    for (a, b), follow in _FOLLOW.items()
+    for c in follow
+)
+_SPACED = bytes.maketrans(b",[]", b"   ")
+_MAX_DIGITS = 18  # every number of at most 18 digits fits int64
+
+
+def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
+    """(wrapper, grid) when the "table" of a JSON file is a plain decimal grid.
+
+    The grid becomes the int64 N x N array without a Python object per
+    entry; any other input gives None, and load_table_group reads it with
+    json.load instead.  The file is split at its first "[" and last "]".
+    The rest, with "[]" on a line of its own in between, must parse as
+    strict JSON to an object whose "table" is that "[]".  Strict JSON
+    has no raw newline inside a string, so the "[]" is a value; no "["
+    comes before it and no "]" after it, so it is the only array, and
+    the span between the brackets is the value of the last "table" key.
+    The span must hold only digits, ",", "[", "]" and whitespace, obey
+    the grid grammar without the whitespace, have numbers of at most 18
+    digits and N rows of N numbers, and hold N * N whitespace-separated
+    numbers, so that no whitespace splits a number.
+    """
+    start, stop = raw.find(b"["), raw.rfind(b"]") + 1
+    if start < 0 or stop <= start:
+        return None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads((raw[:start] + b"\n[]\n" + raw[stop:]).decode("utf-8"))
+    except ValueError:
+        return None
+    if not isinstance(data, dict) or data.get("table") != []:
+        return None
+    span = raw[start:stop]
+    del raw
+    cls = np.frombuffer(span.translate(_CLASS, _JSON_SPACE), dtype=np.uint8)
+    if cls.max() > 4 or cls[:2].any() or cls[-2] != 1 or cls[-1] != 1:
+        return None
+    if (cls[:-2] * 25 + cls[1:-1] * 5 + cls[2:]).tobytes().translate(None, _WINDOWS):
+        return None
+    sep = np.flatnonzero(cls < 3)  # every "[", "]" and ","
+    ends = np.flatnonzero(cls[sep] == 1)  # the "]" of each row, then the outer one
+    del cls
+    if np.diff(sep).max() > _MAX_DIGITS + 1:  # separators d + 1 apart hold d digits
+        return None
+    # sep reads "[ [ ,*(N-1) ] , [ ,*(N-1) ] ... ] ]" when every row holds
+    # N numbers, so the "]" of row r is at index N + 1 + (N + 2) r.
+    N = len(ends) - 1
+    if not np.array_equal(ends[:-1], N + 1 + (N + 2) * np.arange(N)):
+        return None
+    del sep
+    spaced = span.translate(_SPACED)
+    del span
+    values = np.fromstring(spaced, dtype=np.int64, sep=" ")
+    del spaced
+    if values.size != N * N:
+        return None
+    return data, values.reshape(N, N)
+
+
+def load_table_group(path: str) -> TableGroup:
+    """Read a JSON table file: {"order": N, "table": [[...]], "name"?: str}.
+
+    A table that is a plain decimal grid is read by _scan_table and
+    checked by _validate_grid; any other file is read by json.load and
+    checked by validate_table.  Both routes give the same group or error.
+    """
+    try:
+        with open(path, "rb") as fh:
+            scanned = _scan_table(fh.read())
+        if scanned is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                scanned = json.load(fh), None
     except json.JSONDecodeError as exc:
         raise TableError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -248,24 +348,23 @@ def load_table_group(path: str) -> TableGroup:
         raise TableError(f"{path}: unreadable JSON: {exc}") from exc
     except OSError as exc:
         raise TableError(f"{path}: {exc.strerror or exc}") from exc
+    data, grid = scanned
     if not isinstance(data, dict):
         raise TableError(f"{path}: top level must be an object")
     if "order" not in data or "table" not in data:
         raise TableError(f"{path}: required fields are \"order\" and \"table\"")
     order = data["order"]
-    table = data["table"]
+    table = data["table"] if grid is None else grid
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise TableError(f"{path}: \"order\" must be a positive integer")
-    if not isinstance(table, list) or len(table) != order:
-        raise TableError(
-            f"{path}: \"table\" must be a list of {order} rows, got "
-            f"{len(table) if isinstance(table, list) else type(table).__name__}"
-        )
+    rows = len(table) if isinstance(table, (list, np.ndarray)) else type(table).__name__
+    if rows != order:
+        raise TableError(f"{path}: \"table\" must be a list of {order} rows, got {rows}")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise TableError(f"{path}: \"name\" must be a string")
     try:
-        return validate_table(table, name)
+        return validate_table(table, name) if grid is None else _validate_grid(grid, name)
     except TableError as exc:
         raise TableError(f"{path}: {exc}") from exc
 
@@ -407,7 +506,8 @@ def gn_count_structured(
             if len(witnesses) >= MAX_WITNESSES:
                 break
             for tail in itertools.product(range(p), repeat=d - 1):
-                witnesses.append(SElement(MixedVector(params, (v0,) + tail), m))
+                coords = np.array((v0,) + tail, dtype=np.int64)
+                witnesses.append(SElement(MixedVector(params, coords), m))
                 if len(witnesses) >= MAX_WITNESSES:
                     break
     return GnCount(

@@ -237,7 +237,8 @@ def random_element(params: GroupParams, rng) -> SElement:
     coords = [rng.randrange(params.top_modulus)] + [
         rng.randrange(params.p) for _ in range(params.dim - 1)
     ]
-    return SElement(MixedVector(params, tuple(coords)), rng.randrange(params.b_order))
+    vec = MixedVector(params, np.array(coords, dtype=np.int64))
+    return SElement(vec, rng.randrange(params.b_order))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import tablefixtures as tf
-from fsz_forge import spgroup
+from fsz_forge import gncount, spgroup
 from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.gncount import (
     EnumerationLimitError,
@@ -300,6 +302,139 @@ def test_load_table_group_requires_fields(tmp_path):
     path2.write_text(json.dumps({"order": 3, "table": [[0, 1], [1, 0]]}))
     with pytest.raises(TableError, match="3 rows, got 2"):
         load_table_group(str(path2))
+
+
+def _load(path, scan: bool):
+    """load_table_group's result, or its TableError text, with or without the scanner."""
+    route = nullcontext() if scan else mock.patch.object(gncount, "_scan_table", lambda raw: None)
+    with route:
+        try:
+            G = load_table_group(str(path))
+        except TableError as exc:
+            return str(exc)
+    return G.array.tolist(), G.identity_index, G.generators, G.name
+
+
+def _same_on_both_routes(path) -> bool:
+    """Whether the scanner took the file; fails unless both routes agree."""
+    assert _load(path, True) == _load(path, False)
+    return gncount._scan_table(path.read_bytes()) is not None
+
+
+def test_load_table_group_range_error_on_a_scanned_file(tmp_path):
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 3]]}))
+    assert gncount._scan_table(path.read_bytes()) is not None
+    with pytest.raises(TableError, match=r"range.json: entry at row 2 column 2 is 3, expected 0..2$"):
+        load_table_group(str(path))
+
+
+def test_scanner_reads_every_json_layout_of_a_table(tmp_path):
+    wrapper = {"name": "D6xC4", "order": 48, "table": tf.relabel(
+        tf.direct_product(tf.dihedral(6), tf.cyclic(4)), random.Random(3).sample(range(48), 48))}
+    layouts = {
+        "default": json.dumps(wrapper),
+        "compact": json.dumps(wrapper, separators=(",", ":")),
+        "indent": json.dumps(wrapper, indent=2),
+        "crlf": json.dumps(wrapper, indent=2).replace("\n", "\r\n"),
+    }
+    results = set()
+    for name, text in layouts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.encode())
+        assert _same_on_both_routes(path), name
+        array, identity, gens, label = _load(path, True)
+        results.add((str(array), identity, gens, label))
+    assert len(results) == 1
+
+
+GRID = "[[0, 1], [1, 0]]"
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 1, "table": null, "name": "a[[0]]"}',
+    '{"order": 1, "table": [[0]], "name": "a[[0]]"}',
+    f'{{"order": 2, "table": {GRID}, "table": 5}}',
+    f'{{"order": 2, "table": 5, "table": {GRID}}}',
+    f'{{"order": 2, "table": [[0]], "table": {GRID}}}',
+    f'{{"order": 2, "table": {GRID}, "extra": [1]}}',
+    f'{{"order": 2, "table": {GRID}, "name": "]"}}',
+    f'{{"name": "]", "order": 2, "table": {GRID}}}',
+    f'{{"order": 2, "table": {GRID}, "name": "["}}',
+    f'{{"order": 2, "table": {GRID}, "name": 7}}',
+    f'{{"order": 3, "table": {GRID}}}',
+    f'{{"order": true, "table": {GRID}}}',
+    f'[{GRID}]',
+    f'{{"order": 2, "grid": {GRID}}}',
+    f'{{"order": 2, "table": {GRID}',
+    '{"order": 2, "table": [[0, true], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1.0], [1, 0]]}',
+    '{"order": 2, "table": [[0, -1], [1, 0]]}',
+    '{"order": 2, "table": [[0, 01], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1e2], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1 0], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1000000000000000000], [1, 0]]}',
+    '{"order": 2, "table": [[0, 9999999999999999999], [1, 0]]}',
+    '{"order": 2, "table": [[0, 18446744073709551617], [1, 0]]}',
+    '{"order": 2, "table": [[0, 999999999999999999], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1' + "0" * 4999 + '], [1, 0]]}',
+    '{"order": 0, "table": []}',
+    '{"order": 1, "table": [[]]}',
+    '{"order": 2, "table": [[0, 1], [1]]}',
+    '{"order": 2, "table": [[0, 1], [1, 0, 1]]}',
+    '{"order": 2, "table": [[0, 1], [1, 0], ]}',
+    '{"order": 2, "table": [[0, 1], [[1], 0]]}',
+    '{"order": 2, "table": [[0, 1],, [1, 0]]}',
+    '{"order": 2, "table": [[0, 1], [1, 0]]}\n',
+    '\ufeff{"order": 2, "table": [[0, 1], [1, 0]]}',
+    '{"order": 3, "table": ' + json.dumps(tf.LATIN_VIOLATION) + '}',
+    '{"order": 5, "table": ' + json.dumps(tf.NO_IDENTITY) + '}',
+    '{"order": 5, "table": ' + json.dumps(tf.NON_ASSOCIATIVE) + '}',
+])
+def test_scanner_and_json_load_agree(tmp_path, text):
+    path = tmp_path / "t.json"
+    path.write_bytes(text.encode("utf-8"))
+    _same_on_both_routes(path)
+
+
+def test_scanner_declines_utf16(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(json.dumps({"order": 1, "table": [[0]]}).encode("utf-16"))
+    assert not _same_on_both_routes(path)
+    assert "unreadable JSON" in _load(path, True)
+
+
+def test_scanner_agrees_with_json_load_on_mutated_tables(tmp_path):
+    """Random byte edits of small tables: each one the scanner takes gives the
+    same group or error as json.load; the rest are read by json.load alone."""
+    rng = random.Random(2024)
+    tables = [tf.cyclic(3), tf.dihedral(2), tf.relabel(tf.dihedral(3), [3, 0, 5, 1, 4, 2])]
+    sources = [
+        json.dumps({"order": len(t), "table": t, "name": "g"}, **layout).encode()
+        for t in tables
+        for layout in ({}, {"separators": (",", ":")}, {"indent": 1})
+    ]
+    alphabet = b'0123456789,[] \n\t\r"-.e{}:'
+    path = tmp_path / "m.json"
+    scanned = 0
+    for _ in range(4000):
+        raw = bytearray(rng.choice(sources))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(raw))
+            byte = rng.choice(alphabet) if rng.random() < 0.9 else rng.randrange(256)
+            edit = rng.randrange(3)
+            if edit == 0:
+                raw[at] = byte
+            elif edit == 1:
+                raw.insert(at, byte)
+            else:
+                del raw[at]
+        if gncount._scan_table(bytes(raw)) is None:
+            continue  # load_table_group reads it with json.load alone
+        path.write_bytes(bytes(raw))
+        assert _same_on_both_routes(path)
+        scanned += 1
+    assert scanned > 300
 
 
 def test_exponent_values():
