@@ -10,21 +10,30 @@ no-reduction mode re-runs tiny groups over all commuting pairs, with
 every centralizer and every histogram.
 
 Nothing in the class table depends on n, so it is built once per group
-and reused for every n: the representatives g, |C(g)| = |G| / |class of
-g|, and the residues m with their targets g^m, walked on index arrays
-for all representatives at once.  The residues depend only on the order
-of g, which gncount.element_orders reads off the power maps.  For each n
-a class is skipped, and counted as |C(g)| examined pairs, when no count
-on it can differ:
+and reused for every n.  It is five int64 columns with one row per
+class: the representative g, |C(g)| = |G| / |class of g|, and the slice
+of g's targets in two flat columns, the residues m and the indices of
+g^m, walked on index arrays for all representatives at once.  The
+residues depend only on the order of g, which gncount.element_orders
+reads off the power maps.  For each n a class is skipped, and counted as
+|C(g)| examined pairs, when no count on it can differ:
 
 - every needed power bucket B = {a : a^n = h} has at most one element.
   A bucket {a} pairs a only with itself (a u^-1 = a forces u = e), so
-  every count is |B| [u = e], and equal bucket sizes give equal counts;
+  every count is |B| [u = e], and equal bucket sizes give equal counts.
+  One array pass per n reads every bucket size and applies this rule
+  to every row, so a row it skips costs no Python;
 - otherwise, the histograms u -> |G_n(u, h)| of g and of every target
   agree on all of G, hence on C(g).
 
-Only the remaining classes build C(g) and compare on it, which keeps the
-witness at the smallest u and the statistics of the full comparison.
+The remaining rows are walked in representative order.  Each histogram
+is built at most once per n: it is kept for the next row that needs it
+and freed at its last use, and past a fixed byte budget it is built
+again instead of kept.  Only a row with an unequal histogram builds
+C(g) and compares on it, which keeps the witness at the smallest u.
+The statistics are prefix sums over the rows, those of the full
+comparison.  The no-reduction mode makes every element its own row and
+runs the same loop with both rules and the kept histograms off.
 
 For the built-in family at n = p^j the scan enumerates no elements, so
 no enumeration limit applies to it.  Only the p - 1 nonidentity elements
@@ -43,12 +52,12 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .gncount import (_guard, _prime_factors, element_orders, exponent,
+from .gncount import (_guard, _prime_factors, _distinct_values, element_orders, exponent,
                       gn_count_structured, structured_tables)
 from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from .spgroup import (
@@ -166,56 +175,62 @@ def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list
     return reps.tolist(), np.bincount(label)[reps].tolist()
 
 
-class _ClassRow(NamedTuple):
-    rep: int
-    centralizer_size: int | None  # None in the reference rows
-    targets: tuple[tuple[int, int], ...]  # (m, index of rep^m)
-
-
 # One class table per live group: check_fsz builds it at its first
 # generic n and every later n reuses it.  An entry dies with its group.
 _CLASS_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _class_table(G, threads: int | None) -> list[_ClassRow]:
+def _class_table(G, threads: int | None) -> tuple[np.ndarray, ...]:
+    """The class table as five int64 columns: reps, cent, tstart, tm, tidx.
+
+    Row i is the class of reps[i], with cent[i] = |G| / |class| the size
+    of its centralizer.  Its targets are the entries tstart[i] to
+    tstart[i + 1] of tm, the residues m, and of tidx, the indices of
+    reps[i]^m.
+    """
     table = _CLASS_TABLES.get(G)
     if table is not None:
         return table
-    reps, sizes = conjugacy_class_reps(G, threads)
-    orders = element_orders(G, threads)[reps].tolist()
-    by_order = {og: residue_witness_classes(og, G.N) for og in set(orders)}
-    ms = [by_order[og] for og in orders]
+    reps, sizes = (np.array(x, dtype=np.int64) for x in conjugacy_class_reps(G, threads))
+    orders = element_orders(G, threads)[reps]
+    # The residues depend only on the order: one list, and one row mask, per order.
+    by_order = [
+        (orders == og, residue_witness_classes(og, G.N))
+        for og in _distinct_values(orders).tolist()
+    ]
+    tstart = np.zeros(len(reps) + 1, dtype=np.int64)
+    for rows, ms in by_order:
+        tstart[1:][rows] = len(ms)
+    np.cumsum(tstart, out=tstart)
+    tm = np.empty(tstart[-1], dtype=np.int64)
+    for rows, ms in by_order:
+        tm[tstart[:-1][rows][:, None] + np.arange(len(ms))] = ms
+    owner = np.repeat(np.arange(len(reps)), np.diff(tstart))
     # Walk g^k for every rep at once and keep g^m at k = m.  The walk is
     # shorter than the exponent: a lifted m is below |g| R, a divisor of it.
-    rep_arr = np.array(reps, dtype=np.int64)
-    owner = np.repeat(np.arange(len(reps)), [len(m) for m in ms])
-    wanted = np.array([m for row in ms for m in row], dtype=np.int64)
-    found = np.empty(wanted.size, dtype=np.int64)
-    power = rep_arr
-    for k in range(1, int(wanted.max(initial=0)) + 1):
+    tidx = np.empty_like(tm)
+    power = reps
+    for k in range(1, int(tm.max(initial=0)) + 1):
         if k > 1:
-            power = G.mul_index_arrays(power, rep_arr)
-        hit = wanted == k
-        found[hit] = power[owner[hit]]
-    table = []
-    start = 0
-    for g, size, row in zip(reps, sizes, ms):
-        stop = start + len(row)
-        targets = tuple(zip(row, found[start:stop].tolist()))
-        table.append(_ClassRow(g, G.N // size, targets))
-        start = stop
+            power = G.mul_index_arrays(power, reps)
+        hit = tm == k
+        tidx[hit] = power[owner[hit]]
+    table = (reps, G.N // sizes, tstart, tm, tidx)
     _CLASS_TABLES[G] = table
     return table
 
 
-def _reference_rows(G, threads: int | None):
-    """Every element as its own class, with scalar power targets."""
-    for g_idx, og in enumerate(element_orders(G, threads).tolist()):
-        g = G.to_element(g_idx)
-        targets = tuple(
-            (m, G.from_element(G.power(g, m))) for m in residue_witness_classes(og, G.N)
-        )
-        yield _ClassRow(g_idx, None, targets)
+def _reference_rows(G, threads: int | None) -> tuple[np.ndarray, ...]:
+    """The columns of _class_table with every element as its own row and
+    scalar G.power targets.  Only a row without targets gets its
+    centralizer size here; _generic_scan writes the others as it builds
+    their centralizers, into these fresh, uncached columns."""
+    ms = [residue_witness_classes(og, G.N) for og in element_orders(G, threads).tolist()]
+    tidx = [G.from_element(G.power(G.to_element(g), m)) for g, row in enumerate(ms) for m in row]
+    cent = [0 if row else _centralizer_indices(G, g, threads).size for g, row in enumerate(ms)]
+    tstart = np.cumsum([0] + [len(row) for row in ms])
+    tm = [m for row in ms for m in row]
+    return tuple(np.array(c, dtype=np.int64) for c in (range(G.N), cent, tstart, tm, tidx))
 
 
 def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
@@ -231,6 +246,9 @@ def _power_buckets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAIR_CHUNK = 1 << 22
+# Bytes of u-count histograms kept between the rows of one n; past it a
+# histogram is built again at its next use.
+_HIST_BUDGET = 1 << 27
 
 
 def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
@@ -253,88 +271,83 @@ def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _histograms(G, g_idx: int, targets, buckets, *, skip: bool) -> dict | None:
-    """u -> |G_n(u, h)| for h = g and each target.
-
-    With skip, None when one of the two rules in the module docstring
-    shows that no count on g can differ from a target's.
-    """
-    order, starts = buckets
-    hs = np.array([g_idx, *(t for _, t in targets)])
-    lo, hi = starts[hs], starts[hs + 1]
-    sizes = hi - lo
-    if skip and sizes.max() <= 1 and sizes.min() == sizes.max():
-        return None
-    hist = {h: _u_counts(G, order[a:b]) for h, a, b in zip(hs.tolist(), lo, hi)}
-    if skip and all(np.array_equal(hist[t_idx], hist[g_idx]) for _, t_idx in targets):
-        return None
-    return hist
-
-
 def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerdict:
-    buckets = _power_buckets(G.pow_index_array(n, threads))
+    order, starts = _power_buckets(G.pow_index_array(n, threads))
+    columns = _class_table if reduction else _reference_rows
+    reps, cent, tstart, tm, tidx = columns(G, threads)
+    ntargets = np.diff(tstart)
+    live = ntargets > 0  # orders 1 and 2 leave no m with a new power g^m
     if reduction:
-        classes = _class_table(G, threads)
-    else:
-        classes = _reference_rows(G, threads)
+        # Rule 1 of the module docstring, for every row at once: the bucket
+        # sizes of the rep and of its targets are all 0 or all 1.
+        size = np.diff(starts)
+        hi, lo = size[reps], size[reps]
+        row_starts = tstart[:-1][live]
+        hi[live] = np.maximum(hi[live], np.maximum.reduceat(size[tidx], row_starts))
+        lo[live] = np.minimum(lo[live], np.minimum.reduceat(size[tidx], row_starts))
+        live &= (hi > 1) | (lo != hi)
+    rows = np.flatnonzero(live)
+    room = _HIST_BUDGET // (8 * G.N) if reduction else 0
+    # How often the live rows ask for each bucket, counted only when a
+    # histogram can be kept: the count is what frees it at its last use.
+    needed = (*reps[rows].tolist(), *tidx[np.repeat(live, ntargets)].tolist()) if room else ()
+    uses = Counter(needed)
+    kept: dict[int, np.ndarray] = {}
 
-    pairs = 0
-    comparisons = 0
-    for g_idx, cent_size, targets in classes:
-        if not targets:
-            # Orders 1 and 2 leave no m with a new power g^m, so nothing is
-            # compared; the statistics still count the |C(g)| pairs (u, g).
-            if cent_size is None:
-                cent_size = int(_centralizer_indices(G, g_idx, threads).size)
-            pairs += cent_size
-            continue
-        hist = _histograms(G, g_idx, targets, buckets, skip=reduction)
-        if hist is None:
-            pairs += cent_size
-            comparisons += cent_size * len(targets)
-            continue
-        cent = _centralizer_indices(G, g_idx, threads)
-        if reduction and cent.size != cent_size:
-            raise VerificationError(
-                f"centralizer of element {g_idx} has {cent.size} elements, but "
-                f"|G| / |class| = {cent_size}"
+    def histogram(h: int) -> np.ndarray:
+        """u -> |G_n(u, h)|, kept for the next live row that needs it while room lasts."""
+        hist = kept.pop(h) if h in kept else _u_counts(G, order[starts[h] : starts[h + 1]])
+        uses[h] -= 1
+        if uses[h] > 0 and len(kept) < room:
+            kept[h] = hist
+        return hist
+
+    witness, stop, extra_pairs, extra_comparisons = None, len(reps), 0, 0
+    for i in rows.tolist():
+        g_idx, lo_t, hi_t = int(reps[i]), int(tstart[i]), int(tstart[i + 1])
+        hist_g = histogram(g_idx)
+        counts_g = None  # hist_g on C(g), built at the first unequal target
+        first = None  # (position in C(g), target, count) of the smallest u, then m
+        for t in range(lo_t, hi_t):
+            hist_t = histogram(int(tidx[t]))
+            if reduction and np.array_equal(hist_t, hist_g):
+                continue  # rule 2: equal on G, hence on C(g)
+            if counts_g is None:
+                centralizer = _centralizer_indices(G, g_idx, threads)
+                if not reduction:
+                    cent[i] = centralizer.size
+                elif centralizer.size != cent[i]:
+                    raise VerificationError(
+                        f"centralizer of element {g_idx} has {centralizer.size} "
+                        f"elements, but |G| / |class| = {cent[i]}"
+                    )
+                counts_g = hist_g[centralizer]
+            counts_t = hist_t[centralizer]
+            differ = np.flatnonzero(counts_t != counts_g)
+            if differ.size and (first is None or differ[0] < first[0]):
+                first = (int(differ[0]), t, int(counts_t[differ[0]]))
+        if first is not None:
+            u_pos, t, count_gm = first
+            witness = FszWitness(
+                G.to_element(int(centralizer[u_pos])),
+                G.to_element(g_idx),
+                int(tm[t]),
+                int(counts_g[u_pos]),
+                count_gm,
             )
-        counts_g = hist[g_idx][cent]
-        mismatch = np.empty((int(cent.size), len(targets)), dtype=bool)
-        for col, (_, t_idx) in enumerate(targets):
-            mismatch[:, col] = hist[t_idx][cent] != counts_g
-        if mismatch.any():
-            # row-major argwhere order = smallest u first, then smallest m
-            u_pos, t_pos = (int(v) for v in np.argwhere(mismatch)[0])
-            u_idx = int(cent[u_pos])
-            m, t_idx = targets[t_pos]
-            stats = {
-                "pairs_examined": pairs + u_pos + 1,
-                "comparisons": comparisons + u_pos * len(targets) + t_pos + 1,
-            }
-            if reduction:
-                stats["conjugacy_classes"] = len(classes)
-            return FszVerdict(
-                group=G.describe(),
-                n=n,
-                verdict=f"non-FSZ_{n}",
-                witness=FszWitness(
-                    G.to_element(u_idx),
-                    G.to_element(g_idx),
-                    m,
-                    int(counts_g[u_pos]),
-                    int(hist[t_idx][cent][u_pos]),
-                ),
-                statistics=stats,
-            )
-        pairs += int(cent.size)
-        comparisons += int(cent.size) * len(targets)
-    stats = {"pairs_examined": pairs, "comparisons": comparisons}
+            stop, extra_pairs = i, u_pos + 1
+            extra_comparisons = u_pos * (hi_t - lo_t) + t - lo_t + 1
+            break
+    # Every row before stop counts its |C(g)| pairs (u, g) and |C(g)|
+    # comparisons per target; Python ints keep the sums exact.
+    stats = {
+        "pairs_examined": sum(cent[:stop].tolist()) + extra_pairs,
+        "comparisons": sum((cent * ntargets)[:stop].tolist()) + extra_comparisons,
+    }
     if reduction:
-        stats["conjugacy_classes"] = len(classes)
-    return FszVerdict(
-        group=G.describe(), n=n, verdict=f"FSZ_{n}", witness=None, statistics=stats
-    )
+        stats["conjugacy_classes"] = len(reps)
+    verdict = f"FSZ_{n}" if witness is None else f"non-FSZ_{n}"
+    return FszVerdict(G.describe(), n, verdict, witness, stats)
 
 
 def _central_target(params: GroupParams, s: int) -> SElement:

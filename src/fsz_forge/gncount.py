@@ -146,19 +146,34 @@ class TableGroup(IndexGroup):
         return f(np.arange(self.N))
 
 
+# Entries of one block of table lines, for the Latin and associativity checks.
+_BLOCK = 1 << 20
+
+
 def _check_latin(T: np.ndarray, line: str, place: str) -> None:
-    """Raise on the first line of T that repeats an entry."""
-    full = np.arange(len(T))
-    for r, entries in enumerate(T):
-        if not np.array_equal(np.sort(entries), full):
-            seen: dict[int, int] = {}
-            for c, val in enumerate(entries.tolist()):
-                if val in seen:
-                    raise TableError(
-                        f"Latin-square violation: {line} {r} repeats {val} "
-                        f"at {place} {seen[val]} and {c}"
-                    )
-                seen[val] = c
+    """Raise on the first line of T that repeats an entry.
+
+    T holds 0..N-1 in its narrowest dtype; lines are sorted a block at a
+    time, and a walk names the first repeat of the first bad line.
+    """
+    N = len(T)
+    full = np.arange(N, dtype=T.dtype)
+    step = max(1, _BLOCK // N)
+    for a0 in range(0, N, step):
+        block = np.array(T[a0 : a0 + step], order="C")
+        block.sort(axis=1)
+        bad = (block != full).any(axis=1)
+        if not bad.any():
+            continue
+        r = a0 + int(np.argmax(bad))
+        seen: dict[int, int] = {}
+        for c, val in enumerate(T[r].tolist()):
+            if val in seen:
+                raise TableError(
+                    f"Latin-square violation: {line} {r} repeats {val} "
+                    f"at {place} {seen[val]} and {c}"
+                )
+            seen[val] = c
 
 
 def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> TableGroup:
@@ -214,8 +229,9 @@ def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
         r, c = divmod(int(np.argmax((T < 0) | (T >= N))), N)
         raise TableError(f"entry at row {r} column {c} is {int(T[r, c])}, expected 0..{N - 1}")
 
-    _check_latin(T, "row", "columns")
-    _check_latin(T.T, "column", "rows")
+    narrow = T.astype(np.min_scalar_type(N - 1))
+    _check_latin(narrow, "row", "columns")
+    _check_latin(narrow.T, "column", "rows")
 
     full = np.arange(N)
     identity_index = -1
@@ -233,19 +249,19 @@ def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
         gens.append(int(np.argmin(reached)))
         frontier = np.flatnonzero(reached)
         while frontier.size:
-            step = np.unique(T[np.ix_(frontier, gens)])
-            frontier = step[~reached[step]]
+            hit = np.zeros(N, dtype=bool)
+            hit[T[np.ix_(frontier, gens)]] = True
+            frontier = np.flatnonzero(hit & ~reached)
             reached[frontier] = True
+    step = max(1, _BLOCK // N)
     for s in gens:
-        row_s = T[s]
-        for a in range(N):
-            left = T[T[a, s]]
-            right = T[a][row_s]
-            if not np.array_equal(left, right):
-                c = int(np.argmax(left != right))
+        for a0 in range(0, N, step):
+            bad = narrow[T[a0 : a0 + step, s]] != np.take(narrow[a0 : a0 + step], T[s], axis=1)
+            if bad.any():
+                a, c = divmod(a0 * N + int(np.argmax(bad)), N)  # smallest a, then c
                 raise TableError(
                     f"associativity violation at ({a},{s},{c}): "
-                    f"({a}*{s})*{c} = {int(left[c])} but {a}*({s}*{c}) = {int(right[c])}"
+                    f"({a}*{s})*{c} = {int(T[T[a, s], c])} but {a}*({s}*{c}) = {int(T[a, T[s, c]])}"
                 )
 
     return TableGroup(T, identity_index, name, gens)
@@ -527,6 +543,12 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
+def _distinct_values(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty array, ascending, by a sort and a diff."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 # One order array per live group: exponent and the class table of one
 # check_fsz share it.  An entry dies with its group.
 _ELEMENT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -574,7 +596,7 @@ def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT, threads: int | None =
     """Least common multiple of all element orders, certified on the power maps:
     x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
     _guard(G, limit)
-    e = math.lcm(*np.unique(element_orders(G, threads)).tolist())
+    e = math.lcm(*_distinct_values(element_orders(G, threads)).tolist())
 
     def kills(k: int) -> bool:
         return bool((G.pow_index_array(k, threads) == G.identity_index).all())

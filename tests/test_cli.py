@@ -2,11 +2,17 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import tablefixtures as tf
 from fsz_forge.cli import DEFAULT_LIMIT, build_parser, run, serialize_report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -127,6 +133,31 @@ def test_count_without_any_feasible_counter_errors(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (13-18 ms under numpy
+    # 2.4), so the fsz paths find distinct values by a sort instead.  Older
+    # numpy imports numpy.ma with numpy itself, so the module set is
+    # compared before and after the calls.
+    path = tmp_path / "d6xc4.json"
+    table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
+    path.write_text(json.dumps({"order": len(table), "table": table}))
+    script = (
+        "import contextlib, io, sys\n"
+        "from fsz_forge.cli import run\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['fsz', '--table', sys.argv[1]]), run(['fsz', '--p', '3', '--j', '1'])]\n"
+        "print(*codes, before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
+    )
+    *codes, before, after = done.stdout.split()
+    assert codes == ["0", "0"], done.stderr
+    assert after == before
 
 
 def test_fsz_table_input(tmp_path, capsys):

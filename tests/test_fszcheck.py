@@ -370,6 +370,78 @@ def test_pairs_examined_counts_the_commuting_pairs(name):
         assert v.statistics["pairs_examined"] == sum(centralizer)
 
 
+def _d6xc4(perm=None):
+    table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
+    return validate_table(table if perm is None else tf.relabel(table, perm), "D6xC4")
+
+
+def test_v4_has_no_class_with_targets():
+    # Every element of V4 has order 1 or 2, so no class has a target and
+    # the bucket-size pass reduces over empty arrays.
+    V4 = validate_table(tf.dihedral(2), "V4")
+    verdicts = check_fsz(V4)
+    assert [v.as_dict() for v in verdicts] == _fsz_entries(
+        "V4", [1, 2], {"comparisons": 0, "conjugacy_classes": 4, "pairs_examined": 16}
+    )
+    plain = check_fsz(validate_table(tf.dihedral(2), "V4"), reduction=False)
+    assert [(v.n, v.verdict, v.witness) for v in plain] == [
+        (v.n, v.verdict, v.witness) for v in verdicts
+    ]
+
+
+def test_relabelled_d6xc4_statistics_are_pinned():
+    perm = list(range(48))
+    random.Random(5).shuffle(perm)
+    got = [v.as_dict() for v in check_fsz(_d6xc4(perm))]
+    assert got == _fsz_entries(
+        "D6xC4",
+        [1, 2, 3, 4, 6, 12],
+        {"comparisons": 640, "conjugacy_classes": 24, "pairs_examined": 704},
+    )
+
+
+def _fake_u_counts(G, bucket):
+    """A histogram that differs whenever the buckets do, so that rows are
+    compared on their centralizers and witnesses turn up."""
+    return np.bincount(G.mul_index_arrays(bucket, bucket), minlength=G.N) * 3 + np.bincount(
+        bucket, minlength=G.N
+    )
+
+
+@pytest.mark.parametrize("fake", [False, True], ids=["u_counts", "fake"])
+@pytest.mark.parametrize("name", ["S(3,1)", "D6xC4", "random3"])
+def test_histogram_budget_changes_no_output(name, fake, monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    make = _d6xc4 if name == "D6xC4" else SWEEP_GROUPS[name]
+    built = []
+    u_counts = _fake_u_counts if fake else fz._u_counts
+
+    def counted(G, bucket):
+        built.append(bucket.size)
+        return u_counts(G, bucket)
+
+    monkeypatch.setattr(fz, "_u_counts", counted)
+    outputs, builds = [], []
+    # the default budget, one histogram, and none: every histogram rebuilt at each use
+    for budget in (fz._HIST_BUDGET, 8 * make().N, 0):
+        monkeypatch.setattr(fz, "_HIST_BUDGET", budget)
+        G = make()
+        outputs.append([
+            fz._generic_scan(G, n, reduction=True, threads=1).as_dict(G.describe_element)
+            for n in range(1, exponent(G) + 1)
+        ])
+        builds.append(len(built))
+        built.clear()
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert builds[0] <= builds[1] <= builds[2]
+    if fake:
+        # A witness ends each scan early; no histogram need be used twice.
+        assert any(v["witness"] for v in outputs[0])
+    else:
+        assert builds[0] < builds[2]  # the kept histograms spare builds
+
+
 def test_check_fsz_flags_s51_at_n_5():
     verdicts = check_fsz(SpjGroup(P51))
     assert [(v.n, v.verdict) for v in verdicts] == [

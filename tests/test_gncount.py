@@ -186,6 +186,38 @@ def test_validate_table_rejects_latin_violation():
         validate_table(tf.LATIN_VIOLATION)
 
 
+@pytest.mark.parametrize("block", [None, 16])
+def test_validate_table_rejects_a_column_only_latin_violation(block, monkeypatch):
+    # Z8 with entries 6 and 7 of row 0 swapped: every row is a permutation,
+    # column 6 holds 7 at rows 0 and 1.  Blocks of 16 entries hold two
+    # lines, so column 6 is first sorted in the fourth block.
+    if block is not None:
+        monkeypatch.setattr(gncount, "_BLOCK", block)
+    table = tf.cyclic(8)
+    table[0][6], table[0][7] = table[0][7], table[0][6]
+    with pytest.raises(TableError) as exc:
+        validate_table(table)
+    assert exc.value.args[0] == "Latin-square violation: column 6 repeats 7 at rows 0 and 1"
+
+
+@pytest.mark.parametrize("block", [None, 32])
+def test_validate_table_rejects_an_associativity_violation_in_a_later_block(block, monkeypatch):
+    # Z16 with the intercalate at rows 7 and 15, columns 2 and 10 swapped:
+    # still a Latin square with identity 0, and the generating set is {1}.
+    # Light's test first fails at a = 6, whose product with 1 is row 7;
+    # blocks of 32 entries hold two rows, so a = 6 is in the fourth block.
+    if block is not None:
+        monkeypatch.setattr(gncount, "_BLOCK", block)
+    a = np.arange(16)
+    T = (a[:, None] + a[None, :]) % 16
+    T[np.ix_([7, 15], [2, 10])] = T[np.ix_([7, 15], [10, 2])]
+    with pytest.raises(TableError) as exc:
+        validate_table(T.tolist())
+    assert exc.value.args[0] == (
+        "associativity violation at (6,1,2): (6*1)*2 = 1 but 6*(1*2) = 9"
+    )
+
+
 def test_validate_table_rejects_missing_identity():
     with pytest.raises(TableError, match="no identity"):
         validate_table(tf.NO_IDENTITY)
