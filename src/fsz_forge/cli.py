@@ -168,9 +168,7 @@ def _do_verify(args: argparse.Namespace) -> tuple[dict, int]:
     params = GroupParams(args.p, args.j)
     report = construction.verify_construction(params)
     sample_ok, sample_detail = _power_sample(params, args.samples, args.seed)
-    structure = spgroup.structure_report(
-        params, limit=args.limit, rng=random.Random(args.seed)
-    )
+    structure = spgroup.structure_report(params)
 
     rows = [
         (check.name, params.describe(), _pass(check.passed, check.detail))
@@ -356,10 +354,8 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
             "" if report.all_passed else "see verify")
         sample_ok, sample_detail = _power_sample(params, 50, args.seed)
         add("power_sample", where, sample_ok, sample_detail)
-        structure = spgroup.structure_report(
-            params, limit=args.limit, rng=random.Random(args.seed)
-        )
-        add("structure", where, structure.all_passed, structure.center_method)
+        structure = spgroup.structure_report(params)
+        add("structure", where, structure.all_passed, f"center order {structure.center_order}")
 
         verdict = fszcheck.spj_witness(params)
         expected_witness = p > 3

@@ -23,15 +23,16 @@ implement it, and the counters and scans take the group itself:
   to_element / from_element, which map between elements and their
   indices 0..N-1;
 - index arrays.  A family supplies generators, a tuple of the indices of
-  a generating set, two index kernels, mul_index_arrays(a, b) and
-  invert_index_array(a), and _sweep(f, threads), the index of f(a) for
-  every a.  The base spgroup.IndexGroup writes every whole-group map once
-  on these: power_indices(a, n), pow_index_array(n), rightmul_array(x),
-  conjugation_array(x), the index array of x^-1 a x, and
-  conjugation_arrays(), one per generator.  TableGroup._sweep evaluates
-  f on every index.  The S(p,j) sweep evaluates f on probe rows and
-  extends it by an affine pass, so it is exact only for word maps:
-  products of a, a^-1 and fixed elements, powers included.
+  a generating set (a_1 and b for S(p,j)), two index kernels,
+  mul_index_arrays(a, b) and invert_index_array(a), and _sweep(f,
+  threads), the index of f(a) for every a.  The base spgroup.IndexGroup
+  writes every whole-group map once on these: power_indices(a, n),
+  pow_index_array(n), rightmul_array(x), conjugation_array(x), the index
+  array of x^-1 a x, and conjugation_arrays(), one per generator.
+  TableGroup._sweep evaluates f on every index.  The S(p,j) sweep
+  evaluates f on probe rows and extends it by an affine pass, so it is
+  exact only for word maps: products of a, a^-1 and fixed elements,
+  powers included.
   Methods that sweep the whole group take a per-call threads count.
   Element orders and the exponent come from pow_index_array alone.
 """

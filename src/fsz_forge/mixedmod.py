@@ -272,3 +272,33 @@ def mat_pow(M: EndoMatrix, e: int) -> EndoMatrix:
         if e:
             base = mat_mul(base, base)
     return result
+
+
+def quotient_order(params: GroupParams, A: np.ndarray) -> int:
+    """|Z^d / L|, L spanned by the columns of A and of diag(row_moduli).
+
+    L holds p^{j+1} Z^d, so the elimination runs mod top_modulus.  Each
+    step pivots on an entry p^v * u of least valuation (zero counts as
+    p^{j+1}), scales its row by u^-1, clears its column with row
+    operations and drops its row and column: the row's other entries have
+    valuation at least v, so column operations would clear them, and the
+    pivot contributes Z / p^v.  Entries stay below top_modulus, so every
+    product is under the bound GroupParams keeps.  So |ker M| is
+    quotient_order(M) for an endomorphism M, since |im M| = |P| / |Z^d/L|,
+    and the columns of W generate P iff quotient_order(W) == 1.
+    """
+    p, top = params.p, params.top_modulus
+    M = np.hstack([np.asarray(A, dtype=np.int64), np.diag(params.row_moduli)]) % top
+    order = 1
+    while len(M):
+        val = sum((M % p ** t == 0).astype(np.int64) for t in range(1, params.j + 2))
+        r, c = np.unravel_index(np.argmin(val), val.shape)
+        v = int(val[r, c])
+        if v > params.j:
+            return order * top ** len(M)
+        pv = p ** v
+        pivot = M[r] * pow(int(M[r, c]) // pv, -1, top) % top
+        rest = np.delete(M, r, axis=0)
+        M = np.delete((rest - np.outer(rest[:, c] // pv, pivot)) % top, c, axis=1)
+        order *= pv
+    return order

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,9 +26,11 @@ from .mixedmod import (
     MatrixInvariantError,
     MixedVector,
     ParameterError,
+    VerificationError,
     basis_vector,
     mat_apply,
     mat_pow,
+    quotient_order,
     vec_scale,
     zero_vector,
 )
@@ -120,12 +121,6 @@ def generator_a(params: GroupParams, i: int) -> SElement:
 
 def generator_b(params: GroupParams) -> SElement:
     return SElement(zero_vector(params), 1)
-
-
-def generators(params: GroupParams) -> tuple[SElement, ...]:
-    return tuple(
-        generator_a(params, i) for i in range(1, params.dim + 1)
-    ) + (generator_b(params),)
 
 
 def multiply(params: GroupParams, x: SElement, y: SElement) -> SElement:
@@ -247,7 +242,6 @@ class StructureReport:
     group_order: int
     a1_order: int
     center_order: int
-    center_method: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -260,7 +254,6 @@ class StructureReport:
             "group_order": self.group_order,
             "a1_order": self.a1_order,
             "center_order": self.center_order,
-            "center_method": self.center_method,
             "checks": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
                 for c in self.checks
@@ -273,123 +266,83 @@ def _commutes(params: GroupParams, x: SElement, y: SElement) -> bool:
     return multiply(params, x, y) == multiply(params, y, x)
 
 
-def _in_central_cyclic(params: GroupParams, x: SElement) -> bool:
-    """Membership in the claimed center, the cyclic group over a_1^p."""
-    return (
-        x.k == 0
-        and x.vec.coords[0] % params.p == 0
-        and not any(x.vec.coords[1:])
-    )
+def _p_power_order(params: GroupParams, x: SElement) -> int:
+    """The order of x, a power of p, by taking p-th powers until the identity."""
+    order = 1
+    while x != identity_element(params):
+        x, order = power_generic(params, x, params.p), order * params.p
+    return order
 
 
-CENTER_SCAN_CAP = 100_000
-CENTER_SAMPLE_SIZE = 50
+def _column0_orbit(params: GroupParams) -> np.ndarray:
+    """B^k e_0 for k = 0..p^j-1 as the columns of an int64 array.
 
-
-def structure_report(
-    params: GroupParams,
-    *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-    rng=None,
-) -> StructureReport:
-    """Order, a_1 order and center verification for one parameter pair.
-
-    When the group order is at most CENTER_SCAN_CAP (and the general
-    enumeration limit) the center is found exactly: the elements that every
-    generator's conjugation array fixes.  Otherwise the check degrades to
-    generator commutation for powers of a_1^p plus a random sample of
-    outside elements that must all fail to be central.
+    b^k a_1 b^-k = (B^k e_0, 0), so a_1 and b generate S(p,j) iff these
+    columns generate the abelian part.
     """
-    p = params.p
-    ident = identity_element(params)
-    gens = generators(params)
-    a1, b = gens[0], gens[-1]
+    B = build_b(params).array
+    W = np.empty((params.dim, params.b_order), dtype=np.int64)
+    w = np.zeros(params.dim, dtype=np.int64)
+    w[0] = 1
+    for k in range(params.b_order):
+        W[:, k] = w
+        w = B @ w % params.row_moduli
+    return W
 
-    a1_order = 1
-    x = a1
-    while x != ident:
-        x = power_generic(params, x, p)
-        a1_order *= p
 
+def structure_report(params: GroupParams) -> StructureReport:
+    """Order, a_1 order and the exact center of S(p,j), at every order.
+
+    a_1 and b generate the group when the column-0 orbit spans the
+    abelian part.  Then (v, k) is central iff it commutes with b and a_1,
+    that is iff Bv = v and B^k e_0 = e_0, so |Z| = |ker(B - I)| times the
+    number of such k < p^j, both read off exactly.  The checks before it
+    show that the powers of a_1^p, p^j of them, commute with a_1 and b, so
+    the center is those powers iff |Z| = p^j.
+    """
+    a1, b = generator_a(params, 1), generator_b(params)
+    a1_order = _p_power_order(params, a1)
+    z = power_generic(params, a1, params.p)
+    z_order = _p_power_order(params, z)
+    # z commutes with a_1 and b, hence so does every power of z.
+    central_ok = _commutes(params, z, a1) and _commutes(params, z, b)
     checks = [
         CheckResult(
             "a1_order",
             a1_order == params.top_modulus,
             f"|a_1| = {a1_order}, expected {params.top_modulus}",
-        )
-    ]
-
-    z = power_generic(params, a1, p)
-    z_order = 1
-    x = z
-    while x != ident:
-        x = power_generic(params, x, p)
-        z_order *= p
-    checks.append(
+        ),
         CheckResult(
             "center_generator_order",
             z_order == params.n,
             f"|a_1^p| = {z_order}, expected p^j = {params.n}",
-        )
-    )
-
-    z_powers = []
-    y = ident
-    for _ in range(z_order):
-        z_powers.append(y)
-        y = multiply(params, y, z)
-    central_ok = all(
-        _commutes(params, w, g) for w in z_powers for g in (a1, b)
-    )
-    checks.append(
+        ),
         CheckResult(
             "center_generator_commutes",
             central_ok,
             "every power of a_1^p commutes with a_1 and b"
             if central_ok
             else "some power of a_1^p fails to commute with a generator",
+        ),
+    ]
+
+    W = _column0_orbit(params)
+    spans = quotient_order(params, W) == 1
+    shift = build_b(params).array - np.eye(params.dim, dtype=np.int64)
+    fixing = int((W == W[:, :1]).all(axis=0).sum())
+    center_order = quotient_order(params, shift) * fixing
+    exact = spans and center_order == params.n
+    checks.append(
+        CheckResult(
+            "center_order",
+            exact,
+            f"center has {center_order} elements, all powers of a_1^p"
+            if exact
+            else f"center has {center_order} elements, expected {params.n}"
+            if spans
+            else "a_1 and b do not generate the group",
         )
     )
-
-    if params.group_order <= min(limit, CENTER_SCAN_CAP):
-        G = SpjGroup(params)
-        moved = np.any([conj != np.arange(G.N) for conj in G.conjugation_arrays(1)], axis=0)
-        center = [G.to_element(i) for i in np.flatnonzero(~moved).tolist()]
-        center_order = len(center)
-        exact = center_order == params.n and all(
-            _in_central_cyclic(params, x) for x in center
-        )
-        checks.append(
-            CheckResult(
-                "center_order",
-                exact,
-                f"center has {center_order} elements, all powers of a_1^p"
-                if exact
-                else f"center has {center_order} elements, expected {params.n} inside the a_1^p cyclic",
-            )
-        )
-        method = "enumeration"
-    else:
-        rng = rng if rng is not None else random.Random(0)
-        misses = 0
-        for _ in range(CENTER_SAMPLE_SIZE):
-            cand = random_element(params, rng)
-            if _in_central_cyclic(params, cand):
-                continue
-            if all(_commutes(params, cand, g) for g in gens):
-                misses += 1
-        center_order = params.n
-        checks.append(
-            CheckResult(
-                "center_order",
-                misses == 0,
-                f"claimed order {params.n}; no central element outside a_1^p powers "
-                f"in a sample of {CENTER_SAMPLE_SIZE}"
-                if misses == 0
-                else f"{misses} sampled elements outside a_1^p powers are central",
-            )
-        )
-        method = "generator-commutation"
 
     checks.sort(key=lambda c: c.name)
     return StructureReport(
@@ -397,7 +350,6 @@ def structure_report(
         group_order=params.group_order,
         a1_order=a1_order,
         center_order=center_order,
-        center_method=method,
         checks=tuple(checks),
     )
 
@@ -498,8 +450,10 @@ class SpjGroup(IndexGroup):
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """Indices of a_1, ..., a_dim and b."""
-        return tuple(self.from_element(c) for c in generators(self.params))
+        """Indices of a_1 and b, once the column-0 orbit is seen to span the abelian part."""
+        if quotient_order(self.params, _column0_orbit(self.params)) != 1:
+            raise VerificationError(f"a_1 and b do not generate {self.params.describe()}")
+        return self.from_element(generator_a(self.params, 1)), self.from_element(generator_b(self.params))
 
     @cached_property
     def _place_values(self) -> np.ndarray:

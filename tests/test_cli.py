@@ -56,11 +56,11 @@ VERIFY_JSON_SHA256 = {
     ("verify", "--p", "5", "--j", "1"):
         "4473376d42d5181f63cdab01f8c95ae437c16e5b0dd7a65c8b5f9e0e9a6209ae",
     ("verify", "--p", "5", "--j", "2"):
-        "d4208967661b1d79cc4a51a777d37ab5a972f001c5db59bea23b8e6cbaa884e5",
+        "dd4332b47fa53c01a2a558c982ea2e664688d537f8f7bf0dc8c87a558062672a",
     ("verify", "--p", "7", "--j", "2", "--seed", "3"):
-        "ca9ff5d602b8a40e0ae848a714599243a33c8cfb736d81cd0d8ad7644a24a830",
+        "3c0c1ac1f5446ea77de01ca8b7000cdf5a6102da7dec69fd80a3394b517ca062",
     ("selftest",):
-        "8bff02099b3e10e99f96d6a93ff31399125cc13e58c0a2360ae59e9d370cca55",
+        "95191ea25f37ebcc14810108bc3db3e10e034fcad7a5a9236bcd591c8e4eb040",
 }
 
 

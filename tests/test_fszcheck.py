@@ -40,6 +40,7 @@ from fsz_forge.spgroup import (
     b_power_row0,
     element_at,
     generator_a,
+    generator_b,
     identity_element,
     power_generic,
     random_element,
@@ -155,6 +156,19 @@ def test_conjugacy_class_reps_on_s32():
     # itself rather than from the generator arrays.
     for i in random.Random(32).sample(range(len(reps)), 30):
         assert sizes[i] * _centralizer_indices(G, reps[i], 2).size == G.N
+
+
+@pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])
+def test_conjugacy_class_reps_from_a1_b_equal_those_from_every_generator(params, monkeypatch):
+    """The classes from (a_1, b) against the arrays of a_1, ..., a_dim and b."""
+    G = SpjGroup(params)
+    assert len(G.generators) == 2
+    expected = conjugacy_class_reps(G)
+    full = [generator_a(params, i) for i in range(1, params.dim + 1)] + [generator_b(params)]
+    H = SpjGroup(params)
+    arrays = [H.conjugation_array(H.from_element(c)) for c in full]
+    monkeypatch.setattr(H, "conjugation_arrays", lambda threads=None: arrays)
+    assert conjugacy_class_reps(H) == expected
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from fsz_forge.mixedmod import (
     mat_mul,
     mat_pow,
     mat_scale,
+    quotient_order,
     vec_combine,
     vec_scale,
     zero_matrix,
@@ -256,3 +257,40 @@ def test_vector_scale_by_extreme_scalars_matches_python_ints():
     v = MixedVector(p, (24, 4, 3, 1))
     for c in (2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 64 + 5):
         assert vec_scale(c, v) == MixedVector(p, tuple(c * x for x in v.coords))
+
+
+def _kernel_size(M):
+    """|{v in P : Mv = 0}| by applying M to every vector of P."""
+    p = M.params
+    grids = np.meshgrid(*[np.arange(m) for m in p.row_moduli.tolist()], indexing="ij")
+    V = np.stack([g.ravel() for g in grids], axis=1)
+    return int(((V @ M.array.T) % p.row_moduli == 0).all(axis=1).sum())
+
+
+@pytest.mark.parametrize("pj", [(3, 1), (5, 1), (3, 2)])
+def test_quotient_order_is_the_kernel_size(pj):
+    p = GroupParams(*pj)
+    rng = random.Random(sum(pj) * 31)
+    size = int(np.prod(p.row_moduli))
+    assert quotient_order(p, zero_matrix(p).array) == _kernel_size(zero_matrix(p)) == size
+    assert quotient_order(p, identity_matrix(p).array) == _kernel_size(identity_matrix(p)) == 1
+    for trial in range(12):
+        M = _random_well_defined(p, rng)
+        if trial % 3 == 1:
+            grid = M.array.copy()
+            grid[:, rng.randrange(p.dim)] = 0
+            M = EndoMatrix(p, grid)
+        elif trial % 3 == 2:
+            # p times a matrix: every row >= 1 vanishes and row 0 gains a factor p.
+            M = mat_mul(mat_scale(p.p, identity_matrix(p)), M)
+        assert quotient_order(p, M.array) == _kernel_size(M), trial
+
+
+@pytest.mark.parametrize("pj", [(3, 1), (5, 1), (3, 2)])
+def test_quotient_order_decides_generation(pj):
+    p = GroupParams(*pj)
+    e0 = basis_vector(p, 0).array[:, None]
+    assert quotient_order(p, identity_matrix(p).array) == 1
+    # e_0 alone generates only the wide factor, of index p^(dim - 1).
+    assert quotient_order(p, e0) == p.p ** (p.dim - 1)
+    assert quotient_order(p, np.zeros((p.dim, 0), dtype=np.int64)) == int(np.prod(p.row_moduli))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import tablefixtures as tf
-from fsz_forge.mixedmod import GroupParams, MixedVector
+from fsz_forge import spgroup
+from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError, identity_matrix
 from fsz_forge.spgroup import (
     ElementSyntaxError,
     SElement,
@@ -17,7 +18,6 @@ from fsz_forge.spgroup import (
     format_element,
     generator_a,
     generator_b,
-    generators,
     identity_element,
     invert,
     multiply,
@@ -94,7 +94,8 @@ def test_generators_and_formatting():
     assert format_element(P31, a2) == "a2^1"
     assert format_element(P31, b) == "b^1"
     assert format_element(P31, identity_element(P31)) == "e"
-    assert generators(P31) == (a1, a2, b)
+    G = SpjGroup(P31)
+    assert G.generators == (element_index(P31, a1), element_index(P31, b))
 
 
 def test_parse_folds_factors_left_to_right():
@@ -225,14 +226,15 @@ def test_random_element_is_seed_deterministic():
 def test_structure_report_exact_mode():
     report = structure_report(P31)
     assert report.all_passed
-    assert report.center_method == "enumeration"
     assert report.center_order == 3
     assert report.a1_order == 9
     assert report.group_order == 81
+    assert "center_method" not in report.as_dict()
 
 
 def _scalar_center_order(params):
-    gens = generators(params)
+    """Elements commuting with the full generating set a_1..a_dim, b."""
+    gens = [generator_a(params, i) for i in range(1, params.dim + 1)] + [generator_b(params)]
     return sum(
         all(multiply(params, x, g) == multiply(params, g, x) for g in gens)
         for x in tf.lexicographic_elements(params)
@@ -242,26 +244,42 @@ def _scalar_center_order(params):
 @pytest.mark.parametrize("params", [P31, P51])
 def test_structure_report_center_matches_scalar_commutation(params):
     report = structure_report(params)
-    assert report.center_method == "enumeration"
     assert report.center_order == _scalar_center_order(params) == params.n
 
 
-def test_structure_report_center_fails_without_the_b_conjugation_array(monkeypatch):
-    # Without the last array (conjugation by b) the fixed points are the
-    # centralizer of the a_i, 27 elements.  Dropping one a_i array instead
-    # leaves the center unchanged: the other generators still generate S(3,1).
-    full = SpjGroup.conjugation_arrays
-    monkeypatch.setattr(SpjGroup, "conjugation_arrays", lambda G, threads=None: full(G, threads)[:-1])
+@pytest.fixture
+def b_is_identity(monkeypatch):
+    """S(p,j) with B replaced by I: an abelian group, a_1 and b no longer generate it."""
+    monkeypatch.setattr(spgroup, "build_b", identity_matrix)
+    spgroup._b_power.cache_clear()
+    spgroup.b_power_row0.cache_clear()
+    yield
+    monkeypatch.undo()
+    spgroup._b_power.cache_clear()
+    spgroup.b_power_row0.cache_clear()
+
+
+def test_structure_report_center_fails_when_b_is_the_identity(b_is_identity):
     checks = {c.name: c for c in structure_report(P31).checks}
     assert not checks["center_order"].passed
+    assert checks["center_order"].detail == "a_1 and b do not generate the group"
 
 
-def test_structure_report_sampled_mode():
-    report = structure_report(GroupParams(5, 2), rng=random.Random(0))
+def test_generators_refuse_an_orbit_that_does_not_span(b_is_identity):
+    with pytest.raises(VerificationError, match=r"a_1 and b do not generate S\(3,1\)"):
+        SpjGroup(P31).generators
+
+
+@pytest.mark.parametrize(
+    "pj, center", [((5, 2), 25), ((7, 2), 49), ((3, 3), 27)], ids=["S52", "S72", "S33"]
+)
+def test_structure_report_is_exact_beyond_enumeration(pj, center):
+    report = structure_report(GroupParams(*pj))
     assert report.all_passed
-    assert report.center_method == "generator-commutation"
-    assert report.center_order == 25
-    assert report.a1_order == 125
+    assert report.center_order == center
+    assert report.a1_order == center * pj[0]
+    checks = {c.name: c for c in report.checks}
+    assert checks["center_order"].detail == f"center has {center} elements, all powers of a_1^p"
 
 
 def test_group_handle():
