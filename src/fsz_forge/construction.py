@@ -5,14 +5,17 @@ middle generator a_k to a_k*a_{k+1}, and the last generator to itself
 times a_1^{-p^j}.  Its matrix B, the shift part S = B - I, and the power
 sums Y(p^t) = sum of B^{m*p^t} drive everything else in the package.
 Closed forms for powers of S and B act as independent oracles against
-mat_pow; verify_construction cross-checks the two routes and the block
-identities that the counting layer relies on.
+the computed powers; verify_construction cross-checks the two routes and
+the block identities that the counting layer relies on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+
+import numpy as np
 
 from .mixedmod import (
     EndoMatrix,
@@ -21,7 +24,6 @@ from .mixedmod import (
     identity_matrix,
     mat_add,
     mat_mul,
-    mat_pow,
     mat_scale,
 )
 
@@ -94,18 +96,37 @@ def shift_power_closed(params: GroupParams, k: int) -> EndoMatrix:
     d, pj = params.dim, params.n
     if not 1 <= k <= pj:
         raise ParameterError(f"k = {k} outside 1..{pj}")
-    rows = [[0] * d for _ in range(d)]
+    A = np.zeros((d, d), dtype=np.int64)
     if k <= d - 1:
-        rows[0][d - k] = -pj
+        A[0, d - k] = -pj
+        A[k, 0] = -1
     elif k == d:
-        rows[0][0] = pj
-    for r in range(1, d):
-        c = r - k
-        if c == 0:
-            rows[r][0] = -1
-        elif c >= 1:
-            rows[r][c] = 1
-    return EndoMatrix(params, rows)
+        A[0, 0] = pj
+    below = np.arange(k + 1, d)
+    A[below, below - k] = 1
+    return EndoMatrix(params, A)
+
+
+def _pascal_rows(params: GroupParams):
+    """C(k, 0..dim-1) mod p^{j+1} for k = 0, 1, 2, ..., by Pascal's rule.
+
+    Every entry stays below top_modulus, so no binomial leaves int64.
+    """
+    row = np.zeros(params.dim, dtype=np.int64)
+    row[0] = 1
+    while True:
+        yield row
+        row = np.append(row[:1], row[1:] + row[:-1]) % params.top_modulus
+
+
+def _binomial_matrix(params: GroupParams, row: np.ndarray) -> EndoMatrix:
+    """The closed form of binomial_entry_closed, filled from row = C(k, .)."""
+    r = np.arange(params.dim)
+    A = np.tril(row[r[:, None] - r])
+    A[:, 0] = -row
+    A[0, 0] = 1
+    A[0, 1:] = -params.n * row[:0:-1]
+    return EndoMatrix(params, A)
 
 
 def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
@@ -113,37 +134,51 @@ def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
 
     With 0-based indices: entry (0,0) is 1, (0,c) for c >= 1 is
     -C(k, dim-c)*p^j, (r,0) for r >= 1 is -C(k, r), (r,c) inside the band
-    c <= r is C(k, r-c), and everything above the band vanishes.
+    c <= r is C(k, r-c), and everything above the band vanishes.  Row 0
+    is reduced mod p^{j+1} and the others mod p, so C(k, .) mod p^{j+1},
+    one Pascal row, determines every entry.
     """
-    d, pj = params.dim, params.n
+    pj = params.n
     if not 1 <= k <= pj - 2:
         raise ParameterError(f"k = {k} outside 1..{pj - 2}")
-    rows = [[0] * d for _ in range(d)]
-    rows[0][0] = 1
-    for c in range(1, d):
-        rows[0][c] = -comb(k, d - c) * pj
-    for r in range(1, d):
-        rows[r][0] = -comb(k, r)
-        for c in range(1, r + 1):
-            rows[r][c] = comb(k, r - c)
-    return EndoMatrix(params, rows)
+    return _binomial_matrix(params, next(itertools.islice(_pascal_rows(params), k, None)))
+
+
+@lru_cache(maxsize=None)
+def b_power_table(params: GroupParams) -> np.ndarray:
+    """B^k for k = 0..p^j-1, stacked as a read-only (p^j, dim, dim) int64 array.
+
+    One chain B^k = B^{k-1} B, each product reduced row-wise as in mat_mul,
+    so every entry is a canonical residue.  The table holds p^j * dim^2
+    entries, so only verify_construction, build_y and the whole-group
+    kernels of enumerable groups read it; multiply and invert build the
+    single powers they need.
+    """
+    d = params.dim
+    B = build_b(params).array
+    moduli = params.row_moduli[:, None]
+    table = np.empty((params.b_order, d, d), dtype=np.int64)
+    table[0] = np.eye(d, dtype=np.int64)
+    for k in range(1, params.b_order):
+        # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
+        np.matmul(table[k - 1], B, out=table[k])
+        np.remainder(table[k], moduli, out=table[k])
+    table.flags.writeable = False
+    return table
 
 
 def build_y(params: GroupParams, t: int) -> EndoMatrix:
     """Power sum Y(p^t) = sum over m < p^{j-t} of B^{m*p^t}.
 
-    For t = j the sum degenerates to the single summand B^0; taking
-    Y(p^j) = I makes the p^j-th power formula uniform in the b-order.
+    The summands are every p^t-th row of b_power_table.  Each entry is
+    below top_modulus, so the int64 sum stays below
+    b_order * top_modulus <= (dim + 1) * top_modulus < 2^62 before the
+    reduction.  For t = j the sum degenerates to the single summand B^0;
+    taking Y(p^j) = I makes the p^j-th power formula uniform in the b-order.
     """
     if not 0 <= t <= params.j:
         raise ParameterError(f"t = {t} outside 0..{params.j}")
-    step = mat_pow(build_b(params), params.p ** t)
-    total = identity_matrix(params)
-    power = identity_matrix(params)
-    for _ in range(params.p ** (params.j - t) - 1):
-        power = mat_mul(power, step)
-        total = mat_add(total, power)
-    return total
+    return EndoMatrix(params, b_power_table(params)[:: params.p ** t].sum(axis=0))
 
 
 def _is_corner_block(M: EndoMatrix, corner: int) -> bool:
@@ -158,35 +193,34 @@ def verify_construction(params: GroupParams) -> VerificationReport:
     Checks: (a) the automorphism matrix has multiplicative order exactly
     p^j; (b) the (0,0) entry of B^{p^j-1} is p^j + 1; (c) Y(1) is the
     corner block with 2p^j; (d) p^t * Y(p^t) is the corner block with p^j
-    for 0 < t < j; (e,f) the closed forms match mat_pow for S and B;
-    (g) Y(1) absorbs multiplication by B on both sides; (h) the row-0
-    divisibility invariant holds for every power of B.
+    for 0 < t < j; (e,f) the closed forms match the computed powers of S
+    and B; (g) Y(1) absorbs multiplication by B on both sides; (h) the
+    row-0 divisibility invariant holds for every power of B.  B^k for
+    k < p^j comes from b_power_table, B^{p^j} is one more product, and
+    S^k from one chain S, S^2, ..., S^{p^j}.
     """
     pj = params.n
     ident = identity_matrix(params)
     B = build_b(params)
     S = build_shift(params)
-
-    # One multiplication chain B, B^2, ..., B^{p^j}, reused by most checks.
-    chain = [ident]
-    for _ in range(pj):
-        chain.append(mat_mul(chain[-1], B))
+    table = b_power_table(params)
+    last = mat_mul(EndoMatrix(params, table[-1]), B)
 
     results = []
 
-    premature = [k for k in range(1, pj) if chain[k] == ident]
-    order_ok = not premature and chain[pj] == ident
+    premature = (np.flatnonzero((table[1:] == ident.array).all(axis=(1, 2))) + 1).tolist()
+    order_ok = not premature and last == ident
     results.append(
         CheckResult(
             "b_order_exact",
             order_ok,
             f"B^{pj} = I and no smaller positive power is I"
             if order_ok
-            else f"premature identity at powers {premature}, top power equal: {chain[pj] == ident}",
+            else f"premature identity at powers {premature}, top power equal: {last == ident}",
         )
     )
 
-    corner = int(chain[pj - 1].array[0, 0])
+    corner = int(table[pj - 1, 0, 0])
     results.append(
         CheckResult(
             "b_last_power_corner",
@@ -217,7 +251,12 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         yp_detail = f"p^t * Y(p^t) is the p^j corner block for t in 1..{params.j - 1}"
     results.append(CheckResult("yp_scaled_block_forms", not bad_t, yp_detail))
 
-    bad_k = [k for k in range(1, pj + 1) if shift_power_closed(params, k) != mat_pow(S, k)]
+    S_powers = itertools.accumulate(itertools.repeat(S, pj - 1), mat_mul, initial=S)
+    bad_k = [
+        k
+        for k, S_k in enumerate(S_powers, start=1)
+        if shift_power_closed(params, k) != S_k
+    ]
     results.append(
         CheckResult(
             "shift_power_closed_agrees",
@@ -228,7 +267,12 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         )
     )
 
-    bad_k = [k for k in range(1, pj - 1) if binomial_entry_closed(params, k) != chain[k]]
+    rows = itertools.islice(_pascal_rows(params), 1, pj - 1)
+    bad_k = [
+        k
+        for k, row in enumerate(rows, start=1)
+        if not np.array_equal(_binomial_matrix(params, row).array, table[k])
+    ]
     results.append(
         CheckResult(
             "binomial_closed_agrees",
@@ -248,9 +292,10 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         )
     )
 
-    # Constructors raise MatrixInvariantError on a broken invariant, so no
-    # power reaches this point without it; the check reports it explicitly.
-    bad_pow = [k for k, M in enumerate(chain) if (M.array[0, 1:] % pj).any()]
+    # The EndoMatrix constructor raises MatrixInvariantError on a broken
+    # invariant, so B^{p^j} cannot reach this point without it; the table
+    # rows, built without that constructor, are checked here.
+    bad_pow = np.flatnonzero((table[:, 0, 1:] % pj).any(axis=1)).tolist()
     results.append(
         CheckResult(
             "power_divisibility_invariant",

@@ -259,19 +259,23 @@ def mat_scale(c: int, M: EndoMatrix) -> EndoMatrix:
     return EndoMatrix(M.params, (c % M.params.top_modulus) * M.array)
 
 
+def square_and_multiply(base, e: int, mul, one):
+    """base^e for e >= 0 under the associative product mul, with identity one."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
 def mat_pow(M: EndoMatrix, e: int) -> EndoMatrix:
     """M^e by square-and-multiply; M^0 is the identity."""
     if e < 0:
         raise ParameterError(f"negative exponent {e}")
-    result = identity_matrix(M.params)
-    base = M
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return result
+    return square_and_multiply(M, e, mat_mul, identity_matrix(M.params))
 
 
 def quotient_order(params: GroupParams, A: np.ndarray) -> int:

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .construction import CheckResult, build_b, build_y
+from .construction import CheckResult, b_power_table, build_b, build_y
 from .mixedmod import (
     EndoMatrix,
     GroupParams,
@@ -31,6 +31,7 @@ from .mixedmod import (
     mat_apply,
     mat_pow,
     quotient_order,
+    square_and_multiply,
     vec_scale,
     zero_vector,
 )
@@ -138,15 +139,9 @@ def power_generic(params: GroupParams, x: SElement, e: int) -> SElement:
     """x^e by square-and-multiply over the group product."""
     if e < 0:
         x, e = invert(params, x), -e
-    result = identity_element(params)
-    base = x
-    while e:
-        if e & 1:
-            result = multiply(params, result, base)
-        e >>= 1
-        if e:
-            base = multiply(params, base, base)
-    return result
+    return square_and_multiply(
+        x, e, lambda y, z: multiply(params, y, z), identity_element(params)
+    )
 
 
 def power_pj(params: GroupParams, x: SElement) -> SElement:
@@ -374,14 +369,8 @@ class IndexGroup:
         """a^n for each entry of the index array a, by square-and-multiply."""
         if n < 0:
             a, n = self.invert_index_array(a), -n
-        result = np.full(len(a), self.identity_index, dtype=np.int64)
-        while n:
-            if n & 1:
-                result = self.mul_index_arrays(result, a)
-            n >>= 1
-            if n:
-                a = self.mul_index_arrays(a, a)
-        return result
+        one = np.full(len(a), self.identity_index, dtype=np.int64)
+        return square_and_multiply(a, n, self.mul_index_arrays, one)
 
     def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
         """Index of a^n for every a."""
@@ -478,13 +467,14 @@ class SpjGroup(IndexGroup):
         return K * self._abelian + V @ self._place_values
 
     def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B^{K[i]} applied to row i of V."""
+        """B^{K[i]} applied to row i of V, one b_power_table row per b-exponent."""
+        table = b_power_table(self.params)
         out = np.empty_like(V)
         for kk in range(self.params.b_order):
             mask = K == kk
             if mask.any():
                 # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
-                out[mask] = V[mask] @ _b_power(self.params, kk).array.T
+                out[mask] = V[mask] @ table[kk].T
         return self._mod(out)
 
     def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:
@@ -494,6 +484,27 @@ class SpjGroup(IndexGroup):
     def inv(self, V, K) -> tuple[np.ndarray, np.ndarray]:
         Kb = (self.params.b_order - K) % self.params.b_order
         return self._mod(-self._apply_by_k(Kb, V)), Kb
+
+    def first_power_pj_mismatch(self, xs: list[SElement]) -> SElement | None:
+        """The first x in xs whose power_pj differs from x^{p^j}, or None.
+
+        Both run on the stacked (V, K) rows: x^{p^j} by one
+        square-and-multiply over mul, power_pj as one p^t Y(p^t) product
+        per class t of b-exponents.
+        """
+        pr = self.params
+        V = np.array([x.vec.array for x in xs])
+        K = np.array([x.k for x in xs], dtype=np.int64)
+        one = (np.zeros_like(V), np.zeros_like(K))
+        GV, GK = square_and_multiply((V, K), pr.n, lambda a, b: self.mul(*a, *b), one)
+        bad = GK != 0
+        t_of = np.array([t_of_b_exponent(pr, k) for k in K.tolist()])
+        for t in range(pr.j + 1):
+            rows = t_of == t
+            moved = self._mod(V[rows] @ _y_matrix(pr, t).array.T)
+            bad[rows] |= (self._mod(moved * pr.p ** t) != GV[rows]).any(axis=1)
+        first = np.flatnonzero(bad)
+        return xs[first[0]] if first.size else None
 
     def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import tablefixtures as tf
+from fsz_forge import cli, spgroup
 from fsz_forge.cli import DEFAULT_LIMIT, build_parser, run, serialize_report
+from fsz_forge.mixedmod import EndoMatrix, GroupParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,6 +62,8 @@ VERIFY_JSON_SHA256 = {
         "dd4332b47fa53c01a2a558c982ea2e664688d537f8f7bf0dc8c87a558062672a",
     ("verify", "--p", "7", "--j", "2", "--seed", "3"):
         "3c0c1ac1f5446ea77de01ca8b7000cdf5a6102da7dec69fd80a3394b517ca062",
+    ("verify", "--p", "5", "--j", "3", "--seed", "3"):
+        "ae4a80b9244d37b4d5d13dccb14fa9ca0984df5c220cada980291582f088b373",
     ("selftest",):
         "95191ea25f37ebcc14810108bc3db3e10e034fcad7a5a9236bcd591c8e4eb040",
 }
@@ -69,6 +74,52 @@ def test_verify_and_selftest_json_bytes_are_pinned(capsys, argv):
     code, out, err = _run(capsys, *argv, "--format", "json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[argv]
+
+
+def _first_power_mismatch(params, samples, seed):
+    """The sample and the index of its first element where power_pj and
+    power_generic differ (None if none), one element at a time."""
+    rng = random.Random(seed)
+    elements = []
+    for t in range(params.j + 1):
+        k = 0 if t == params.j else params.p ** t
+        elements.append(spgroup.SElement(spgroup.random_element(params, rng).vec, k))
+    while len(elements) < max(samples, params.j + 1):
+        elements.append(spgroup.random_element(params, rng))
+    bad = [
+        i for i, x in enumerate(elements)
+        if spgroup.power_pj(params, x) != spgroup.power_generic(params, x, params.n)
+    ]
+    return elements, bad[0] if bad else None
+
+
+def test_power_sample_names_the_first_mismatch_of_the_per_element_loop(monkeypatch):
+    # A Y(p^t) with its corner entry off by one: a sampled element of
+    # class t mismatches unless p^t v_0 = 0 mod p^{j+1}.  Blocks of three
+    # rows put some first mismatches past the first block.
+    params = GroupParams(3, 2)
+    real, default_block = spgroup._y_matrix, cli._SAMPLE_BLOCK
+    deep = 0
+    for bad_t in range(params.j + 1):
+
+        def corrupted(pr, t, bad_t=bad_t):
+            Y = real(pr, t)
+            if t != bad_t:
+                return Y
+            A = Y.array.copy()
+            A[0, 0] += 1
+            return EndoMatrix(pr, A)
+
+        monkeypatch.setattr(spgroup, "_y_matrix", corrupted)
+        for seed in range(12):
+            elements, first = _first_power_mismatch(params, 40, seed)
+            assert first is not None
+            deep += first >= 3
+            want = (False, f"mismatch at {spgroup.format_element(params, elements[first])}")
+            for block in (default_block, 3 * params.dim):
+                monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+                assert cli._power_sample(params, 40, seed) == want
+    assert deep
 
 
 def test_witness_json_fields(capsys):

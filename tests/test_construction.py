@@ -1,8 +1,12 @@
 """Automorphism matrix B, shift matrix S, and the Y endomorphisms."""
 
+from math import comb
+
+import numpy as np
 import pytest
 
 from fsz_forge.construction import (
+    b_power_table,
     binomial_entry_closed,
     build_b,
     build_shift,
@@ -11,8 +15,10 @@ from fsz_forge.construction import (
     verify_construction,
 )
 from fsz_forge.mixedmod import (
+    EndoMatrix,
     GroupParams,
     identity_matrix,
+    mat_add,
     mat_mul,
     mat_pow,
     mat_scale,
@@ -109,3 +115,63 @@ def test_y1_absorbs_b():
     y1 = build_y(params, 0)
     assert mat_mul(B, y1).rows == y1.rows
     assert mat_mul(y1, B).rows == y1.rows
+
+
+TABLE_GRID = [(3, 1), (5, 1), (3, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("p,j", TABLE_GRID)
+def test_b_power_table_is_read_only_and_matches_mat_pow(p, j):
+    params = GroupParams(p, j)
+    B = build_b(params)
+    table = b_power_table(params)
+    assert table.shape == (params.b_order, params.dim, params.dim)
+    assert table.dtype == np.int64
+    for k in range(params.b_order):
+        assert np.array_equal(table[k], mat_pow(B, k).array)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
+
+
+def _y_by_products(params, t):
+    """Y(p^t) by the product loop over mat_pow(B, p^t): the oracle for build_y."""
+    step = mat_pow(build_b(params), params.p ** t)
+    total = identity_matrix(params)
+    power = identity_matrix(params)
+    for _ in range(params.p ** (params.j - t) - 1):
+        power = mat_mul(power, step)
+        total = mat_add(total, power)
+    return total
+
+
+@pytest.mark.parametrize("p,j", TABLE_GRID)
+def test_build_y_matches_the_product_loop(p, j):
+    params = GroupParams(p, j)
+    for t in range(j + 1):
+        assert build_y(params, t) == _y_by_products(params, t)
+
+
+def _binomial_by_comb(params, k):
+    """The closed form of binomial_entry_closed from math.comb, reduced by EndoMatrix."""
+    d, pj = params.dim, params.n
+    C = [comb(k, r) for r in range(d)]
+    rows = [[0] * d for _ in range(d)]
+    rows[0][0] = 1
+    for c in range(1, d):
+        rows[0][c] = -C[d - c] * pj
+    for r in range(1, d):
+        rows[r][0] = -C[r]
+        for c in range(1, r + 1):
+            rows[r][c] = C[r - c]
+    return EndoMatrix(params, rows)
+
+
+@pytest.mark.parametrize("p,j", [(5, 3), (3, 4)])
+def test_pascal_binomial_matches_math_comb(p, j):
+    # C(k, r) * p^j is far beyond int64 here; the Pascal row kept mod
+    # p^{j+1} must still give the reduced closed form.
+    params = GroupParams(p, j)
+    assert comb(params.n - 2, params.dim // 2) * params.n > 2 ** 63
+    for k in range(1, params.n - 1):
+        assert binomial_entry_closed(params, k) == _binomial_by_comb(params, k)

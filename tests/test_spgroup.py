@@ -253,10 +253,12 @@ def b_is_identity(monkeypatch):
     monkeypatch.setattr(spgroup, "build_b", identity_matrix)
     spgroup._b_power.cache_clear()
     spgroup.b_power_row0.cache_clear()
+    spgroup.b_power_table.cache_clear()
     yield
     monkeypatch.undo()
     spgroup._b_power.cache_clear()
     spgroup.b_power_row0.cache_clear()
+    spgroup.b_power_table.cache_clear()
 
 
 def test_structure_report_center_fails_when_b_is_the_identity(b_is_identity):
