@@ -1,13 +1,15 @@
 """Counting the sets G_n(u, g) = {a : a^n = (a u^-1)^n = g}.
 
-Two independent routes are provided on purpose.  The brute-force scan
-enumerates every group element and evaluates both n-th powers with the
-group's own product (for S(p,j), square-and-multiply on probe rows
-extended by the affine sweep); it works for any enumerable group handle.  The
-structured counter works only for the built-in family at n = p^j and
-never enumerates: membership reduces to one linear congruence per
-b-exponent of the candidate.  Tests hold the two routes against each
-other; nothing here shares intermediate results between them.
+Two independent routes are provided on purpose.  The brute-force count
+counts every group element, evaluating both n-th powers with the group's
+own product: on a table by the whole-group maps, on S(p,j) by the slice
+rule of SpjGroup.common_fibers, which matches the affine images of the
+heads and tails of each b-exponent; it works for any enumerable group
+handle.  The structured counter works only for the built-in family at
+n = p^j and never enumerates: membership reduces to one linear
+congruence per b-exponent of the candidate.  Tests hold the two routes
+against each other; nothing here shares intermediate results between
+them.
 
 Multiplication tables for external groups enter through validate_table,
 or through load_table_group from a file, and both check the group axioms
@@ -27,14 +29,19 @@ implement it, and the counters and scans take the group itself:
   mul_index_arrays(a, b) and invert_index_array(a), and _sweep(f,
   threads), the index of f(a) for every a.  The base spgroup.IndexGroup
   writes every whole-group map once on these: power_indices(a, n),
-  pow_index_array(n), rightmul_array(x), conjugation_array(x), the index
-  array of x^-1 a x, and conjugation_arrays(), one per generator.
+  pow_index_array(n), conjugation_array(x), the index array of
+  x^-1 a x, and conjugation_arrays(), one per generator.  It also
+  writes common_fibers(words, targets, first), the size and the first
+  members of {a : f(a) = t for every word map f} for each target t,
+  by sweeping each word; SpjGroup overrides it to match its slice
+  tables with no whole-group array.
   TableGroup._sweep evaluates f on every index.  The S(p,j) sweep
   evaluates f on probe rows and extends it by an affine pass, so it is
   exact only for word maps: products of a, a^-1 and fixed elements,
   powers included.
   Methods that sweep the whole group take a per-call threads count.
-  Element orders and the exponent come from pow_index_array alone.
+  Element orders come from pow_index_array alone, and the exponent's
+  certificate from common_fibers.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from .spgroup import (
     EnumerationLimitError,
     IndexGroup,
     SElement,
+    _distinct_values,
     b_power_row0,
     t_of_b_exponent,
 )
@@ -402,35 +410,33 @@ def gn_count_bruteforce_many(
     threads: int | None = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[GnCount]:
-    """One full scan, counted against several targets g at once.
+    """Every element counted against several targets g at once.
 
-    Each target costs only the final comparisons; the two n-th powers per
-    element are computed once, and the second is tested only where the
-    first equals the target.  Witnesses come back in enumeration order.
+    The two word maps a -> a^n and a -> (a u^-1)^n go to
+    G.common_fibers, which counts their common fiber over each target:
+    on S(p,j) by matching the slice tables, on a table by the maps
+    themselves.  Witnesses come back in enumeration order.
     """
     _guard(G, limit)
     uinv = int(G.invert_index_array(np.array([G.from_element(u)]))[0])
-    shifted = G.rightmul_array(uinv, threads)
-    powers = G.pow_index_array(n, threads)
-    tgt = np.array([G.from_element(g) for g in targets], dtype=np.int64)
 
-    counts = []
-    witness_idx = []
-    for t in tgt:
-        first = np.flatnonzero(powers == t)
-        hits = first[powers[shifted[first]] == t]
-        counts.append(len(hits))
-        witness_idx.append([int(i) for i in hits[:MAX_WITNESSES]])
+    def shifted_power(a: np.ndarray) -> np.ndarray:
+        return G.power_indices(G.mul_index_arrays(a, np.full(len(a), uinv)), n)
+
+    tgt = [G.from_element(g) for g in targets]
+    found = G.common_fibers(
+        [lambda a: G.power_indices(a, n), shifted_power], tgt, MAX_WITNESSES, threads
+    )
     return [
         GnCount(
             n=n,
             u=u,
             g=g,
-            count=counts[i],
-            witnesses=tuple(G.to_element(w) for w in witness_idx[i]),
+            count=count,
+            witnesses=tuple(G.to_element(w) for w in witnesses),
             method="bruteforce",
         )
-        for i, g in enumerate(targets)
+        for g, (count, witnesses) in zip(targets, found)
     ]
 
 
@@ -443,7 +449,8 @@ def gn_count_bruteforce(
     threads: int | None = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> GnCount:
-    """|G_n(u,g)| by scanning every element of G."""
+    """|G_n(u,g)|, counting every element of G: by the slice rule on
+    S(p,j), by the word maps on a table."""
     return gn_count_bruteforce_many(G, n, u, [g], threads=threads, limit=limit)[0]
 
 
@@ -544,12 +551,6 @@ def _prime_factors(n: int) -> list[int]:
     return out + [n] if n > 1 else out
 
 
-def _distinct_values(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a nonempty array, ascending, by a sort and a diff."""
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
-
-
 # One order array per live group: exponent and the class table of one
 # check_fsz share it.  An entry dies with its group.
 _ELEMENT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -594,13 +595,16 @@ def element_orders(G, threads: int | None = None) -> np.ndarray:
 
 
 def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT, threads: int | None = None) -> int:
-    """Least common multiple of all element orders, certified on the power maps:
+    """Least common multiple of all element orders, certified by fiber counts:
     x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
     _guard(G, limit)
     e = math.lcm(*_distinct_values(element_orders(G, threads)).tolist())
 
     def kills(k: int) -> bool:
-        return bool((G.pow_index_array(k, threads) == G.identity_index).all())
+        [(count, _)] = G.common_fibers(
+            [lambda a: G.power_indices(a, k)], [G.identity_index], 0, threads
+        )
+        return count == G.N
 
     if not kills(e) or any(kills(e // q) for q in _prime_factors(e)):
         raise VerificationError(f"power maps of {G.describe()} do not certify exponent {e}")

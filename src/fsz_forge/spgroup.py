@@ -349,6 +349,15 @@ def structure_report(params: GroupParams) -> StructureReport:
     )
 
 
+def _distinct_values(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty array, ascending, by a sort and a diff.
+
+    np.unique would do, but it imports numpy.ma on its first call.
+    """
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
 def _default_threads(threads: int | None) -> int:
     if threads is not None and threads >= 1:
         return threads
@@ -362,7 +371,8 @@ class IndexGroup:
     generating set), the index kernels mul_index_arrays(a, b) and
     invert_index_array(a), and _sweep(f, threads): the index of f(a) for
     every a, where f maps an index array entrywise by a word map, a
-    product of a, a^-1 and fixed elements.  Every map below is such a word.
+    product of a, a^-1 and fixed elements.  Every map below is such a word,
+    and common_fibers takes only such words.
     """
 
     def power_indices(self, a: np.ndarray, n: int) -> np.ndarray:
@@ -376,9 +386,22 @@ class IndexGroup:
         """Index of a^n for every a."""
         return self._sweep(lambda a: self.power_indices(a, n), threads)
 
-    def rightmul_array(self, x: int, threads: int | None = None) -> np.ndarray:
-        """Index of a*x for every a."""
-        return self._sweep(lambda a: self.mul_index_arrays(a, np.full(len(a), x)), threads)
+    def common_fibers(
+        self, words, targets, first: int, threads: int | None = None
+    ) -> list[tuple[int, list[int]]]:
+        """For each target index t, |{a : f(a) = t for every f in words}|
+        and the first `first` such a, ascending.
+
+        Each word map is swept once, and its map read per target.
+        """
+        maps = [self._sweep(f, threads) for f in words]
+        out = []
+        for t in targets:
+            hits = np.flatnonzero(maps[0] == t)
+            for image in maps[1:]:
+                hits = hits[image[hits] == t]
+            out.append((len(hits), hits[:first].tolist()))
+        return out
 
     def conjugation_array(self, x: int, threads: int | None = None) -> np.ndarray:
         """Index of x^-1 a x for every a."""
@@ -515,62 +538,84 @@ class SpjGroup(IndexGroup):
         V, K = self.decode(np.asarray(idx, dtype=np.int64))
         return self.encode(*self.inv(V, K))
 
-    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
-        """Index of f(a) for every a; f maps index arrays by a word map.
+    @cached_property
+    def _split(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """(L, heads, tails): the index within a b-exponent as h * L + l.
 
-        Exact only for word maps: products of a, a^-1 and fixed elements,
-        powers included.  The affine lemma: (v,k)(w,l) = (v + B^k w, k+l)
-        and (v,k)^-1 = (-B^-k v, -k).  So at a fixed b-exponent k every word
-        map is (v, k) -> (M_k v + c_k, s(k)) with M_k an endomorphism of the
+        L is the product of the longest suffix of row_moduli that stays at
+        most isqrt(A), so there are A / L >= L heads.  heads[h] is the
+        vector of index h * L, tails[l] that of index l, and the vector of
+        index h * L + l is heads[h] + tails[l] with no carry.
+        """
+        A = self._abelian
+        L = 1
+        for m_i in self.params.row_moduli[::-1].tolist():
+            if L * m_i > math.isqrt(A):
+                break
+            L *= m_i
+        heads, _ = self.decode(np.arange(0, A, L, dtype=np.int64))
+        tails, _ = self.decode(np.arange(L, dtype=np.int64))
+        return L, heads, tails
+
+    def _slices(self, f):
+        """(s, images) for a word map f: s[k] is the b-exponent of f(v, k),
+        and images(k) the head and tail tables of b-exponent k.
+
+        The affine lemma: (v,k)(w,l) = (v + B^k w, k+l) and (v,k)^-1 =
+        (-B^-k v, -k).  So at a fixed b-exponent k every word map is
+        (v, k) -> (M_k v + c_k, s(k)) with M_k an endomorphism of the
         abelian part.  f runs once on the zero vector and the dim basis
         vectors at each k; these probe rows are canonical residues, so they
         encode to indices, and f's indices decode to the images.  c_k is the
         image of zero, row i of M_k^T the image of e_i minus c_k.  Being an
         endomorphism, M_k sends each e_i, i >= 1, of order p to an element
         whose coordinate 0 is divisible by p^j, so M_k applied to residues
-        is lift-independent.
-
-        The coordinates split into a head prefix and a tail suffix, the
-        longest suffix with at most isqrt(A) vectors (L of them), so the
-        index within a b-exponent is h * L + l.  M_k is additive, hence the
-        image of (head h, tail l) is (h M_k^T + c_k) + l M_k^T: one head
-        table and one tail table per k.  Both are built on canonical residue
-        vectors, so their entries stay under the dim * top^2 bound that
-        GroupParams keeps below int64, and each is reduced mod row_moduli
-        once.  Coordinate i of both tables is then scaled by its place value
-        w_i, so a head entry plus a tail entry is below 2 m_i w_i <= 2A, and
-        one compare-and-subtract of m_i w_i gives w_i times coordinate i of
-        the image.  Their sum plus s(k) A is the image's index: no element is
-        reduced by division or encoded.  A chunk of _CHUNK // L head rows
-        takes this pass once per coordinate, straight into its slice of the
-        result.  One job per b-exponent builds its tables once and writes
-        its own slice, so the result does not depend on the worker count.
+        is lift-independent.  M_k is additive, hence the image of (head h,
+        tail l) is the head image heads[h] M_k^T + c_k plus the tail image
+        tails[l] M_k^T.  Both tables are built on canonical residue vectors,
+        so their entries stay under the dim * top^2 bound that GroupParams
+        keeps below int64, and both come back reduced mod row_moduli.
         """
-        d, bo, A = self.params.dim, self.params.b_order, self._abelian
-        m, w = self.params.row_moduli, self._place_values
+        d, bo, m = self.params.dim, self.params.b_order, self.params.row_moduli
         probe = np.vstack([np.zeros((1, d), dtype=np.int64), np.eye(d, dtype=np.int64)])
         ks = np.repeat(np.arange(bo, dtype=np.int64), d + 1)
         FV, FK = self.decode(f(self.encode(np.tile(probe, (bo, 1)), ks)))
         FV = FV.reshape(bo, d + 1, d)
         c, s = FV[:, 0], FK[:: d + 1]
         MT = (FV[:, 1:] - c[:, None]) % m
-        L = 1
-        for m_i in m[::-1].tolist():
-            if L * m_i > math.isqrt(A):
-                break
-            L *= m_i
-        heads, _ = self.decode(np.arange(0, A, L, dtype=np.int64))
-        tails, _ = self.decode(np.arange(L, dtype=np.int64))
+        _, heads, tails = self._split
+
+        def images(k: int) -> tuple[np.ndarray, np.ndarray]:
+            return (heads @ MT[k] + c[k]) % m, tails @ MT[k] % m
+
+        return s, images
+
+    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
+        """Index of f(a) for every a; f maps index arrays by a word map.
+
+        Exact only for word maps, by the affine lemma of _slices: the image
+        of (head h, tail l) at b-exponent k is the sum of a head entry and a
+        tail entry, reduced, with b-exponent s(k).  Coordinate i of both
+        tables is scaled by its place value w_i, so a head entry plus a tail
+        entry is below 2 m_i w_i <= 2A, and one compare-and-subtract of
+        m_i w_i gives w_i times coordinate i of the image.  Their sum plus
+        s(k) A is the image's index: no element is reduced by division or
+        encoded.  A chunk of _CHUNK // L head rows takes this pass once per
+        coordinate, straight into its slice of the result.  One job per
+        b-exponent builds its tables once and writes its own slice, so the
+        result does not depend on the worker count.
+        """
+        d, bo, A = self.params.dim, self.params.b_order, self._abelian
+        m, w = self.params.row_moduli, self._place_values
+        s, images = self._slices(f)
+        L, heads, _ = self._split
         rows = max(1, _CHUNK // L)
         wrap = (m * w).astype(np.uint64)
         out = np.empty(self.N, dtype=np.int64)
         flat = out.view(np.uint64)
 
-        def table(images: np.ndarray) -> np.ndarray:
-            return np.ascontiguousarray((images % m * w).T, dtype=np.uint64)
-
         def job(k: int) -> None:
-            head, tail = table(heads @ MT[k] + c[k]), table(tails @ MT[k])
+            head, tail = (np.ascontiguousarray((t * w).T, dtype=np.uint64) for t in images(k))
             base = np.uint64(int(s[k]) * A)
             x = np.empty((rows, L), dtype=np.uint64)
             y = np.empty_like(x)
@@ -595,3 +640,67 @@ class SpjGroup(IndexGroup):
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 list(pool.map(job, range(bo)))  # reading each result re-raises a worker's error
         return out
+
+    def common_fibers(
+        self, words, targets, first: int, threads: int | None = None
+    ) -> list[tuple[int, list[int]]]:
+        """IndexGroup.common_fibers matched on the tables of _slices; no
+        array of length N is built, and threads is not used.
+
+        Element (h, l) of b-exponent k lies in the fiber of every word over
+        t = (t_v, t_k) iff s(k) = t_k for every word, and for every word
+        its tail image T[l] equals the needed vector (t_v - H[h]) mod
+        row_moduli, H the head table.  Vectors are compared by their keys
+        x @ w < A.  Each word ranks the tail keys among their distinct
+        values, and folds the rank into one joint rank of the tail, re-ranked
+        among its distinct values after each word; a head's needed keys take
+        the same ranks, and a head drops out when a key has no tail.  The
+        tails of one joint rank, ascending in l from one stable argsort,
+        are the hits of every head with that rank, so the count is a sum
+        over heads and the first hits come in index order k A + h L + l.
+        Each b-exponent costs O((H + L) log L) per word and target.
+        """
+        L, heads, _ = self._split
+        A, w, m = self._abelian, self._place_values, self.params.row_moduli
+        TV, TK = self.decode(np.asarray(targets, dtype=np.int64))
+        slices = [self._slices(f) for f in words]
+        counts = [0] * len(TK)
+        found: list[list[int]] = [[] for _ in TK]
+
+        def rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+            """Each key's rank among the distinct tail keys keys[:L], whether
+            it is one of them (a miss ranks 0), and their number."""
+            distinct = _distinct_values(keys[:L])
+            pos = np.minimum(np.searchsorted(distinct, keys), len(distinct) - 1)
+            hit = distinct[pos] == keys
+            return np.where(hit, pos, 0), hit, len(distinct)
+
+        for k in range(self.params.b_order):
+            live = [i for i, t_k in enumerate(TK.tolist()) if all(s[k] == t_k for s, _ in slices)]
+            if not live:
+                continue
+            joint = np.zeros(L + len(live) * len(heads), dtype=np.int64)
+            ok = np.ones(len(joint), dtype=bool)
+            for _, images in slices:
+                head, tail = images(k)
+                needed = (TV[live][:, None, :] - head) % m
+                r, hit, size = rank(np.concatenate([tail @ w, (needed @ w).ravel()]))
+                # joint < L and size <= L, so the folded key is below
+                # L^2 <= A, as every index is below N: no int64 value wraps.
+                joint, hit2, _ = rank(joint * size + r)
+                ok &= hit & hit2
+            tail_rank = joint[:L]
+            per_rank = np.bincount(tail_rank)
+            order = np.argsort(tail_rank, kind="stable")
+            starts = np.cumsum(per_rank) - per_rank
+            needs = joint[L:].reshape(len(live), -1)
+            for i, need, has in zip(live, needs, ok[L:].reshape(needs.shape)):
+                n_hits = np.where(has, per_rank[need], 0)
+                counts[i] += int(n_hits.sum())
+                for h in np.flatnonzero(n_hits).tolist():
+                    if len(found[i]) >= first:
+                        break
+                    start = int(starts[need[h]])
+                    ls = order[start : start + min(int(n_hits[h]), first - len(found[i]))]
+                    found[i] += (k * A + h * L + ls).tolist()
+        return list(zip(counts, found))

@@ -25,6 +25,7 @@ from fsz_forge.gncount import (
     validate_table,
 )
 from fsz_forge.spgroup import (
+    IndexGroup,
     SElement,
     SpjGroup,
     generator_a,
@@ -44,6 +45,20 @@ def _designated(params):
     g = power_generic(params, generator_a(params, 1), params.n)
     g2 = power_generic(params, generator_a(params, 1), 2 * params.n)
     return u, g, g2
+
+
+def rightmul(G, x, threads=None):
+    """Index of a*x for every a, swept as a word map."""
+    return G._sweep(lambda a: G.mul_index_arrays(a, np.full(len(a), x)), threads)
+
+
+def count_words(G, n, u_idx):
+    """The two word maps of G_n(u, g): a -> a^n and a -> (a u^-1)^n."""
+    uinv = int(G.invert_index_array(np.array([u_idx]))[0])
+    return [
+        lambda a: G.power_indices(a, n),
+        lambda a: G.power_indices(G.mul_index_arrays(a, np.full(len(a), uinv)), n),
+    ]
 
 
 def test_designated_counts_at_5_1():
@@ -140,6 +155,92 @@ def test_bruteforce_is_thread_count_independent():
     eight = gn_count_bruteforce(G, 5, u, g2, threads=8)
     assert one.count == eight.count
     assert one.witnesses == eight.witnesses
+
+
+@pytest.mark.parametrize(
+    "params, draws, sets",
+    [(P31, 3, 3), (P51, 3, 3), (GroupParams(3, 2), 2, 3), (GroupParams(7, 1), 1, 1)],
+    ids=["S31", "S51", "S32", "S71"],
+)
+def test_common_fibers_match_the_base_route(params, draws, sets, monkeypatch):
+    """The slice-table matching of SpjGroup against IndexGroup's sweeps.
+
+    n runs over every divisor p^i of the exponent p^{j+1} and one n coprime
+    to it.  The targets are the identity, a2 (no n-th power when p^j
+    divides n), b (whose b-exponent 1 is no s(k) when p divides n), and
+    the images a^n and (a u^-1)^n of a random a.  The two words of
+    G_n(u, g) are matched, and on the smaller groups also the first alone
+    and the two with (u a)^n, at one and at three threads.
+    """
+    G = SpjGroup(params)
+    rng = random.Random(params.p * 10 + params.j)
+    a2, b = (G.from_element(x) for x in (generator_a(params, 2), generator_b(params)))
+    cases = []
+    for n in [params.p ** i for i in range(params.j + 2)] + [params.p + 1]:
+        for u_idx in [0] + [rng.randrange(G.N) for _ in range(draws)]:
+            words = count_words(G, n, u_idx)
+            a = np.array([rng.randrange(G.N)])
+            images = [int(f(a)[0]) for f in words]
+            targets = [G.identity_index, a2, b] + images
+            left = lambda x, n=n, u_idx=u_idx: G.power_indices(
+                G.mul_index_arrays(np.full(len(x), u_idx), x), n)
+            for chosen in (words, words[:1], words + [left])[:sets]:
+                cases.append((n, chosen, targets, IndexGroup.common_fibers(G, chosen, targets, 16)))
+    monkeypatch.setattr(G, "_sweep", mock.Mock(side_effect=AssertionError("swept")))
+    nonzero = 0
+    for n, words, targets, expected in cases:
+        for threads in (1, 3):
+            assert G.common_fibers(words, targets, 16, threads) == expected, (n, threads)
+        counts = [count for count, _ in expected]
+        nonzero += sum(c > 0 for c in counts)
+        if len(words) == 1:
+            assert counts[3] > 0  # the fiber of a^n over a^n holds a
+        if n % params.n == 0:
+            assert counts[1] == counts[2] == 0  # a2 is no p^j-th power; b is in no slice
+    assert nonzero > len(cases)
+
+
+@pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])
+def test_common_fibers_witnesses_in_index_order(params):
+    """Witness lists, cut at MAX_WITNESSES and whole, equal the base route's.
+
+    At S(3,1), n = 3 and u = b, the 27 elements of G_3(b, e) give their 16
+    first witnesses from two b-exponents and six heads of three tails.
+    """
+    G = SpjGroup(params)
+    u_idx = G.from_element(generator_b(params))
+    words = count_words(G, params.p, u_idx)
+    targets = [G.identity_index, int(G.power_indices(np.array([G.N // 2 + 7]), params.p)[0])]
+    for first in (gncount.MAX_WITNESSES, G.N):
+        got = G.common_fibers(words, targets, first)
+        assert got == IndexGroup.common_fibers(G, words, targets, first)
+        for count, witnesses in got:
+            assert len(witnesses) == min(count, first)
+            assert witnesses == sorted(witnesses)
+    if params == P31:
+        count, witnesses = G.common_fibers(words, [G.identity_index], gncount.MAX_WITNESSES)[0]
+        L, A = G._split[0], G._abelian
+        assert count == 27 and len(witnesses) == 16
+        assert len({w // A for w in witnesses}) == 2
+        assert len({w // L for w in witnesses}) == 6
+
+
+def test_brute_count_at_7_1_builds_no_whole_group_array():
+    """G_7(b a1, a1^14) on S(7,1), |G| = 5764801, within 1/10 of one int64 map."""
+    import tracemalloc
+
+    params = GroupParams(7, 1)
+    G = SpjGroup(params)
+    u = spgroup.parse_element(params, "b a1")
+    g = spgroup.parse_element(params, "a1^14")
+    tracemalloc.start()
+    try:
+        result = gn_count_bruteforce(G, 7, u, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.count == gn_count_structured(params, u, g).count == 117649
+    assert peak < G.N * 8 // 10
 
 
 def test_bruteforce_respects_enumeration_limit():
@@ -502,7 +603,7 @@ def test_table_group_power_and_orders(G, orders):
     table = [[idx(G.multiply(x, y)) for y in els] for x in els]
     assert products.tolist() == [v for row in table for v in row]
     for x, el in enumerate(els):
-        assert G.rightmul_array(x).tolist() == [row[x] for row in table]
+        assert rightmul(G, x).tolist() == [row[x] for row in table]
         conj = [idx(G.multiply(G.multiply(G.invert(el), a), el)) for a in els]
         assert G.conjugation_array(x, threads=1).tolist() == conj
     assert G.invert_index_array(everyone).tolist() == [idx(G.invert(x)) for x in els]
@@ -551,7 +652,7 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     for x_idx in rng.sample(range(G.N), 2):
         x = G.to_element(x_idx)
         x_inv = G.invert(x)
-        assert agrees(G.rightmul_array(x_idx, threads=2), lambda a: G.multiply(a, x))
+        assert agrees(rightmul(G, x_idx, threads=2), lambda a: G.multiply(a, x))
         assert agrees(G.conjugation_array(x_idx, threads=2),
                       lambda a: G.multiply(G.multiply(x_inv, a), x))
     x_idx = positions[len(positions) // 2]
@@ -559,7 +660,7 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for sweep in (lambda t: G.pow_index_array(params.p, t),
-                      lambda t: G.rightmul_array(x_idx, t),
+                      lambda t: rightmul(G, x_idx, t),
                       lambda t: G.conjugation_array(x_idx, t)):
             single = sweep(1)
             assert np.array_equal(single, sweep(2))
@@ -605,7 +706,7 @@ def test_sweep_equals_the_per_element_kernels(params, chunk, monkeypatch):
     for threads in (1, 2):
         for n, expected in powers.items():
             assert np.array_equal(G.pow_index_array(n, threads), expected), n
-        assert np.array_equal(G.rightmul_array(x_idx, threads), right)
+        assert np.array_equal(rightmul(G, x_idx, threads), right)
         assert np.array_equal(G.conjugation_array(x_idx, threads), conjugates[x_idx])
         got = G.conjugation_arrays(threads)
         assert len(got) == len(G.generators) == 2
