@@ -3,7 +3,7 @@
 Every report is built as one plain dict and rendered to text, JSON or
 CSV.  Output is byte-deterministic for fixed arguments and seed: keys
 are sorted, CSV uses a fixed line terminator, and nothing derived from
-wall time or worker scheduling is printed.
+wall time is printed.
 
 Exit codes: 0 for a completed run (a non-FSZ finding is a result, not a
 failure), 1 for usage or input errors, 2 when an internal verification
@@ -17,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 
@@ -70,9 +69,10 @@ def build_parser() -> _Parser:
         "--format", choices=("text", "json", "csv"), default="text",
         help="output format (default text)",
     )
+    # Inert; perfbench/workloads.py:_cli appends it to every call.
     common.add_argument(
         "--threads", type=_positive_int, default=None,
-        help="worker count (default: FSZ_FORGE_THREADS or all cores)",
+        help="accepted for compatibility; it changes nothing",
     )
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument(
@@ -254,9 +254,7 @@ def _do_count(args: argparse.Namespace) -> tuple[dict, int]:
             f"the limit {args.limit}"
         )
     if brute_feasible:
-        brute = gncount.gn_count_bruteforce(
-            G, args.n, u, g, threads=args.threads, limit=args.limit
-        )
+        brute = gncount.gn_count_bruteforce(G, args.n, u, g, limit=args.limit)
     if structured is None and brute is None:
         raise EnumerationLimitError(
             f"no counter applies: n = {args.n} differs from p^j = {params.n} and "
@@ -305,16 +303,10 @@ def _do_fsz(args: argparse.Namespace) -> tuple[dict, int]:
     reduction = not args.no_reduction
 
     if args.n is not None:
-        verdicts = [
-            fszcheck.check_fsz_n(
-                G, args.n, reduction=reduction, limit=args.limit, threads=args.threads
-            )
-        ]
+        verdicts = [fszcheck.check_fsz_n(G, args.n, reduction=reduction, limit=args.limit)]
         overall = None
     else:
-        verdicts = fszcheck.check_fsz(
-            G, reduction=reduction, limit=args.limit, threads=args.threads
-        )
+        verdicts = fszcheck.check_fsz(G, reduction=reduction, limit=args.limit)
         overall = all(v.is_fsz for v in verdicts)
 
     rows = []
@@ -375,9 +367,7 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
     params = GroupParams(5, 1)
     G = SpjGroup(params)
     u, g, g2 = fszcheck._designated_pair(params)
-    brute = gncount.gn_count_bruteforce_many(
-        G, params.n, u, [g, g2], threads=args.threads, limit=args.limit
-    )
+    brute = gncount.gn_count_bruteforce_many(G, params.n, u, [g, g2], limit=args.limit)
     s1 = gncount.gn_count_structured(params, u, g)
     s2 = gncount.gn_count_structured(params, u, g2)
     agree = brute[0].count == s1.count and brute[1].count == s2.count
@@ -385,7 +375,7 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         f"counts ({s1.count}, {s2.count})")
 
     params31 = GroupParams(3, 1)
-    verdicts = fszcheck.check_fsz(SpjGroup(params31), limit=args.limit, threads=args.threads)
+    verdicts = fszcheck.check_fsz(SpjGroup(params31), limit=args.limit)
     add("fsz_overall", params31.describe(), all(v.is_fsz for v in verdicts),
         ", ".join(v.verdict for v in verdicts))
 
@@ -427,14 +417,6 @@ def run(argv: list[str] | None = None) -> int:
             print("error: fsz needs either --p and --j, or --table FILE",
                   file=sys.stderr)
             return 1
-    if args.threads is None:
-        env = os.environ.get("FSZ_FORGE_THREADS", "").strip()
-        try:
-            env_threads = int(env) if env.isdigit() else 0
-        except ValueError:  # past int()'s digit limit, or a digit like '²': ignored
-            env_threads = 0
-        if env_threads >= 1:
-            args.threads = env_threads
     try:
         report, status = _DISPATCH[args.subcommand](args)
     except (ParameterError, ElementSyntaxError, TableError, EnumerationLimitError,

@@ -143,7 +143,7 @@ def residue_witness_classes(og: int, N: int) -> list[int]:
     return out
 
 
-def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list[int]]:
+def conjugacy_class_reps(G) -> tuple[list[int], list[int]]:
     """Smallest-index representatives of the conjugacy classes, and their sizes.
 
     G.conjugation_arrays gives, per generator c, the permutation
@@ -162,7 +162,7 @@ def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list
     - so the class minimum m has label[m] <= m, and the constant label
       of the class, lying in it, is m.
     """
-    perms = G.conjugation_arrays(threads)
+    perms = G.conjugation_arrays()
     label = np.arange(G.N)
     total, before = int(label.sum()), None
     while total != before:
@@ -180,7 +180,7 @@ def conjugacy_class_reps(G, threads: int | None = None) -> tuple[list[int], list
 _CLASS_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _class_table(G, threads: int | None) -> tuple[np.ndarray, ...]:
+def _class_table(G) -> tuple[np.ndarray, ...]:
     """The class table as five int64 columns: reps, cent, tstart, tm, tidx.
 
     Row i is the class of reps[i], with cent[i] = |G| / |class| the size
@@ -191,8 +191,8 @@ def _class_table(G, threads: int | None) -> tuple[np.ndarray, ...]:
     table = _CLASS_TABLES.get(G)
     if table is not None:
         return table
-    reps, sizes = (np.array(x, dtype=np.int64) for x in conjugacy_class_reps(G, threads))
-    orders = element_orders(G, threads)[reps]
+    reps, sizes = (np.array(x, dtype=np.int64) for x in conjugacy_class_reps(G))
+    orders = element_orders(G)[reps]
     # The residues depend only on the order: one list, and one row mask, per order.
     by_order = [
         (orders == og, residue_witness_classes(og, G.N))
@@ -220,22 +220,22 @@ def _class_table(G, threads: int | None) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _reference_rows(G, threads: int | None) -> tuple[np.ndarray, ...]:
+def _reference_rows(G) -> tuple[np.ndarray, ...]:
     """The columns of _class_table with every element as its own row and
     scalar G.power targets.  Only a row without targets gets its
     centralizer size here; _generic_scan writes the others as it builds
     their centralizers, into these fresh, uncached columns."""
-    ms = [residue_witness_classes(og, G.N) for og in element_orders(G, threads).tolist()]
+    ms = [residue_witness_classes(og, G.N) for og in element_orders(G).tolist()]
     tidx = [G.from_element(G.power(G.to_element(g), m)) for g, row in enumerate(ms) for m in row]
-    cent = [0 if row else _centralizer_indices(G, g, threads).size for g, row in enumerate(ms)]
+    cent = [0 if row else _centralizer_indices(G, g).size for g, row in enumerate(ms)]
     tstart = np.cumsum([0] + [len(row) for row in ms])
     tm = [m for row in ms for m in row]
     return tuple(np.array(c, dtype=np.int64) for c in (range(G.N), cent, tstart, tm, tidx))
 
 
-def _centralizer_indices(G, g_idx: int, threads: int | None) -> np.ndarray:
+def _centralizer_indices(G, g_idx: int) -> np.ndarray:
     """The a with g^-1 a g = a, ascending."""
-    return np.flatnonzero(G.conjugation_array(g_idx, threads) == np.arange(G.N))
+    return np.flatnonzero(G.conjugation_array(g_idx) == np.arange(G.N))
 
 
 def _power_buckets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +271,10 @@ def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerdict:
-    order, starts = _power_buckets(G.pow_index_array(n, threads))
+def _generic_scan(G, n: int, *, reduction: bool) -> FszVerdict:
+    order, starts = _power_buckets(G.pow_index_array(n))
     columns = _class_table if reduction else _reference_rows
-    reps, cent, tstart, tm, tidx = columns(G, threads)
+    reps, cent, tstart, tm, tidx = columns(G)
     ntargets = np.diff(tstart)
     live = ntargets > 0  # orders 1 and 2 leave no m with a new power g^m
     if reduction:
@@ -313,7 +313,7 @@ def _generic_scan(G, n: int, *, reduction: bool, threads: int | None) -> FszVerd
             if reduction and np.array_equal(hist_t, hist_g):
                 continue  # rule 2: equal on G, hence on C(g)
             if counts_g is None:
-                centralizer = _centralizer_indices(G, g_idx, threads)
+                centralizer = _centralizer_indices(G, g_idx)
                 if not reduction:
                     cent[i] = centralizer.size
                 elif centralizer.size != cent[i]:
@@ -464,7 +464,6 @@ def check_fsz_n(
     *,
     reduction: bool = True,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: int | None = None,
 ) -> FszVerdict:
     """Decide FSZ_n for one n, with a witness when the answer is no."""
     if n < 1:
@@ -477,7 +476,7 @@ def check_fsz_n(
             f"order {G.order()} exceeds {NO_REDUCTION_LIMIT}"
         )
     _guard(G, limit)
-    return _generic_scan(G, n, reduction=reduction, threads=threads)
+    return _generic_scan(G, n, reduction=reduction)
 
 
 def check_fsz(
@@ -485,7 +484,6 @@ def check_fsz(
     *,
     reduction: bool = True,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    threads: int | None = None,
 ) -> list[FszVerdict]:
     """Verdicts for every n dividing the exponent e, ascending.
 
@@ -496,12 +494,9 @@ def check_fsz(
     G_d(u, g^v), and as g runs over C(u) so does h = g^v, with g^m
     matching h^m: FSZ_n holds exactly when FSZ_d does.
     """
-    e = exponent(G, limit=limit, threads=threads)
+    e = exponent(G, limit=limit)
     divisors = sorted(d for d in range(1, e + 1) if e % d == 0)
-    return [
-        check_fsz_n(G, n, reduction=reduction, limit=limit, threads=threads)
-        for n in divisors
-    ]
+    return [check_fsz_n(G, n, reduction=reduction, limit=limit) for n in divisors]
 
 
 def spj_witness(params: GroupParams) -> FszVerdict:
@@ -510,41 +505,21 @@ def spj_witness(params: GroupParams) -> FszVerdict:
     For p > 3 the first count must be 0 and the second positive, which
     certifies non-FSZ_{p^j} with m = 2; anything else is a hard error.
     For p = 3 both counts are reported without asserting an inequality.
+    Unequal counts are a witness with m = 2; equal counts are inconclusive.
     """
-    G = SpjGroup(params)
     u, g, g2 = _designated_pair(params)
-    c1 = gn_count_structured(params, u, g)
-    c2 = gn_count_structured(params, u, g2)
-    stats = {
-        "count_designated": c1.count,
-        "count_designated_square": c2.count,
-        "pairs_examined": 1,
-    }
-    if params.p > 3:
-        if c1.count != 0 or c2.count <= 0:
-            raise VerificationError(
-                f"designated pair of {params.describe()} gave counts "
-                f"({c1.count}, {c2.count}); expected (0, positive)"
-            )
-        return FszVerdict(
-            group=G.describe(),
-            n=params.n,
-            verdict=f"non-FSZ_{params.n}",
-            witness=FszWitness(u, g, 2, c1.count, c2.count),
-            statistics=stats,
+    c1 = gn_count_structured(params, u, g).count
+    c2 = gn_count_structured(params, u, g2).count
+    if params.p > 3 and (c1 != 0 or c2 <= 0):
+        raise VerificationError(
+            f"designated pair of {params.describe()} gave counts "
+            f"({c1}, {c2}); expected (0, positive)"
         )
-    if c1.count != c2.count:
-        return FszVerdict(
-            group=G.describe(),
-            n=params.n,
-            verdict=f"non-FSZ_{params.n}",
-            witness=FszWitness(u, g, 2, c1.count, c2.count),
-            statistics=stats,
-        )
+    differ = c1 != c2
     return FszVerdict(
-        group=G.describe(),
+        group=SpjGroup(params).describe(),
         n=params.n,
-        verdict="inconclusive (designated pair counts equal)",
-        witness=None,
-        statistics=stats,
+        verdict=f"non-FSZ_{params.n}" if differ else "inconclusive (designated pair counts equal)",
+        witness=FszWitness(u, g, 2, c1, c2) if differ else None,
+        statistics={"count_designated": c1, "count_designated_square": c2, "pairs_examined": 1},
     )

@@ -26,8 +26,8 @@ implement it, and the counters and scans take the group itself:
   indices 0..N-1;
 - index arrays.  A family supplies generators, a tuple of the indices of
   a generating set (a_1 and b for S(p,j)), two index kernels,
-  mul_index_arrays(a, b) and invert_index_array(a), and _sweep(f,
-  threads), the index of f(a) for every a.  The base spgroup.IndexGroup
+  mul_index_arrays(a, b) and invert_index_array(a), and _sweep(f), the
+  index of f(a) for every a.  The base spgroup.IndexGroup
   writes every whole-group map once on these: power_indices(a, n),
   pow_index_array(n), conjugation_array(x), the index array of
   x^-1 a x, and conjugation_arrays(), one per generator.  It also
@@ -39,7 +39,6 @@ implement it, and the counters and scans take the group itself:
   evaluates f on probe rows and extends it by an affine pass, so it is
   exact only for word maps: products of a, a^-1 and fixed elements,
   powers included.
-  Methods that sweep the whole group take a per-call threads count.
   Element orders come from pow_index_array alone, and the exponent's
   certificate from common_fibers.
 """
@@ -150,7 +149,7 @@ class TableGroup(IndexGroup):
     def invert_index_array(self, idx: np.ndarray) -> np.ndarray:
         return self.inverse[idx]
 
-    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
+    def _sweep(self, f) -> np.ndarray:
         """Index of f(a) for every a, by evaluating f on every index."""
         return f(np.arange(self.N))
 
@@ -407,7 +406,7 @@ def gn_count_bruteforce_many(
     u,
     targets: Sequence,
     *,
-    threads: int | None = None,
+    threads: int | None = None,  # accepted and unused: perfbench/workloads.py:_recount passes it
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[GnCount]:
     """Every element counted against several targets g at once.
@@ -424,9 +423,7 @@ def gn_count_bruteforce_many(
         return G.power_indices(G.mul_index_arrays(a, np.full(len(a), uinv)), n)
 
     tgt = [G.from_element(g) for g in targets]
-    found = G.common_fibers(
-        [lambda a: G.power_indices(a, n), shifted_power], tgt, MAX_WITNESSES, threads
-    )
+    found = G.common_fibers([lambda a: G.power_indices(a, n), shifted_power], tgt, MAX_WITNESSES)
     return [
         GnCount(
             n=n,
@@ -446,12 +443,11 @@ def gn_count_bruteforce(
     u,
     g,
     *,
-    threads: int | None = None,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> GnCount:
     """|G_n(u,g)|, counting every element of G: by the slice rule on
     S(p,j), by the word maps on a table."""
-    return gn_count_bruteforce_many(G, n, u, [g], threads=threads, limit=limit)[0]
+    return gn_count_bruteforce_many(G, n, u, [g], limit=limit)[0]
 
 
 @lru_cache(maxsize=None)
@@ -556,7 +552,7 @@ def _prime_factors(n: int) -> list[int]:
 _ELEMENT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def element_orders(G, threads: int | None = None) -> np.ndarray:
+def element_orders(G) -> np.ndarray:
     """The order of every element, as a read-only array over the indices 0..N-1.
 
     Every order divides N = |G| (Lagrange).  For each prime q of N, with
@@ -578,8 +574,8 @@ def element_orders(G, threads: int | None = None) -> np.ndarray:
         v, rest = 0, N
         while rest % q == 0:
             v, rest = v + 1, rest // q
-        x = G.pow_index_array(rest, threads) if rest > 1 else np.arange(N)
-        P = G.pow_index_array(q, threads)
+        x = G.pow_index_array(rest) if rest > 1 else np.arange(N)
+        P = G.pow_index_array(q)
         for _ in range(v):
             live = x != one
             orders[live] *= q
@@ -594,16 +590,14 @@ def element_orders(G, threads: int | None = None) -> np.ndarray:
     return orders
 
 
-def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT, threads: int | None = None) -> int:
+def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Least common multiple of all element orders, certified by fiber counts:
     x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
     _guard(G, limit)
-    e = math.lcm(*_distinct_values(element_orders(G, threads)).tolist())
+    e = math.lcm(*_distinct_values(element_orders(G)).tolist())
 
     def kills(k: int) -> bool:
-        [(count, _)] = G.common_fibers(
-            [lambda a: G.power_indices(a, k)], [G.identity_index], 0, threads
-        )
+        [(count, _)] = G.common_fibers([lambda a: G.power_indices(a, k)], [G.identity_index], 0)
         return count == G.N
 
     if not kills(e) or any(kills(e // q) for q in _prime_factors(e)):

@@ -21,7 +21,7 @@ in mat_apply alike, is below dim * top_modulus^2, which GroupParams keeps
 below 2^62 (under the default dimension guard of 512 the worst case,
 S(509,1), reaches about 3.4e13).  The constructor reduces each result,
 and a matrix re-checks the invariant on its array.  Values are immutable
-after construction and safe to share between workers.
+after construction.
 """
 
 from __future__ import annotations

@@ -11,9 +11,7 @@ which is the structured route the counting layer depends on.
 from __future__ import annotations
 
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -358,18 +356,12 @@ def _distinct_values(a: np.ndarray) -> np.ndarray:
     return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
-def _default_threads(threads: int | None) -> int:
-    if threads is not None and threads >= 1:
-        return threads
-    return max(1, os.cpu_count() or 1)
-
-
 class IndexGroup:
     """The whole-group maps on enumeration indices, written once for every family.
 
     A family supplies N, identity_index, generators (the indices of a
     generating set), the index kernels mul_index_arrays(a, b) and
-    invert_index_array(a), and _sweep(f, threads): the index of f(a) for
+    invert_index_array(a), and _sweep(f): the index of f(a) for
     every a, where f maps an index array entrywise by a word map, a
     product of a, a^-1 and fixed elements.  Every map below is such a word,
     and common_fibers takes only such words.
@@ -382,19 +374,17 @@ class IndexGroup:
         one = np.full(len(a), self.identity_index, dtype=np.int64)
         return square_and_multiply(a, n, self.mul_index_arrays, one)
 
-    def pow_index_array(self, n: int, threads: int | None = None) -> np.ndarray:
+    def pow_index_array(self, n: int) -> np.ndarray:
         """Index of a^n for every a."""
-        return self._sweep(lambda a: self.power_indices(a, n), threads)
+        return self._sweep(lambda a: self.power_indices(a, n))
 
-    def common_fibers(
-        self, words, targets, first: int, threads: int | None = None
-    ) -> list[tuple[int, list[int]]]:
+    def common_fibers(self, words, targets, first: int) -> list[tuple[int, list[int]]]:
         """For each target index t, |{a : f(a) = t for every f in words}|
         and the first `first` such a, ascending.
 
         Each word map is swept once, and its map read per target.
         """
-        maps = [self._sweep(f, threads) for f in words]
+        maps = [self._sweep(f) for f in words]
         out = []
         for t in targets:
             hits = np.flatnonzero(maps[0] == t)
@@ -403,7 +393,7 @@ class IndexGroup:
             out.append((len(hits), hits[:first].tolist()))
         return out
 
-    def conjugation_array(self, x: int, threads: int | None = None) -> np.ndarray:
+    def conjugation_array(self, x: int) -> np.ndarray:
         """Index of x^-1 a x for every a."""
         x_inv = self.invert_index_array(np.array([x]))[0]
 
@@ -411,11 +401,11 @@ class IndexGroup:
             left = self.mul_index_arrays(np.full(len(a), x_inv), a)
             return self.mul_index_arrays(left, np.full(len(a), x))
 
-        return self._sweep(conj, threads)
+        return self._sweep(conj)
 
-    def conjugation_arrays(self, threads: int | None = None) -> list[np.ndarray]:
+    def conjugation_arrays(self) -> list[np.ndarray]:
         """conjugation_array(c) for every c in generators."""
-        return [self.conjugation_array(c, threads) for c in self.generators]
+        return [self.conjugation_array(c) for c in self.generators]
 
 
 class SpjGroup(IndexGroup):
@@ -590,7 +580,7 @@ class SpjGroup(IndexGroup):
 
         return s, images
 
-    def _sweep(self, f, threads: int | None = None) -> np.ndarray:
+    def _sweep(self, f) -> np.ndarray:
         """Index of f(a) for every a; f maps index arrays by a word map.
 
         Exact only for word maps, by the affine lemma of _slices: the image
@@ -600,10 +590,9 @@ class SpjGroup(IndexGroup):
         entry is below 2 m_i w_i <= 2A, and one compare-and-subtract of
         m_i w_i gives w_i times coordinate i of the image.  Their sum plus
         s(k) A is the image's index: no element is reduced by division or
-        encoded.  A chunk of _CHUNK // L head rows takes this pass once per
-        coordinate, straight into its slice of the result.  One job per
-        b-exponent builds its tables once and writes its own slice, so the
-        result does not depend on the worker count.
+        encoded.  Each b-exponent builds its tables once, and a chunk of
+        _CHUNK // L head rows takes this pass once per coordinate, straight
+        into its slice of the result.
         """
         d, bo, A = self.params.dim, self.params.b_order, self._abelian
         m, w = self.params.row_moduli, self._place_values
@@ -613,12 +602,11 @@ class SpjGroup(IndexGroup):
         wrap = (m * w).astype(np.uint64)
         out = np.empty(self.N, dtype=np.int64)
         flat = out.view(np.uint64)
-
-        def job(k: int) -> None:
+        x = np.empty((rows, L), dtype=np.uint64)
+        y = np.empty_like(x)
+        for k in range(bo):
             head, tail = (np.ascontiguousarray((t * w).T, dtype=np.uint64) for t in images(k))
             base = np.uint64(int(s[k]) * A)
-            x = np.empty((rows, L), dtype=np.uint64)
-            y = np.empty_like(x)
             for h in range(0, len(heads), rows):
                 r = min(rows, len(heads) - h)
                 lo = k * A + h * L
@@ -631,21 +619,11 @@ class SpjGroup(IndexGroup):
                     np.subtract(xr, wrap[i], out=yr)
                     np.minimum(xr, yr, out=xr)
                     acc += xr
-
-        threads = _default_threads(threads)
-        if threads <= 1 or self.N <= _CHUNK:
-            for k in range(bo):
-                job(k)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(job, range(bo)))  # reading each result re-raises a worker's error
         return out
 
-    def common_fibers(
-        self, words, targets, first: int, threads: int | None = None
-    ) -> list[tuple[int, list[int]]]:
+    def common_fibers(self, words, targets, first: int) -> list[tuple[int, list[int]]]:
         """IndexGroup.common_fibers matched on the tables of _slices; no
-        array of length N is built, and threads is not used.
+        array of length N is built.
 
         Element (h, l) of b-exponent k lies in the fiber of every word over
         t = (t_v, t_k) iff s(k) = t_k for every word, and for every word

@@ -211,6 +211,28 @@ def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
     assert after == before
 
 
+def test_cli_runs_start_no_worker_pool():
+    # The sweeps are serial: neither a count nor a scan of S(3,2), whose
+    # N = 531441 spans many sweep chunks, imports concurrent.futures, and
+    # --threads is accepted without effect.
+    script = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = 'concurrent.futures' in sys.modules\n"
+        "from fsz_forge.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run(['fsz', '--p', '3', '--j', '2', '--n', '1', '--threads', '2']),\n"
+        "             run(['count', '--p', '7', '--j', '1', '--n', '7', '--u', 'b a1',\n"
+        "                  '--g', 'a1^14', '--threads', '2'])]\n"
+        "print(*codes, before, 'concurrent.futures' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    *codes, before, after = done.stdout.split()
+    assert codes == ["0", "0"], done.stderr
+    assert after == before
+
+
 def test_fsz_table_input(tmp_path, capsys):
     path = tmp_path / "z6.json"
     path.write_text(json.dumps({"order": 6, "table": tf.cyclic(6), "name": "Z6"}))
@@ -316,27 +338,6 @@ def test_verification_failure_exits_2(capsys, monkeypatch):
     code, _, err = _run(capsys, "witness", "--p", "5", "--j", "1")
     assert code == 2
     assert "verification failure:" in err
-
-
-def test_threads_env_variable_is_honored(capsys, monkeypatch):
-    monkeypatch.setenv("FSZ_FORGE_THREADS", "2")
-    code, out, _ = _run(
-        capsys,
-        "count", "--p", "3", "--j", "1", "--n", "3", "--u", "b a1", "--g", "a1^3",
-    )
-    assert code == 0
-    assert "counters_agree" in out
-
-
-@pytest.mark.parametrize("value", ["9" * 5000, "\u00b2"], ids=["5000 nines", "superscript two"])
-def test_threads_env_variable_int_cannot_read_is_ignored(capsys, monkeypatch, value):
-    # Ignored, as a non-numeric value is: the run uses the default worker count.
-    argv = ("count", "--p", "3", "--j", "1", "--n", "3", "--u", "b a1", "--g", "a1^3")
-    monkeypatch.setenv("FSZ_FORGE_THREADS", "many")
-    want = _run(capsys, *argv)
-    monkeypatch.setenv("FSZ_FORGE_THREADS", value)
-    assert _run(capsys, *argv) == want
-    assert want[0] == 0
 
 
 def test_selftest_grid_passes(capsys):

@@ -147,15 +147,14 @@ def test_conjugacy_class_reps_of_the_trivial_group():
 
 def test_conjugacy_class_reps_on_s32():
     G = SpjGroup(GroupParams(3, 2))
-    reps, sizes = conjugacy_class_reps(G, threads=1)
+    reps, sizes = conjugacy_class_reps(G)
     assert len(reps) == 6705
     assert sum(sizes) == G.N == 531441
     assert reps == sorted(reps) and reps[0] == 0
-    assert conjugacy_class_reps(G, threads=2) == (reps, sizes)
     # Orbit-stabilizer, with centralizers from conjugation by each rep
     # itself rather than from the generator arrays.
     for i in random.Random(32).sample(range(len(reps)), 30):
-        assert sizes[i] * _centralizer_indices(G, reps[i], 2).size == G.N
+        assert sizes[i] * _centralizer_indices(G, reps[i]).size == G.N
 
 
 @pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])
@@ -167,7 +166,7 @@ def test_conjugacy_class_reps_from_a1_b_equal_those_from_every_generator(params,
     full = [generator_a(params, i) for i in range(1, params.dim + 1)] + [generator_b(params)]
     H = SpjGroup(params)
     arrays = [H.conjugation_array(H.from_element(c)) for c in full]
-    monkeypatch.setattr(H, "conjugation_arrays", lambda threads=None: arrays)
+    monkeypatch.setattr(H, "conjugation_arrays", lambda: arrays)
     assert conjugacy_class_reps(H) == expected
 
 
@@ -180,7 +179,7 @@ def test_conjugacy_class_reps_ignore_the_generator_order(make, monkeypatch):
     G = make()
     expected = conjugacy_class_reps(G)
     forward = G.conjugation_arrays
-    monkeypatch.setattr(G, "conjugation_arrays", lambda threads=None: forward(threads)[::-1])
+    monkeypatch.setattr(G, "conjugation_arrays", lambda: forward()[::-1])
     assert conjugacy_class_reps(G) == expected
 
 
@@ -195,7 +194,7 @@ def test_centralizer_is_the_scalar_commutant(make):
     els = [G.to_element(i) for i in range(G.N)]
     for g_idx, g in enumerate(els):
         commutant = [i for i, a in enumerate(els) if G.multiply(a, g) == G.multiply(g, a)]
-        assert _centralizer_indices(G, g_idx, 1).tolist() == commutant
+        assert _centralizer_indices(G, g_idx).tolist() == commutant
 
 
 def test_centralizer_size_must_match_the_class_size(monkeypatch):
@@ -245,7 +244,7 @@ def test_generic_scan_finds_the_5_1_witness():
     # check_fsz_n takes the structured route at n = p^j.  No smaller group
     # in these tests makes the generic scan compare on a centralizer.
     G = SpjGroup(P51)
-    verdict = _generic_scan(G, 5, reduction=True, threads=None)
+    verdict = _generic_scan(G, 5, reduction=True)
     assert verdict.as_dict(G.describe_element) == {
         "group": "S(5,1) (order 15625)",
         "n": 5,
@@ -442,7 +441,7 @@ def test_histogram_budget_changes_no_output(name, fake, monkeypatch):
         monkeypatch.setattr(fz, "_HIST_BUDGET", budget)
         G = make()
         outputs.append([
-            fz._generic_scan(G, n, reduction=True, threads=1).as_dict(G.describe_element)
+            fz._generic_scan(G, n, reduction=True).as_dict(G.describe_element)
             for n in range(1, exponent(G) + 1)
         ])
         builds.append(len(built))

@@ -3,7 +3,6 @@
 import json
 import math
 import random
-import sys
 from contextlib import nullcontext
 from unittest import mock
 
@@ -47,9 +46,9 @@ def _designated(params):
     return u, g, g2
 
 
-def rightmul(G, x, threads=None):
+def rightmul(G, x):
     """Index of a*x for every a, swept as a word map."""
-    return G._sweep(lambda a: G.mul_index_arrays(a, np.full(len(a), x)), threads)
+    return G._sweep(lambda a: G.mul_index_arrays(a, np.full(len(a), x)))
 
 
 def count_words(G, n, u_idx):
@@ -148,15 +147,6 @@ def test_bruteforce_many_matches_singles():
     assert many[1].witnesses == gn_count_bruteforce(G, 5, u, g2).witnesses
 
 
-def test_bruteforce_is_thread_count_independent():
-    u, _, g2 = _designated(P51)
-    G = SpjGroup(P51)
-    one = gn_count_bruteforce(G, 5, u, g2, threads=1)
-    eight = gn_count_bruteforce(G, 5, u, g2, threads=8)
-    assert one.count == eight.count
-    assert one.witnesses == eight.witnesses
-
-
 @pytest.mark.parametrize(
     "params, draws, sets",
     [(P31, 3, 3), (P51, 3, 3), (GroupParams(3, 2), 2, 3), (GroupParams(7, 1), 1, 1)],
@@ -170,7 +160,7 @@ def test_common_fibers_match_the_base_route(params, draws, sets, monkeypatch):
     divides n), b (whose b-exponent 1 is no s(k) when p divides n), and
     the images a^n and (a u^-1)^n of a random a.  The two words of
     G_n(u, g) are matched, and on the smaller groups also the first alone
-    and the two with (u a)^n, at one and at three threads.
+    and the two with (u a)^n.
     """
     G = SpjGroup(params)
     rng = random.Random(params.p * 10 + params.j)
@@ -189,8 +179,7 @@ def test_common_fibers_match_the_base_route(params, draws, sets, monkeypatch):
     monkeypatch.setattr(G, "_sweep", mock.Mock(side_effect=AssertionError("swept")))
     nonzero = 0
     for n, words, targets, expected in cases:
-        for threads in (1, 3):
-            assert G.common_fibers(words, targets, 16, threads) == expected, (n, threads)
+        assert G.common_fibers(words, targets, 16) == expected, n
         counts = [count for count, _ in expected]
         nonzero += sum(c > 0 for c in counts)
         if len(words) == 1:
@@ -605,7 +594,7 @@ def test_table_group_power_and_orders(G, orders):
     for x, el in enumerate(els):
         assert rightmul(G, x).tolist() == [row[x] for row in table]
         conj = [idx(G.multiply(G.multiply(G.invert(el), a), el)) for a in els]
-        assert G.conjugation_array(x, threads=1).tolist() == conj
+        assert G.conjugation_array(x).tolist() == conj
     assert G.invert_index_array(everyone).tolist() == [idx(G.invert(x)) for x in els]
     for n in (-1, 2, 3):
         repeated = [idx(tf.repeated_power(G, x, n)) for x in els]
@@ -613,7 +602,7 @@ def test_table_group_power_and_orders(G, orders):
         assert [idx(G.power(x, n)) for x in els] == repeated
 
     scalar = [tf.scalar_order(G, x) for x in els]
-    assert element_orders(G, threads=2).tolist() == scalar
+    assert element_orders(G).tolist() == scalar
     assert exponent(G) == math.lcm(*scalar)
 
 
@@ -629,9 +618,7 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
     at 100, S(5,1) has a tail of 25 vectors, 125 head rows and 4 head rows
     per chunk, so each b-exponent ends in a ragged chunk of one row.  The
     positions include both sides of every chunk start, b-exponent
-    boundaries among them.  One, two and four threads agree, also with a
-    short switch interval that interleaves the workers' writes into the
-    shared output.
+    boundaries among them.
     """
     monkeypatch.setattr(spgroup, "_CHUNK", chunk)
     G = SpjGroup(params)
@@ -648,29 +635,17 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
         return [int(arr[i]) for i in positions] == [G.from_element(scalar(a)) for a in els]
 
     for n in (-1, 2, params.p, params.n, params.top_modulus + 1):
-        assert agrees(G.pow_index_array(n, threads=2), lambda a: G.power(a, n))
+        assert agrees(G.pow_index_array(n), lambda a: G.power(a, n))
     for x_idx in rng.sample(range(G.N), 2):
         x = G.to_element(x_idx)
         x_inv = G.invert(x)
-        assert agrees(rightmul(G, x_idx, threads=2), lambda a: G.multiply(a, x))
-        assert agrees(G.conjugation_array(x_idx, threads=2),
+        assert agrees(rightmul(G, x_idx), lambda a: G.multiply(a, x))
+        assert agrees(G.conjugation_array(x_idx),
                       lambda a: G.multiply(G.multiply(x_inv, a), x))
-    x_idx = positions[len(positions) // 2]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for sweep in (lambda t: G.pow_index_array(params.p, t),
-                      lambda t: rightmul(G, x_idx, t),
-                      lambda t: G.conjugation_array(x_idx, t)):
-            single = sweep(1)
-            assert np.array_equal(single, sweep(2))
-            assert np.array_equal(single, sweep(4))
-    finally:
-        sys.setswitchinterval(interval)
-    orders = element_orders(G, threads=2)
+    orders = element_orders(G)
     assert [int(orders[i]) for i in positions] == [tf.scalar_order(G, a) for a in els]
     assert np.unique(orders).tolist() == [params.p ** i for i in range(params.j + 2)]
-    assert exponent(G, threads=2) == params.top_modulus
+    assert exponent(G) == params.top_modulus
 
 
 @pytest.mark.parametrize(
@@ -703,21 +678,20 @@ def test_sweep_equals_the_per_element_kernels(params, chunk, monkeypatch):
     x_idx = random.Random(12).randrange(G.N)
     right = G.mul_index_arrays(everyone, fixed(x_idx, everyone))
     conjugates = {c: conj(c)(everyone) for c in (*G.generators, x_idx)}
-    for threads in (1, 2):
-        for n, expected in powers.items():
-            assert np.array_equal(G.pow_index_array(n, threads), expected), n
-        assert np.array_equal(rightmul(G, x_idx, threads), right)
-        assert np.array_equal(G.conjugation_array(x_idx, threads), conjugates[x_idx])
-        got = G.conjugation_arrays(threads)
-        assert len(got) == len(G.generators) == 2
-        for perm, c in zip(got, G.generators):
-            assert np.array_equal(perm, conjugates[c]), c
+    for n, expected in powers.items():
+        assert np.array_equal(G.pow_index_array(n), expected), n
+    assert np.array_equal(rightmul(G, x_idx), right)
+    assert np.array_equal(G.conjugation_array(x_idx), conjugates[x_idx])
+    got = G.conjugation_arrays()
+    assert len(got) == len(G.generators) == 2
+    for perm, c in zip(got, G.generators):
+        assert np.array_equal(perm, conjugates[c]), c
 
 
 def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
     G = SpjGroup(P31)
     # i -> i + 1 mod N: every index but 0 needs more than v = 4 steps to reach 0
-    monkeypatch.setattr(G, "pow_index_array", lambda n, threads=None: np.roll(np.arange(G.N), -1))
+    monkeypatch.setattr(G, "pow_index_array", lambda n: np.roll(np.arange(G.N), -1))
     with pytest.raises(VerificationError, match=r"x -> x\^3 on S\(3,1\).* in 4 steps"):
         element_orders(G)
     with pytest.raises(VerificationError, match="in 4 steps"):
@@ -730,6 +704,6 @@ def test_exponent_rejects_a_value_the_power_maps_do_not_certify(wrong, monkeypat
 
     # The exponent of S(3,1) is 9: a_1 has a_1^3 != 1, and x^27 = x^9 = 1 for all x.
     G = SpjGroup(P31)
-    monkeypatch.setattr(gc, "element_orders", lambda G, threads=None: np.full(G.N, wrong))
+    monkeypatch.setattr(gc, "element_orders", lambda G: np.full(G.N, wrong))
     with pytest.raises(VerificationError, match=f"do not certify exponent {wrong}"):
         exponent(G)
