@@ -15,7 +15,6 @@ from .mixedmod import (
     ParameterError,
 )
 from .construction import (
-    VerificationReport,
     build_b,
     build_shift,
     build_y,
@@ -60,7 +59,6 @@ __all__ = [
     "MatrixInvariantError",
     "MixedVector",
     "ParameterError",
-    "VerificationReport",
     "build_b",
     "build_shift",
     "build_y",

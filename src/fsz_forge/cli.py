@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import random
 import sys
 
 from . import construction, fszcheck, gncount, spgroup
+from .construction import CheckResult
 from .mixedmod import (
     GroupParams,
     MatrixInvariantError,
@@ -176,34 +178,23 @@ def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, s
 
 def _do_verify(args: argparse.Namespace) -> tuple[dict, int]:
     params = GroupParams(args.p, args.j)
-    report = construction.verify_construction(params)
-    sample_ok, sample_detail = _power_sample(params, args.samples, args.seed)
-    structure = spgroup.structure_report(params)
-
-    rows = [
-        (check.name, params.describe(), _pass(check.passed, check.detail))
-        for check in report.checks
+    where = params.describe()
+    checks = [
+        *construction.verify_construction(params),
+        CheckResult("power_sample", *_power_sample(params, args.samples, args.seed)),
+        *(dataclasses.replace(c, name=f"structure_{c.name}")
+          for c in spgroup.structure_report(params).checks),
     ]
-    rows.append(("power_sample", params.describe(), _pass(sample_ok, sample_detail)))
-    rows.extend(
-        (f"structure_{check.name}", params.describe(), _pass(check.passed, check.detail))
-        for check in structure.checks
-    )
-    ok = report.all_passed and sample_ok and structure.all_passed
+    ok = all(c.passed for c in checks)
     out = {
         "kind": "verify",
-        "group": params.describe(),
+        "group": where,
         "group_order": params.group_order,
-        "checks": report.as_dict()["checks"]
-        + [{"name": "power_sample", "passed": sample_ok, "detail": sample_detail}]
-        + [
-            {"name": f"structure_{c['name']}", "passed": c["passed"], "detail": c["detail"]}
-            for c in structure.as_dict()["checks"]
-        ],
+        "checks": [dataclasses.asdict(c) for c in checks],
         "all_passed": ok,
-        "head": [f"construction checks for {params.describe()}"],
+        "head": [f"construction checks for {where}"],
         "tail": [f"all checks passed: {'yes' if ok else 'NO'}"],
-        "rows": rows,
+        "rows": [(c.name, where, _pass(c.passed, c.detail)) for c in checks],
     }
     return out, 0 if ok else 2
 
@@ -351,13 +342,12 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
     for p, j in SELFTEST_GRID:
         params = GroupParams(p, j)
         where = params.describe()
-        report = construction.verify_construction(params)
-        add("construction", where, report.all_passed,
-            "" if report.all_passed else "see verify")
-        sample_ok, sample_detail = _power_sample(params, 50, args.seed)
-        add("power_sample", where, sample_ok, sample_detail)
+        passed = all(c.passed for c in construction.verify_construction(params))
+        add("construction", where, passed, "" if passed else "see verify")
+        add("power_sample", where, *_power_sample(params, 50, args.seed))
         structure = spgroup.structure_report(params)
-        add("structure", where, structure.all_passed, f"center order {structure.center_order}")
+        add("structure", where, all(c.passed for c in structure.checks),
+            f"center order {structure.center_order}")
 
         verdict = fszcheck.spj_witness(params)
         expected_witness = p > 3

@@ -27,43 +27,12 @@ from .mixedmod import (
     mat_scale,
 )
 
-CHECK_NAMES = (
-    "b_order_exact",
-    "b_last_power_corner",
-    "y1_block_form",
-    "yp_scaled_block_forms",
-    "shift_power_closed_agrees",
-    "binomial_closed_agrees",
-    "y1_b_fixed_point",
-    "power_divisibility_invariant",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    params: GroupParams
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": {"p": self.params.p, "j": self.params.j},
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed,
-        }
 
 
 def build_b(params: GroupParams) -> EndoMatrix:
@@ -187,8 +156,8 @@ def _is_corner_block(M: EndoMatrix, corner: int) -> bool:
     return bool(A[0, 0] == corner % M.params.top_modulus and not A.ravel()[1:].any())
 
 
-def verify_construction(params: GroupParams) -> VerificationReport:
-    """Cross-check every identity the matrices must satisfy.
+def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
+    """Cross-check every identity the matrices must satisfy, sorted by name.
 
     Checks: (a) the automorphism matrix has multiplicative order exactly
     p^j; (b) the (0,0) entry of B^{p^j-1} is p^j + 1; (c) Y(1) is the
@@ -306,5 +275,4 @@ def verify_construction(params: GroupParams) -> VerificationReport:
         )
     )
 
-    results.sort(key=lambda c: c.name)
-    return VerificationReport(params, tuple(results))
+    return tuple(sorted(results, key=lambda c: c.name))

@@ -55,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .construction import build_b
 from .mixedmod import GroupParams, MixedVector, VerificationError
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -62,7 +63,6 @@ from .spgroup import (
     IndexGroup,
     SElement,
     _distinct_values,
-    b_power_row0,
     t_of_b_exponent,
 )
 
@@ -458,14 +458,18 @@ def structured_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, 
     c = 2 p^j when t(k) = 0 and c = p^j otherwise; only c / p^j matters
     mod p, so its inverse is all the congruence solving needs.
     Both structured routes rest on the lemma that row 0 of every B^m is
-    e_0 mod p; it is checked here on the b_power_row0 rows.
+    e_0 mod p.  Reduction mod p is a ring homomorphism on these matrices,
+    whose rows are reduced mod p^{j+1} or mod p, so row 0 of B^m mod p is
+    e_0 (B mod p)^m; the lemma therefore holds for every m exactly when
+    row 0 of B is e_0 mod p.  The EndoMatrix invariant makes row 0 of B
+    divisible by p^j past column 0, so this comes down to B[0,0] = 1
+    (mod p), which is checked here.
     """
     p = params.p
-    row0 = b_power_row0(params) % p
-    broken = np.nonzero((row0[:, 0] != 1) | row0[:, 1:].any(axis=1))[0]
-    if broken.size:
+    corner = int(build_b(params).array[0, 0])
+    if corner % p != 1:
         raise VerificationError(
-            f"row 0 of B^{int(broken[0])} is not e_0 mod {p}, so the consistency "
+            f"row 0 of B is not e_0 mod {p} (B[0,0] = {corner}), so the consistency "
             f"count is not a function of the class (k, v_0 mod p)"
         )
     t_table = tuple(t_of_b_exponent(params, k) for k in range(params.b_order))

@@ -18,10 +18,10 @@ closed-form binomial entries exceed int64.  Sums, scalings and products
 run on the stored arrays and cannot wrap: every stored entry is below
 top_modulus = p^{j+1}, so a dot product of dim such pairs, in mat_mul and
 in mat_apply alike, is below dim * top_modulus^2, which GroupParams keeps
-below 2^62 (under the default dimension guard of 512 the worst case,
-S(509,1), reaches about 3.4e13).  The constructor reduces each result,
-and a matrix re-checks the invariant on its array.  Values are immutable
-after construction.
+below 2^62 (under the dimension guard DEFAULT_MAX_DIMENSION = 512 the
+worst case, S(509,1), reaches about 3.4e13).  The constructor reduces
+each result, and a matrix re-checks the invariant on its array.  Values
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class GroupParams:
 
     p: int
     j: int
-    max_dim: int = field(default=DEFAULT_MAX_DIMENSION, repr=False, compare=False)
     n: int = field(init=False, compare=False, repr=False)
     dim: int = field(init=False, compare=False, repr=False)
     top_modulus: int = field(init=False, compare=False, repr=False)
@@ -82,19 +81,16 @@ class GroupParams:
     def __post_init__(self) -> None:
         # p^j - 1 >= max(p - 1, 2^j - 1): reject oversized input before the
         # trial division and before p ** j, which both grow without bound.
-        if self.p - 1 > self.max_dim or self.j >= (self.max_dim + 1).bit_length():
-            raise ParameterError(
-                f"dimension p^j - 1 exceeds the size guard {self.max_dim}"
-            )
+        guard = DEFAULT_MAX_DIMENSION
+        if self.p - 1 > guard or self.j >= (guard + 1).bit_length():
+            raise ParameterError(f"dimension p^j - 1 exceeds the size guard {guard}")
         if self.p < 3 or not _is_prime(self.p):
             raise ParameterError(f"p must be an odd prime >= 3, got {self.p}")
         if self.j < 1:
             raise ParameterError(f"j must be a positive integer, got {self.j}")
         n = self.p ** self.j
-        if n - 1 > self.max_dim:
-            raise ParameterError(
-                f"dimension p^j - 1 = {n - 1} exceeds the size guard {self.max_dim}"
-            )
+        if n - 1 > guard:
+            raise ParameterError(f"dimension p^j - 1 = {n - 1} exceeds the size guard {guard}")
         if (n - 1) * (n * self.p) ** 2 >= _INT64_PRODUCT_BOUND:
             raise ParameterError(
                 f"S({self.p},{self.j}) is too large for int64 matrix products"

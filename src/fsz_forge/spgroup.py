@@ -21,7 +21,6 @@ from .construction import CheckResult, b_power_table, build_b, build_y
 from .mixedmod import (
     EndoMatrix,
     GroupParams,
-    MatrixInvariantError,
     MixedVector,
     ParameterError,
     VerificationError,
@@ -71,30 +70,6 @@ def _b_power(params: GroupParams, k: int) -> EndoMatrix:
 @lru_cache(maxsize=None)
 def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
     return build_y(params, t)
-
-
-@lru_cache(maxsize=None)
-def b_power_row0(params: GroupParams) -> np.ndarray:
-    """Row 0 of B^k for every k in 0..p^j-1, as a read-only int64 array.
-
-    Computed by iterated row-vector times matrix products, so the counting
-    layer never needs the full matrix powers for large parameters.  The
-    row stays mod p^{j+1} throughout; its entries in columns >= 1 remain
-    divisible by p^j, which keeps the products lift-independent.
-    """
-    B = build_b(params).array
-    top, pj = params.top_modulus, params.n
-    out = np.zeros((params.b_order, params.dim), dtype=np.int64)
-    out[0, 0] = 1
-    for k in range(1, params.b_order):
-        # GroupParams bounds dim * top^2, so the product fits in int64.
-        out[k] = out[k - 1] @ B % top
-        if (out[k, 1:] % pj).any():
-            raise MatrixInvariantError(
-                f"row 0 of B^{k} is not divisible by p^j = {pj} past column 0"
-            )
-    out.flags.writeable = False
-    return out
 
 
 def t_of_b_exponent(params: GroupParams, k: int) -> int:
@@ -231,28 +206,9 @@ def random_element(params: GroupParams, rng) -> SElement:
 
 @dataclass(frozen=True)
 class StructureReport:
-    params: GroupParams
-    group_order: int
     a1_order: int
     center_order: int
     checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self) -> dict:
-        return {
-            "params": {"p": self.params.p, "j": self.params.j},
-            "group_order": self.group_order,
-            "a1_order": self.a1_order,
-            "center_order": self.center_order,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "all_passed": self.all_passed,
-        }
 
 
 def _commutes(params: GroupParams, x: SElement, y: SElement) -> bool:
@@ -338,13 +294,7 @@ def structure_report(params: GroupParams) -> StructureReport:
     )
 
     checks.sort(key=lambda c: c.name)
-    return StructureReport(
-        params=params,
-        group_order=params.group_order,
-        a1_order=a1_order,
-        center_order=center_order,
-        checks=tuple(checks),
-    )
+    return StructureReport(a1_order, center_order, tuple(checks))
 
 
 def _distinct_values(a: np.ndarray) -> np.ndarray:

@@ -40,9 +40,10 @@ EXPECTED_CHECKS = {
 
 @pytest.mark.parametrize("p,j", GRID)
 def test_verify_construction_grid(p, j):
-    report = verify_construction(GroupParams(p, j))
-    assert report.all_passed
-    names = [c.name for c in report.checks]
+    checks = verify_construction(GroupParams(p, j))
+    assert isinstance(checks, tuple)
+    assert all(c.passed for c in checks)
+    names = [c.name for c in checks]
     assert set(names) == EXPECTED_CHECKS
     assert len(names) == len(set(names))
     assert names == sorted(names)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import tablefixtures as tf
-from fsz_forge.mixedmod import GroupParams
+from fsz_forge.construction import b_power_table, build_b
+from fsz_forge.mixedmod import EndoMatrix, GroupParams
 from fsz_forge.gncount import (
     EnumerationLimitError,
     element_orders,
@@ -37,7 +38,6 @@ from fsz_forge.fszcheck import (
 from fsz_forge.spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     SpjGroup,
-    b_power_row0,
     element_at,
     generator_a,
     generator_b,
@@ -480,7 +480,7 @@ def _per_element_consistency(G) -> np.ndarray:
     """
     params = G.params
     p, pj = params.p, params.n
-    row0 = np.array(b_power_row0(params), dtype=np.int64)
+    row0 = b_power_table(params)[:, 0]
     t_table_t, ic_t = structured_tables(params)
     t_table = np.array(t_table_t, dtype=np.int64)
     ic = np.array(ic_t, dtype=np.int64)
@@ -545,22 +545,25 @@ def test_structured_scan_matches_the_per_element_scan(p, j):
     assert got == _per_element_scan(G).as_dict(G.describe_element)
 
 
-def test_structured_scan_checks_the_row0_premise(monkeypatch):
+def test_structured_scan_checks_the_row0_premise(monkeypatch, capsys):
     import fsz_forge.gncount as gc
+    from fsz_forge.cli import run
 
     def broken(params):
-        rows = b_power_row0(params).copy()
-        rows[2, 0] += 1
-        return rows
+        A = build_b(params).array.copy()
+        A[0, 0] += 1
+        return EndoMatrix(params, A)
 
-    monkeypatch.setattr(gc, "b_power_row0", broken)
+    monkeypatch.setattr(gc, "build_b", broken)
     structured_tables.cache_clear()
     try:
-        with pytest.raises(VerificationError, match="row 0 of B\\^2"):
+        with pytest.raises(VerificationError, match="row 0 of B is not e_0 mod 3"):
             check_fsz_n(SpjGroup(P31), 3)
         u, g, _ = _designated_pair(P31)
-        with pytest.raises(VerificationError, match="row 0 of B\\^2"):
+        with pytest.raises(VerificationError, match="row 0 of B is not e_0 mod 3"):
             gn_count_structured(P31, u, g)
+        assert run(["witness", "--p", "3", "--j", "1"]) == 2
+        assert "row 0 of B is not e_0 mod 3" in capsys.readouterr().err
     finally:
         structured_tables.cache_clear()
 

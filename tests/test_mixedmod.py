@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from fsz_forge import mixedmod
 from fsz_forge.mixedmod import (
     EndoMatrix,
     GroupParams,
@@ -55,11 +56,12 @@ def test_params_reject_oversized_dimension():
         GroupParams(3, 6)
 
 
-def test_params_reject_int64_overflow_at_construction():
+def test_params_reject_int64_overflow_at_construction(monkeypatch):
     # 5407 is the smallest prime p with (p - 1) * p^4 >= 2^62.
+    monkeypatch.setattr(mixedmod, "DEFAULT_MAX_DIMENSION", 10**4)
     with pytest.raises(ParameterError, match="int64"):
-        GroupParams(5407, 1, max_dim=10**4)
-    assert GroupParams(5399, 1, max_dim=10**4).dim == 5398
+        GroupParams(5407, 1)
+    assert GroupParams(5399, 1).dim == 5398
 
 
 def test_vector_reduces_per_row_modulus():
