@@ -32,7 +32,6 @@ from .mixedmod import (
 from .spgroup import ElementSyntaxError, EnumerationLimitError, SpjGroup
 from .gncount import TableError
 
-DEFAULT_LIMIT = spgroup.DEFAULT_ENUMERATION_LIMIT
 SELFTEST_GRID = ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1))
 # Coordinates per block of stacked power-sample rows.
 _SAMPLE_BLOCK = 1 << 16
@@ -53,18 +52,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _limit(text: str) -> int:
-    # No S(p,j) has an order between 10^8 and |S(11,1)| > 3 * 10^12, and
-    # no table that large can be loaded, so a higher guard only invites
-    # scans that cannot fit in memory.
-    value = _positive_int(text)
-    if value > DEFAULT_LIMIT:
-        raise argparse.ArgumentTypeError(
-            f"the enumeration limit is at most {DEFAULT_LIMIT}, got {text}"
-        )
-    return value
-
-
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -77,11 +64,6 @@ def build_parser() -> _Parser:
         help="accepted for compatibility; it changes nothing",
     )
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument(
-        "--limit", type=_limit, default=DEFAULT_LIMIT,
-        help=f"enumeration guard in elements (default and maximum {DEFAULT_LIMIT}); "
-        "verify and witness never enumerate, so it does not change them",
-    )
 
     parser = _Parser(prog="fsz-forge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -103,8 +85,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--u", required=True, metavar="ELT")
     sp.add_argument("--g", required=True, metavar="ELT")
-    sp.add_argument("--brute", action="store_true",
-                    help="require the brute-force scan")
 
     sp = sub.add_parser("fsz", parents=[common], help="decide FSZ_n for a group")
     sp.add_argument("--p", type=_positive_int)
@@ -237,20 +217,14 @@ def _do_count(args: argparse.Namespace) -> tuple[dict, int]:
     structured = None
     if args.n == params.n:
         structured = gncount.gn_count_structured(params, u, g)
-    brute = None
-    brute_feasible = params.group_order <= args.limit
-    if args.brute and not brute_feasible:
-        raise EnumerationLimitError(
-            f"--brute requested but group order {params.group_order} exceeds "
-            f"the limit {args.limit}"
-        )
-    if brute_feasible:
-        brute = gncount.gn_count_bruteforce(G, args.n, u, g, limit=args.limit)
-    if structured is None and brute is None:
-        raise EnumerationLimitError(
-            f"no counter applies: n = {args.n} differs from p^j = {params.n} and "
-            f"group order {params.group_order} exceeds the limit {args.limit}"
-        )
+    try:
+        brute = gncount.gn_count_bruteforce(G, args.n, u, g)
+    except EnumerationLimitError as exc:
+        if structured is None:
+            raise EnumerationLimitError(
+                f"no counter applies: n = {args.n} differs from p^j = {params.n} and {exc}"
+            ) from None
+        brute = None
 
     agree = None
     if structured is not None and brute is not None:
@@ -294,10 +268,10 @@ def _do_fsz(args: argparse.Namespace) -> tuple[dict, int]:
     reduction = not args.no_reduction
 
     if args.n is not None:
-        verdicts = [fszcheck.check_fsz_n(G, args.n, reduction=reduction, limit=args.limit)]
+        verdicts = [fszcheck.check_fsz_n(G, args.n, reduction=reduction)]
         overall = None
     else:
-        verdicts = fszcheck.check_fsz(G, reduction=reduction, limit=args.limit)
+        verdicts = fszcheck.check_fsz(G, reduction=reduction)
         overall = all(v.is_fsz for v in verdicts)
 
     rows = []
@@ -357,7 +331,7 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
     params = GroupParams(5, 1)
     G = SpjGroup(params)
     u, g, g2 = fszcheck._designated_pair(params)
-    brute = gncount.gn_count_bruteforce_many(G, params.n, u, [g, g2], limit=args.limit)
+    brute = gncount.gn_count_bruteforce_many(G, params.n, u, [g, g2])
     s1 = gncount.gn_count_structured(params, u, g)
     s2 = gncount.gn_count_structured(params, u, g2)
     agree = brute[0].count == s1.count and brute[1].count == s2.count
@@ -365,7 +339,7 @@ def _do_selftest(args: argparse.Namespace) -> tuple[dict, int]:
         f"counts ({s1.count}, {s2.count})")
 
     params31 = GroupParams(3, 1)
-    verdicts = fszcheck.check_fsz(SpjGroup(params31), limit=args.limit)
+    verdicts = fszcheck.check_fsz(SpjGroup(params31))
     add("fsz_overall", params31.describe(), all(v.is_fsz for v in verdicts),
         ", ".join(v.verdict for v in verdicts))
 

@@ -61,7 +61,6 @@ from .gncount import (_guard, _prime_factors, _distinct_values, element_orders, 
                       gn_count_structured, structured_tables)
 from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from .spgroup import (
-    DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
     SElement,
     SpjGroup,
@@ -458,33 +457,26 @@ def _designated_pair(params: GroupParams) -> tuple[SElement, SElement, SElement]
     return u, g, g2
 
 
-def check_fsz_n(
-    G,
-    n: int,
-    *,
-    reduction: bool = True,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> FszVerdict:
-    """Decide FSZ_n for one n, with a witness when the answer is no."""
-    if n < 1:
-        raise ParameterError(f"n must be a positive integer, got {n}")
-    if reduction and isinstance(G, SpjGroup) and n == G.params.n:
-        return _structured_full_scan(G)
+def _scan_guard(G, reduction: bool) -> None:
     if not reduction and G.order() > NO_REDUCTION_LIMIT:
         raise EnumerationLimitError(
             f"the no-reduction scan is for cross-validation on tiny groups: "
             f"order {G.order()} exceeds {NO_REDUCTION_LIMIT}"
         )
-    _guard(G, limit)
+    _guard(G)
+
+
+def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
+    """Decide FSZ_n for one n, with a witness when the answer is no."""
+    if n < 1:
+        raise ParameterError(f"n must be a positive integer, got {n}")
+    if reduction and isinstance(G, SpjGroup) and n == G.params.n:
+        return _structured_full_scan(G)
+    _scan_guard(G, reduction)
     return _generic_scan(G, n, reduction=reduction)
 
 
-def check_fsz(
-    G,
-    *,
-    reduction: bool = True,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> list[FszVerdict]:
+def check_fsz(G, *, reduction: bool = True) -> list[FszVerdict]:
     """Verdicts for every n dividing the exponent e, ascending.
 
     FSZ for all n reduces to these n.  Let d = gcd(n, e).  Then n = d w
@@ -492,11 +484,13 @@ def check_fsz(
     mod e/d.  Every order divides e, so a^n = (a^d)^w, and x -> x^w is a
     bijection with inverse x -> x^v, v = w^-1 mod e.  Hence G_n(u, g) =
     G_d(u, g^v), and as g runs over C(u) so does h = g^v, with g^m
-    matching h^m: FSZ_n holds exactly when FSZ_d does.
+    matching h^m: FSZ_n holds exactly when FSZ_d does.  The exponent
+    needs every element, so the scan's guards run before it.
     """
-    e = exponent(G, limit=limit)
+    _scan_guard(G, reduction)
+    e = exponent(G)
     divisors = sorted(d for d in range(1, e + 1) if e % d == 0)
-    return [check_fsz_n(G, n, reduction=reduction, limit=limit) for n in divisors]
+    return [check_fsz_n(G, n, reduction=reduction) for n in divisors]
 
 
 def spj_witness(params: GroupParams) -> FszVerdict:

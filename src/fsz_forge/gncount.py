@@ -4,12 +4,13 @@ Two independent routes are provided on purpose.  The brute-force count
 counts every group element, evaluating both n-th powers with the group's
 own product: on a table by the whole-group maps, on S(p,j) by the slice
 rule of SpjGroup.common_fibers, which matches the affine images of the
-heads and tails of each b-exponent; it works for any enumerable group
-handle.  The structured counter works only for the built-in family at
-n = p^j and never enumerates: membership reduces to one linear
-congruence per b-exponent of the candidate.  Tests hold the two routes
-against each other; nothing here shares intermediate results between
-them.
+heads and tails of each b-exponent; it works for any group of at most
+10^8 elements, the fixed bound that _guard checks before any work.  The
+structured counter works only for the built-in family at n = p^j and
+never enumerates, so no bound applies to it: membership reduces to one
+linear congruence per b-exponent of the candidate.  Tests hold the two
+routes against each other; nothing here shares intermediate results
+between them.
 
 Multiplication tables for external groups enter through validate_table,
 or through load_table_group from a file, and both check the group axioms
@@ -393,10 +394,11 @@ def load_table_group(path: str) -> TableGroup:
         raise TableError(f"{path}: {exc}") from exc
 
 
-def _guard(G, limit: int) -> None:
-    if G.order() > limit:
+def _guard(G) -> None:
+    if G.order() > DEFAULT_ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"group order {G.order()} exceeds the enumeration limit {limit}"
+            f"group order {G.order()} exceeds the enumeration limit "
+            f"{DEFAULT_ENUMERATION_LIMIT}"
         )
 
 
@@ -407,16 +409,16 @@ def gn_count_bruteforce_many(
     targets: Sequence,
     *,
     threads: int | None = None,  # accepted and unused: perfbench/workloads.py:_recount passes it
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> list[GnCount]:
     """Every element counted against several targets g at once.
 
     The two word maps a -> a^n and a -> (a u^-1)^n go to
     G.common_fibers, which counts their common fiber over each target:
     on S(p,j) by matching the slice tables, on a table by the maps
-    themselves.  Witnesses come back in enumeration order.
+    themselves.  Witnesses come back in enumeration order.  A group of
+    more than 10^8 elements raises EnumerationLimitError before any work.
     """
-    _guard(G, limit)
+    _guard(G)
     uinv = int(G.invert_index_array(np.array([G.from_element(u)]))[0])
 
     def shifted_power(a: np.ndarray) -> np.ndarray:
@@ -437,17 +439,10 @@ def gn_count_bruteforce_many(
     ]
 
 
-def gn_count_bruteforce(
-    G,
-    n: int,
-    u,
-    g,
-    *,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> GnCount:
+def gn_count_bruteforce(G, n: int, u, g) -> GnCount:
     """|G_n(u,g)|, counting every element of G: by the slice rule on
-    S(p,j), by the word maps on a table."""
-    return gn_count_bruteforce_many(G, n, u, [g], limit=limit)[0]
+    S(p,j), by the word maps on a table.  Refused past 10^8 elements."""
+    return gn_count_bruteforce_many(G, n, u, [g])[0]
 
 
 @lru_cache(maxsize=None)
@@ -501,7 +496,8 @@ def gn_count_structured(
     u: SElement,
     g: SElement,
 ) -> GnCount:
-    """|G_{p^j}(u, g)| from the congruence analysis; no enumeration.
+    """|G_{p^j}(u, g)| from the congruence analysis; no enumeration, so
+    it runs at any group order.
 
     Any g outside the central cyclic subgroup of p^j-th powers gives 0.
     Inside it, for each b-exponent m of a candidate a the two power
@@ -594,10 +590,10 @@ def element_orders(G) -> np.ndarray:
     return orders
 
 
-def exponent(G, *, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def exponent(G) -> int:
     """Least common multiple of all element orders, certified by fiber counts:
     x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
-    _guard(G, limit)
+    _guard(G)
     e = math.lcm(*_distinct_values(element_orders(G)).tolist())
 
     def kills(k: int) -> bool:

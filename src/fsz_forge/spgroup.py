@@ -33,6 +33,10 @@ from .mixedmod import (
     zero_vector,
 )
 
+# The one enumeration bound, read only by gncount._guard.  No S(p,j) has
+# an order between 10^8 and |S(11,1)| > 3 * 10^12, and no table that large
+# can be loaded, so a higher bound only invites scans that cannot fit in
+# memory.
 DEFAULT_ENUMERATION_LIMIT = 10 ** 8
 _MAX_PARSE_EXPONENT = 2 ** 63
 _MAX_PARSE_DIGITS = len(str(_MAX_PARSE_EXPONENT))
@@ -40,7 +44,7 @@ _CHUNK = 1 << 16
 
 
 class EnumerationLimitError(RuntimeError):
-    """The requested scan exceeds the configured element limit."""
+    """The requested scan exceeds the element limit."""
 
 
 class ElementSyntaxError(ValueError):

@@ -12,7 +12,7 @@ import pytest
 
 import tablefixtures as tf
 from fsz_forge import cli, spgroup
-from fsz_forge.cli import DEFAULT_LIMIT, build_parser, run, serialize_report
+from fsz_forge.cli import build_parser, run, serialize_report
 from fsz_forge.mixedmod import EndoMatrix, GroupParams
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -155,35 +155,27 @@ def test_count_reports_both_counters(capsys):
 
 
 def test_count_structured_only_when_brute_is_infeasible(capsys):
+    # |S(5,2)| = 5^28 is past the enumeration limit
     code, out, _ = _run(
         capsys,
-        "count", "--p", "5", "--j", "1", "--n", "5",
-        "--u", "b a1", "--g", "a1^10", "--limit", "100",
+        "count", "--p", "5", "--j", "2", "--n", "25",
+        "--u", "b a1", "--g", "a1^50",
     )
     assert code == 0
-    assert "count_structured" in out
-    assert "count_bruteforce" not in out
-
-
-def test_count_brute_flag_errors_when_infeasible(capsys):
-    code, out, err = _run(
-        capsys,
-        "count", "--p", "5", "--j", "1", "--n", "5",
-        "--u", "b a1", "--g", "a1^10", "--limit", "100", "--brute",
-    )
-    assert code == 1
-    assert "error:" in err
+    assert [line.split(" [")[0] for line in out.splitlines()[1:]] == [
+        "count_structured", "witnesses_structured",
+    ]
 
 
 def test_count_without_any_feasible_counter_errors(capsys):
     # n != p^j rules out the structured counter; the limit rules out brute force
     code, out, err = _run(
         capsys,
-        "count", "--p", "5", "--j", "1", "--n", "2",
-        "--u", "e", "--g", "e", "--limit", "100",
+        "count", "--p", "5", "--j", "2", "--n", "5", "--u", "e", "--g", "e",
     )
     assert code == 1
-    assert "error:" in err
+    assert out == ""
+    assert "error: no counter applies" in err
 
 
 def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
@@ -305,6 +297,8 @@ def test_fsz_requires_exactly_one_source(capsys, tmp_path):
         ("verify", "--p", "3", "--j", "1000000"),
         ("verify", "--p", "3", "--j", "100000000"),
         ("verify", "--p", "2305843009213693951", "--j", "1"),
+        ("fsz", "--p", "3", "--j", "1", "--limit", "100"),
+        ("count", "--p", "3", "--j", "1", "--n", "3", "--u", "e", "--g", "e", "--brute"),
     ],
 )
 def test_usage_and_input_errors_exit_1(capsys, argv):
@@ -352,22 +346,11 @@ def test_parser_defaults():
     cfg = build_parser().parse_args(["verify", "--p", "3", "--j", "1"])
     assert cfg.format == "text"
     assert cfg.seed == 0
-    assert cfg.limit == DEFAULT_LIMIT
 
 
-def test_limit_above_the_default_is_refused_while_parsing(capsys, monkeypatch):
-    import fsz_forge.cli as cli
-
-    def never(cfg):
-        raise AssertionError("the subcommand must not start")
-
-    monkeypatch.setitem(cli._DISPATCH, "fsz", never)
-    code, out, err = _run(
-        capsys, "fsz", "--p", "3", "--j", "3", "--limit", str(10 ** 16)
-    )
+def test_fsz_past_the_enumeration_limit_exits_1(capsys):
+    # |S(11,1)| = 11^12; the exponent would enumerate it
+    code, out, err = _run(capsys, "fsz", "--p", "11", "--j", "1")
     assert code == 1
     assert out == ""
-    assert f"at most {DEFAULT_LIMIT}" in err
-    assert build_parser().parse_args(
-        ["verify", "--p", "3", "--j", "1", "--limit", str(DEFAULT_LIMIT)]
-    ).limit == DEFAULT_LIMIT
+    assert "exceeds the enumeration limit 100000000" in err

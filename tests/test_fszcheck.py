@@ -465,10 +465,21 @@ def test_check_fsz_flags_s51_at_n_5():
 
 
 def test_check_fsz_n_guards():
-    with pytest.raises(EnumerationLimitError, match="enumeration limit"):
-        check_fsz_n(SpjGroup(P51), 2, limit=100)
+    with pytest.raises(EnumerationLimitError, match="enumeration limit 100000000"):
+        check_fsz_n(SpjGroup(GroupParams(5, 2)), 5)
     with pytest.raises(EnumerationLimitError, match="tiny groups"):
         check_fsz_n(SpjGroup(P51), 5, reduction=False)
+
+
+def test_check_fsz_refuses_before_the_exponent(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    def never(G):
+        raise AssertionError("the exponent must not be computed")
+
+    monkeypatch.setattr(fz, "exponent", never)
+    with pytest.raises(EnumerationLimitError, match="tiny groups"):
+        check_fsz(SpjGroup(P51), reduction=False)
 
 
 def _per_element_consistency(G) -> np.ndarray:

@@ -233,9 +233,10 @@ def test_brute_count_at_7_1_builds_no_whole_group_array():
 
 
 def test_bruteforce_respects_enumeration_limit():
-    u, g, _ = _designated(P51)
-    with pytest.raises(EnumerationLimitError):
-        gn_count_bruteforce(SpjGroup(P51), 5, u, g, limit=100)
+    params = GroupParams(5, 2)
+    u, g, _ = _designated(params)
+    with pytest.raises(EnumerationLimitError, match="enumeration limit 100000000"):
+        gn_count_bruteforce(SpjGroup(params), 5, u, g)
 
 
 def test_count_as_dict_shape():
