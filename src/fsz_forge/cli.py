@@ -20,6 +20,7 @@ import io
 import json
 import random
 import sys
+from functools import lru_cache
 
 from . import construction, fszcheck, gncount, spgroup
 from .construction import CheckResult
@@ -52,6 +53,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument(
@@ -136,7 +138,8 @@ def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, s
     """power_pj against generic square-and-multiply, all b-orders forced.
 
     Element i < j has b-exponent p^i and element j has 0; the rest are
-    uniform.  They are drawn and checked in order, in blocks of at most
+    uniform.  They are drawn as random_element draws them, straight into
+    stacked (V, K) rows, and checked in order, in blocks of at most
     _SAMPLE_BLOCK coordinates, so the first mismatch is reported.
     """
     rng = random.Random(seed)
@@ -144,13 +147,10 @@ def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, s
     total = max(samples, params.j + 1)
     rows = max(1, _SAMPLE_BLOCK // params.dim)
     for start in range(0, total, rows):
-        block = []
-        for i in range(start, min(total, start + rows)):
-            x = spgroup.random_element(params, rng)
-            if i <= params.j:
-                x = spgroup.SElement(x.vec, 0 if i == params.j else params.p ** i)
-            block.append(x)
-        bad = G.first_power_pj_mismatch(block)
+        V, K = spgroup.random_rows(params, rng, min(rows, total - start))
+        for i in range(start, min(start + len(K), params.j + 1)):
+            K[i - start] = 0 if i == params.j else params.p ** i
+        bad = G.first_power_pj_mismatch(V, K)
         if bad is not None:
             return False, f"mismatch at {spgroup.format_element(params, bad)}"
     return True, f"{total} elements, every b-order included"

@@ -53,8 +53,8 @@ def build_shift(params: GroupParams) -> EndoMatrix:
     return mat_add(build_b(params), mat_scale(-1, identity_matrix(params)))
 
 
-def shift_power_closed(params: GroupParams, k: int) -> EndoMatrix:
-    """Closed form for S^k, 1 <= k <= p^j, without any multiplication.
+def _shift_power_array(params: GroupParams, k: int) -> np.ndarray:
+    """The residues of S^k, 1 <= k <= p^j, without any multiplication.
 
     Each power shifts the previous one left a column, zeroes the last
     column and negates whatever enters column 0.  The surviving pattern:
@@ -67,13 +67,18 @@ def shift_power_closed(params: GroupParams, k: int) -> EndoMatrix:
         raise ParameterError(f"k = {k} outside 1..{pj}")
     A = np.zeros((d, d), dtype=np.int64)
     if k <= d - 1:
-        A[0, d - k] = -pj
-        A[k, 0] = -1
+        A[0, d - k] = -pj % params.top_modulus
+        A[k, 0] = params.p - 1
     elif k == d:
         A[0, 0] = pj
     below = np.arange(k + 1, d)
     A[below, below - k] = 1
-    return EndoMatrix(params, A)
+    return A
+
+
+def shift_power_closed(params: GroupParams, k: int) -> EndoMatrix:
+    """Closed form for S^k, 1 <= k <= p^j, as _shift_power_array builds it."""
+    return EndoMatrix(params, _shift_power_array(params, k))
 
 
 def _pascal_rows(params: GroupParams):
@@ -88,14 +93,14 @@ def _pascal_rows(params: GroupParams):
         row = np.append(row[:1], row[1:] + row[:-1]) % params.top_modulus
 
 
-def _binomial_matrix(params: GroupParams, row: np.ndarray) -> EndoMatrix:
-    """The closed form of binomial_entry_closed, filled from row = C(k, .)."""
+def _binomial_array(params: GroupParams, row: np.ndarray) -> np.ndarray:
+    """The reduced residues of binomial_entry_closed, filled from row = C(k, .)."""
     r = np.arange(params.dim)
     A = np.tril(row[r[:, None] - r])
     A[:, 0] = -row
     A[0, 0] = 1
     A[0, 1:] = -params.n * row[:0:-1]
-    return EndoMatrix(params, A)
+    return np.remainder(A, params.row_moduli[:, None], out=A)
 
 
 def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
@@ -110,28 +115,52 @@ def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
     pj = params.n
     if not 1 <= k <= pj - 2:
         raise ParameterError(f"k = {k} outside 1..{pj - 2}")
-    return _binomial_matrix(params, next(itertools.islice(_pascal_rows(params), k, None)))
+    row = next(itertools.islice(_pascal_rows(params), k, None))
+    return EndoMatrix(params, _binomial_array(params, row))
+
+
+def right_product(M: EndoMatrix):
+    """X -> X M reduced row-wise by row_moduli, for int64 residue arrays X.
+
+    Column c of X M sums X[:, r] * M[r, c] over the nonzeros of column c,
+    for every c by one gather and one np.add.reduceat: O(dim * nnz(M)),
+    against O(dim^3) for mat_mul.  B has two nonzeros per column, S one.
+    """
+    A = M.array
+    # np.add.reduceat gives X[:, start] for an empty segment, not 0, so a
+    # zero column gets one explicit zero entry.
+    nonzero = A != 0
+    nonzero[0, ~nonzero.any(axis=0)] = True
+    cols, rows = np.nonzero(nonzero.T)
+    weights = A[rows, cols]
+    starts = np.searchsorted(cols, np.arange(len(A)))
+    moduli = M.params.row_moduli[:, None]
+
+    def times(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # Each entry sums at most dim products of residues below
+        # top_modulus, under the GroupParams bound dim * top_modulus^2 < 2^62.
+        out = np.add.reduceat(X[:, rows] * weights, starts, axis=1, out=out)
+        return np.remainder(out, moduli, out=out)
+
+    return times
 
 
 @lru_cache(maxsize=None)
 def b_power_table(params: GroupParams) -> np.ndarray:
     """B^k for k = 0..p^j-1, stacked as a read-only (p^j, dim, dim) int64 array.
 
-    One chain B^k = B^{k-1} B, each product reduced row-wise as in mat_mul,
-    so every entry is a canonical residue.  The table holds p^j * dim^2
-    entries, so only verify_construction, build_y and the whole-group
-    kernels of enumerable groups read it; multiply and invert build the
-    single powers they need.
+    One chain B^k = B^{k-1} B of right_products, so every entry is a
+    canonical residue.  The table holds p^j * dim^2 entries, so only
+    verify_construction, build_y and the whole-group kernels of
+    enumerable groups read it; multiply and invert build the single
+    powers they need.
     """
     d = params.dim
-    B = build_b(params).array
-    moduli = params.row_moduli[:, None]
+    times_b = right_product(build_b(params))
     table = np.empty((params.b_order, d, d), dtype=np.int64)
     table[0] = np.eye(d, dtype=np.int64)
     for k in range(1, params.b_order):
-        # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
-        np.matmul(table[k - 1], B, out=table[k])
-        np.remainder(table[k], moduli, out=table[k])
+        times_b(table[k - 1], out=table[k])
     table.flags.writeable = False
     return table
 
@@ -165,27 +194,28 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
     for 0 < t < j; (e,f) the closed forms match the computed powers of S
     and B; (g) Y(1) absorbs multiplication by B on both sides; (h) the
     row-0 divisibility invariant holds for every power of B.  B^k for
-    k < p^j comes from b_power_table, B^{p^j} is one more product, and
-    S^k from one chain S, S^2, ..., S^{p^j}.
+    k < p^j comes from b_power_table, B^{p^j} is one more right_product,
+    and S^k from one chain of right_products S, S^2, ..., S^{p^j}.
     """
     pj = params.n
-    ident = identity_matrix(params)
+    ident = np.eye(params.dim, dtype=np.int64)
     B = build_b(params)
     S = build_shift(params)
     table = b_power_table(params)
-    last = mat_mul(EndoMatrix(params, table[-1]), B)
+    last = right_product(B)(table[-1])
+    last_is_ident = np.array_equal(last, ident)
 
     results = []
 
-    premature = (np.flatnonzero((table[1:] == ident.array).all(axis=(1, 2))) + 1).tolist()
-    order_ok = not premature and last == ident
+    premature = (np.flatnonzero((table[1:] == ident).all(axis=(1, 2))) + 1).tolist()
+    order_ok = not premature and last_is_ident
     results.append(
         CheckResult(
             "b_order_exact",
             order_ok,
             f"B^{pj} = I and no smaller positive power is I"
             if order_ok
-            else f"premature identity at powers {premature}, top power equal: {last == ident}",
+            else f"premature identity at powers {premature}, top power equal: {last_is_ident}",
         )
     )
 
@@ -220,37 +250,29 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
         yp_detail = f"p^t * Y(p^t) is the p^j corner block for t in 1..{params.j - 1}"
     results.append(CheckResult("yp_scaled_block_forms", not bad_t, yp_detail))
 
-    S_powers = itertools.accumulate(itertools.repeat(S, pj - 1), mat_mul, initial=S)
-    bad_k = [
-        k
-        for k, S_k in enumerate(S_powers, start=1)
-        if shift_power_closed(params, k) != S_k
-    ]
-    results.append(
-        CheckResult(
-            "shift_power_closed_agrees",
-            not bad_k,
-            f"closed form matches mat_pow(S, k) for k = 1..{pj}"
-            if not bad_k
-            else f"disagreement at k = {bad_k}",
-        )
-    )
-
+    times_s = right_product(S)
+    S_powers = itertools.accumulate(range(pj - 1), lambda X, _: times_s(X), initial=S.array)
     rows = itertools.islice(_pascal_rows(params), 1, pj - 1)
-    bad_k = [
-        k
-        for k, row in enumerate(rows, start=1)
-        if not np.array_equal(_binomial_matrix(params, row).array, table[k])
-    ]
-    results.append(
-        CheckResult(
-            "binomial_closed_agrees",
-            not bad_k,
-            f"closed form matches mat_pow(B, k) for k = 1..{pj - 2}"
-            if not bad_k
-            else f"disagreement at k = {bad_k}",
+    closed_forms = {
+        ("shift_power_closed_agrees", "S", pj): [
+            k for k, S_k in enumerate(S_powers, start=1)
+            if not np.array_equal(_shift_power_array(params, k), S_k)
+        ],
+        ("binomial_closed_agrees", "B", pj - 2): [
+            k for k, row in enumerate(rows, start=1)
+            if not np.array_equal(_binomial_array(params, row), table[k])
+        ],
+    }
+    for (name, base, top_k), bad_k in closed_forms.items():
+        results.append(
+            CheckResult(
+                name,
+                not bad_k,
+                f"closed form matches mat_pow({base}, k) for k = 1..{top_k}"
+                if not bad_k
+                else f"disagreement at k = {bad_k}",
+            )
         )
-    )
 
     fixed = mat_mul(B, y1) == y1 and mat_mul(y1, B) == y1
     results.append(
@@ -261,10 +283,10 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
         )
     )
 
-    # The EndoMatrix constructor raises MatrixInvariantError on a broken
-    # invariant, so B^{p^j} cannot reach this point without it; the table
-    # rows, built without that constructor, are checked here.
-    bad_pow = np.flatnonzero((table[:, 0, 1:] % pj).any(axis=1)).tolist()
+    # The powers are raw arrays, never passed through the EndoMatrix
+    # constructor, so the invariant is checked here.
+    row0 = np.vstack([table[:, 0, 1:], last[0, 1:]])
+    bad_pow = np.flatnonzero((row0 % pj).any(axis=1)).tolist()
     results.append(
         CheckResult(
             "power_divisibility_invariant",

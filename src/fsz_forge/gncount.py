@@ -242,13 +242,11 @@ def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
     _check_latin(narrow, "row", "columns")
     _check_latin(narrow.T, "column", "rows")
 
+    # Column 0 is a permutation, so one row e has e*0 = 0; a two-sided
+    # identity must be that row.
+    identity_index = int(np.argmin(T[:, 0]))
     full = np.arange(N)
-    identity_index = -1
-    for e in range(N):
-        if np.array_equal(T[e], full) and np.array_equal(T[:, e], full):
-            identity_index = e
-            break
-    if identity_index < 0:
+    if (T[identity_index] != full).any() or (T[:, identity_index] != full).any():
         raise TableError("no identity: no index e has e*x = x = x*e for all x")
 
     reached = np.zeros(N, dtype=bool)

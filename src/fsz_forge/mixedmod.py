@@ -288,17 +288,21 @@ def quotient_order(params: GroupParams, A: np.ndarray) -> int:
     and the columns of W generate P iff quotient_order(W) == 1.
     """
     p, top = params.p, params.top_modulus
+    # valuation[x] is the p-adic valuation of x, and j+1 for x = 0.
+    valuation = sum((np.arange(top) % p ** t == 0).astype(np.int8) for t in range(1, params.j + 2))
     M = np.hstack([np.asarray(A, dtype=np.int64), np.diag(params.row_moduli)]) % top
     order = 1
     while len(M):
-        val = sum((M % p ** t == 0).astype(np.int64) for t in range(1, params.j + 2))
+        val = valuation[M]
         r, c = np.unravel_index(np.argmin(val), val.shape)
         v = int(val[r, c])
         if v > params.j:
             return order * top ** len(M)
         pv = p ** v
-        pivot = M[r] * pow(int(M[r, c]) // pv, -1, top) % top
-        rest = np.delete(M, r, axis=0)
-        M = np.delete((rest - np.outer(rest[:, c] // pv, pivot)) % top, c, axis=1)
+        # Swap the pivot to (0, 0), then keep the block below and right of it.
+        M[[0, r]] = M[[r, 0]]
+        M[:, [0, c]] = M[:, [c, 0]]
+        pivot = M[0, 1:] * pow(int(M[0, 0]) // pv, -1, top) % top
+        M = (M[1:, 1:] - np.outer(M[1:, 0] // pv, pivot)) % top
         order *= pv
     return order

@@ -199,13 +199,21 @@ def element_at(params: GroupParams, idx: int) -> SElement:
     return SElement(MixedVector(params, np.array(coords, dtype=np.int64)), k)
 
 
+def random_rows(params: GroupParams, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform elements from a random.Random source, as stacked (V, K) int64 rows."""
+    randrange, draws = rng.randrange, []
+    for _ in range(n):
+        draws.append(randrange(params.top_modulus))
+        draws.extend([randrange(params.p) for _ in range(params.dim - 1)])
+        draws.append(randrange(params.b_order))
+    rows = np.array(draws, dtype=np.int64).reshape(n, params.dim + 1)
+    return rows[:, :-1], rows[:, -1]
+
+
 def random_element(params: GroupParams, rng) -> SElement:
     """Uniform element from a random.Random source."""
-    coords = [rng.randrange(params.top_modulus)] + [
-        rng.randrange(params.p) for _ in range(params.dim - 1)
-    ]
-    vec = MixedVector(params, np.array(coords, dtype=np.int64))
-    return SElement(vec, rng.randrange(params.b_order))
+    V, K = random_rows(params, rng, 1)
+    return SElement(MixedVector(params, V[0]), int(K[0]))
 
 
 @dataclass(frozen=True)
@@ -452,16 +460,14 @@ class SpjGroup(IndexGroup):
         Kb = (self.params.b_order - K) % self.params.b_order
         return self._mod(-self._apply_by_k(Kb, V)), Kb
 
-    def first_power_pj_mismatch(self, xs: list[SElement]) -> SElement | None:
-        """The first x in xs whose power_pj differs from x^{p^j}, or None.
+    def first_power_pj_mismatch(self, V: np.ndarray, K: np.ndarray) -> SElement | None:
+        """The first x = (V[i], K[i]) whose power_pj differs from x^{p^j}, or None.
 
-        Both run on the stacked (V, K) rows: x^{p^j} by one
-        square-and-multiply over mul, power_pj as one p^t Y(p^t) product
-        per class t of b-exponents.
+        V holds canonical residues.  Both powers run on the stacked rows:
+        x^{p^j} by one square-and-multiply over mul, power_pj as one
+        p^t Y(p^t) product per class t of b-exponents.
         """
         pr = self.params
-        V = np.array([x.vec.array for x in xs])
-        K = np.array([x.k for x in xs], dtype=np.int64)
         one = (np.zeros_like(V), np.zeros_like(K))
         GV, GK = square_and_multiply((V, K), pr.n, lambda a, b: self.mul(*a, *b), one)
         bad = GK != 0
@@ -471,7 +477,7 @@ class SpjGroup(IndexGroup):
             moved = self._mod(V[rows] @ _y_matrix(pr, t).array.T)
             bad[rows] |= (self._mod(moved * pr.p ** t) != GV[rows]).any(axis=1)
         first = np.flatnonzero(bad)
-        return xs[first[0]] if first.size else None
+        return SElement(MixedVector(pr, V[first[0]]), int(K[first[0]])) if first.size else None
 
     def mul_index_arrays(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         V1, K1 = self.decode(np.asarray(a_idx, dtype=np.int64))

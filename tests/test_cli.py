@@ -76,6 +76,29 @@ def test_verify_and_selftest_json_bytes_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[argv]
 
 
+# sha256 of each call's stdout, each run alone in a fresh process.
+ONE_PROCESS_CALLS = [
+    (("verify", "--p", "5", "--j", "1", "--seed", "7", "--format", "json"),
+     "4473376d42d5181f63cdab01f8c95ae437c16e5b0dd7a65c8b5f9e0e9a6209ae"),
+    (("count", "--p", "3", "--j", "1", "--n", "3", "--u", "b a1", "--g", "a1^3", "--format", "json"),
+     "8d1eedeaf5eea5f078f2c89d1890cf2413975eb8d8e2ca35e2bc7ada1a17c5e8"),
+    (("fsz", "--p", "3", "--j", "1", "--format", "csv"),
+     "cff1be719090561868059adb2bc946b610f98c0792c158ee771ce718ee3ff780"),
+    (("verify", "--p", "3", "--j", "1"),
+     "f83b5d62612f0e304aa814c86a55d126dbcbf8bebe25c047cfc7d912335d9439"),
+]
+
+
+def test_calls_in_one_process_share_the_parser_but_not_its_options(capsys):
+    # The parser is built once per process; the last verify must still
+    # take the default seed and format, not the first call's.
+    for argv, want in ONE_PROCESS_CALLS:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv
+    assert build_parser() is build_parser()
+
+
 def _first_power_mismatch(params, samples, seed):
     """The sample and the index of its first element where power_pj and
     power_generic differ (None if none), one element at a time."""

@@ -5,12 +5,14 @@ from math import comb
 import numpy as np
 import pytest
 
+from fsz_forge import construction
 from fsz_forge.construction import (
     b_power_table,
     binomial_entry_closed,
     build_b,
     build_shift,
     build_y,
+    right_product,
     shift_power_closed,
     verify_construction,
 )
@@ -176,3 +178,90 @@ def test_pascal_binomial_matches_math_comb(p, j):
     assert comb(params.n - 2, params.dim // 2) * params.n > 2 ** 63
     for k in range(1, params.n - 1):
         assert binomial_entry_closed(params, k) == _binomial_by_comb(params, k)
+
+
+def _endomorphisms(params, rng):
+    """B, S, a random well defined endomorphism, and one each with a zero and a dense column."""
+    d, p = params.dim, params.p
+    R = rng.integers(0, p, size=(d, d))
+    R[0, 0] = rng.integers(0, params.top_modulus)
+    R[0, 1:] *= params.n
+    zero_column = R.copy()
+    zero_column[:, d // 2] = 0
+    dense_column = np.zeros((d, d), dtype=np.int64)
+    dense_column[:, 0] = rng.integers(1, p, size=d)
+    return [build_b(params), build_shift(params)] + [
+        EndoMatrix(params, A) for A in (R, zero_column, dense_column)
+    ]
+
+
+@pytest.mark.parametrize("p,j", TABLE_GRID)
+def test_right_product_matches_the_dense_product(p, j):
+    # A column of M with no nonzero entry is an empty np.add.reduceat
+    # segment, which would copy a column of X instead of giving zeros.
+    params = GroupParams(p, j)
+    rng = np.random.default_rng(p * 10 + j)
+    Ms = _endomorphisms(params, rng)
+    assert not Ms[3].array[:, params.dim // 2].any() and Ms[4].array[:, 0].all()
+    moduli = params.row_moduli[:, None]
+    for X in [M.array for M in Ms] + [identity_matrix(params).array]:
+        for M in Ms:
+            want = np.remainder(X @ M.array, moduli)
+            assert np.array_equal(right_product(M)(X), want)
+            out = np.full_like(X, -1)
+            right_product(M)(X, out=out)
+            assert np.array_equal(out, want)
+
+
+def _failed(params):
+    return {c.name: c.detail for c in verify_construction(params) if not c.passed}
+
+
+@pytest.mark.parametrize("p,j", [(3, 2), (5, 1), (7, 1)])
+def test_a_wrong_shift_closed_form_at_one_k_fails_only_its_check(monkeypatch, p, j):
+    params = GroupParams(p, j)
+    real = construction._shift_power_array
+    for bad_k in (1, params.n - 1, params.n):
+
+        def corrupted(pr, k, bad_k=bad_k):
+            A = real(pr, k)
+            if k == bad_k:
+                A[-1, -1] = (A[-1, -1] + 1) % pr.p
+            return A
+
+        monkeypatch.setattr(construction, "_shift_power_array", corrupted)
+        assert _failed(params) == {"shift_power_closed_agrees": f"disagreement at k = [{bad_k}]"}
+
+
+@pytest.mark.parametrize("p,j", [(3, 2), (5, 1), (7, 1)])
+def test_a_wrong_binomial_closed_form_at_one_k_fails_only_its_check(monkeypatch, p, j):
+    # C(k, 1) = k enters B^k below the diagonal, so a wrong Pascal row k
+    # moves only the closed form of B^k.
+    params = GroupParams(p, j)
+    real = construction._pascal_rows
+    for bad_k in (1, params.n - 2):
+
+        def corrupted(pr, bad_k=bad_k):
+            for k, row in enumerate(real(pr)):
+                if k == bad_k:
+                    row = row.copy()
+                    row[1] += 1
+                yield row
+
+        monkeypatch.setattr(construction, "_pascal_rows", corrupted)
+        assert _failed(params) == {"binomial_closed_agrees": f"disagreement at k = [{bad_k}]"}
+
+
+@pytest.mark.parametrize("p,j", [(3, 2), (5, 1), (7, 1)])
+def test_a_wrong_last_power_corner_fails_only_its_check(monkeypatch, p, j):
+    # Any other residue at (0,0) of B^{p^j-1} would also move B^{p^j}, so
+    # the corner gets the unreduced lift pj + 1 + top_modulus: every other
+    # check reduces the entry and sees the right power.
+    params = GroupParams(p, j)
+    table = b_power_table(params).copy()
+    table[-1, 0, 0] += params.top_modulus
+    monkeypatch.setattr(construction, "b_power_table", lambda pr: table)
+    pj = params.n
+    assert _failed(params) == {
+        "b_last_power_corner": f"(0,0) of B^{pj - 1} = {pj + 1 + params.top_modulus}, expected {pj + 1}"
+    }

@@ -314,6 +314,23 @@ def test_validate_table_rejects_missing_identity():
         validate_table(tf.NO_IDENTITY)
 
 
+def test_validate_table_rejects_a_left_identity_that_is_not_a_right_identity():
+    # x*y = y - x mod 5 is a Latin square whose row 0 is 0..4, so 0 is a
+    # left identity, but x*0 = -x.  NO_IDENTITY is the mirror case.
+    table = [[(y - x) % 5 for y in range(5)] for x in range(5)]
+    with pytest.raises(TableError, match="no identity: no index e has e\\*x = x = x\\*e"):
+        validate_table(table)
+
+
+def test_validate_table_finds_the_identity_of_a_relabelled_d6xc4():
+    table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
+    perm = list(range(len(table)))
+    random.Random(48).shuffle(perm)
+    T = validate_table(tf.relabel(table, perm))
+    assert T.identity() == perm[0]
+    assert all(T.multiply(perm[0], x) == x == T.multiply(x, perm[0]) for x in range(T.order()))
+
+
 def test_validate_table_rejects_non_associative_loop():
     with pytest.raises(TableError, match=r"associativity violation at \(1,1,2\)"):
         validate_table(tf.NON_ASSOCIATIVE)
