@@ -65,12 +65,13 @@ def build_parser() -> _Parser:
         "--threads", type=_positive_int, default=None,
         help="accepted for compatibility; it changes nothing",
     )
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    seeded = _Parser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 
     parser = _Parser(prog="fsz-forge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    sp = sub.add_parser("verify", parents=[common], help="run the construction checks")
+    sp = sub.add_parser("verify", parents=[seeded], help="run the construction checks")
     sp.add_argument("--p", type=_positive_int, required=True)
     sp.add_argument("--j", type=_positive_int, required=True)
     sp.add_argument("--samples", type=_positive_int, default=200,
@@ -97,7 +98,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--no-reduction", action="store_true",
                     help="scan all commuting pairs (tiny groups only)")
 
-    sub.add_parser("selftest", parents=[common],
+    sub.add_parser("selftest", parents=[seeded],
                    help="run the invariant suite on the default grid")
     return parser
 

@@ -5,9 +5,10 @@ and every m coprime to the group order.  The check iterates g over
 conjugacy-class representatives and u over the centralizer of g, which
 covers all commuting pairs up to simultaneous conjugation; one
 representative m per distinct power g^m suffices because the count only
-sees g^m.  Both reductions are test-verified properties, and a
-no-reduction mode re-runs tiny groups over all commuting pairs, with
-every centralizer and every histogram.
+sees g^m.  Both reductions are tested against a no-reduction mode for
+tiny groups: its own loop over every element g, with targets g^m from
+the scalar G.power, every histogram built at its use and every target
+compared on all of C(g).
 
 Nothing in the class table depends on n, so it is built once per group
 and reused for every n.  It is five int64 columns with one row per
@@ -26,14 +27,12 @@ reads off the power maps.  For each n a class is skipped, and counted as
 - otherwise, the histograms u -> |G_n(u, h)| of g and of every target
   agree on all of G, hence on C(g).
 
-The remaining rows are walked in representative order.  Each histogram
-is built at most once per n: it is kept for the next row that needs it
-and freed at its last use, and past a fixed byte budget it is built
-again instead of kept.  Only a row with an unequal histogram builds
-C(g) and compares on it, which keeps the witness at the smallest u.
-The statistics are prefix sums over the rows, those of the full
-comparison.  The no-reduction mode makes every element its own row and
-runs the same loop with both rules and the kept histograms off.
+The remaining rows are walked in representative order.  Histograms are
+kept in a least-recently-used cache within a fixed byte budget, so a
+larger budget never builds more.  Only a row with an unequal histogram
+builds C(g) and compares on it, which keeps the witness at the smallest
+u.  The statistics are prefix sums over the rows, those of the full
+comparison.
 
 For the built-in family at n = p^j the scan enumerates no elements, so
 no enumeration limit applies to it.  Only the p - 1 nonidentity elements
@@ -52,8 +51,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,11 +128,7 @@ def residue_witness_classes(og: int, N: int) -> list[int]:
     for m in range(2, og):
         if math.gcd(m, og) != 1:
             continue
-        if R == 1:
-            lifted = m
-        else:
-            k = (1 - m) * pow(og, -1, R) % R
-            lifted = m + og * k
+        lifted = m + og * ((1 - m) * pow(og, -1, R) % R)  # m itself when R = 1
         if math.gcd(lifted, N) != 1:
             raise VerificationError(
                 f"lift {lifted} of the unit {m} mod {og} is not coprime to {N}"
@@ -219,19 +214,6 @@ def _class_table(G) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _reference_rows(G) -> tuple[np.ndarray, ...]:
-    """The columns of _class_table with every element as its own row and
-    scalar G.power targets.  Only a row without targets gets its
-    centralizer size here; _generic_scan writes the others as it builds
-    their centralizers, into these fresh, uncached columns."""
-    ms = [residue_witness_classes(og, G.N) for og in element_orders(G).tolist()]
-    tidx = [G.from_element(G.power(G.to_element(g), m)) for g, row in enumerate(ms) for m in row]
-    cent = [0 if row else _centralizer_indices(G, g).size for g, row in enumerate(ms)]
-    tstart = np.cumsum([0] + [len(row) for row in ms])
-    tm = [m for row in ms for m in row]
-    return tuple(np.array(c, dtype=np.int64) for c in (range(G.N), cent, tstart, tm, tidx))
-
-
 def _centralizer_indices(G, g_idx: int) -> np.ndarray:
     """The a with g^-1 a g = a, ascending."""
     return np.flatnonzero(G.conjugation_array(g_idx) == np.arange(G.N))
@@ -245,8 +227,8 @@ def _power_buckets(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _PAIR_CHUNK = 1 << 22
-# Bytes of u-count histograms kept between the rows of one n; past it a
-# histogram is built again at its next use.
+# Bytes of the u-count histograms that one n keeps between rows; past it
+# the least recently used is dropped and built again at its next use.
 _HIST_BUDGET = 1 << 27
 
 
@@ -270,52 +252,39 @@ def _u_counts(G, bucket: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _generic_scan(G, n: int, *, reduction: bool) -> FszVerdict:
+def _generic_scan(G, n: int) -> FszVerdict:
+    """The class scan of the module docstring, with both skip rules."""
     order, starts = _power_buckets(G.pow_index_array(n))
-    columns = _class_table if reduction else _reference_rows
-    reps, cent, tstart, tm, tidx = columns(G)
+    reps, cent, tstart, tm, tidx = _class_table(G)
     ntargets = np.diff(tstart)
     live = ntargets > 0  # orders 1 and 2 leave no m with a new power g^m
-    if reduction:
-        # Rule 1 of the module docstring, for every row at once: the bucket
-        # sizes of the rep and of its targets are all 0 or all 1.
-        size = np.diff(starts)
-        hi, lo = size[reps], size[reps]
-        row_starts = tstart[:-1][live]
-        hi[live] = np.maximum(hi[live], np.maximum.reduceat(size[tidx], row_starts))
-        lo[live] = np.minimum(lo[live], np.minimum.reduceat(size[tidx], row_starts))
-        live &= (hi > 1) | (lo != hi)
-    rows = np.flatnonzero(live)
-    room = _HIST_BUDGET // (8 * G.N) if reduction else 0
-    # How often the live rows ask for each bucket, counted only when a
-    # histogram can be kept: the count is what frees it at its last use.
-    needed = (*reps[rows].tolist(), *tidx[np.repeat(live, ntargets)].tolist()) if room else ()
-    uses = Counter(needed)
-    kept: dict[int, np.ndarray] = {}
+    # Rule 1 of the module docstring, for every row at once: the bucket
+    # sizes of the rep and of its targets are all 0 or all 1.
+    size = np.diff(starts)
+    hi, lo = size[reps], size[reps]
+    row_starts = tstart[:-1][live]
+    hi[live] = np.maximum(hi[live], np.maximum.reduceat(size[tidx], row_starts))
+    lo[live] = np.minimum(lo[live], np.minimum.reduceat(size[tidx], row_starts))
+    live &= (hi > 1) | (lo != hi)
 
+    @lru_cache(maxsize=_HIST_BUDGET // (8 * G.N))
     def histogram(h: int) -> np.ndarray:
-        """u -> |G_n(u, h)|, kept for the next live row that needs it while room lasts."""
-        hist = kept.pop(h) if h in kept else _u_counts(G, order[starts[h] : starts[h + 1]])
-        uses[h] -= 1
-        if uses[h] > 0 and len(kept) < room:
-            kept[h] = hist
-        return hist
+        """u -> |G_n(u, h)|."""
+        return _u_counts(G, order[starts[h] : starts[h + 1]])
 
     witness, stop, extra_pairs, extra_comparisons = None, len(reps), 0, 0
-    for i in rows.tolist():
+    for i in np.flatnonzero(live).tolist():
         g_idx, lo_t, hi_t = int(reps[i]), int(tstart[i]), int(tstart[i + 1])
         hist_g = histogram(g_idx)
         counts_g = None  # hist_g on C(g), built at the first unequal target
         first = None  # (position in C(g), target, count) of the smallest u, then m
         for t in range(lo_t, hi_t):
             hist_t = histogram(int(tidx[t]))
-            if reduction and np.array_equal(hist_t, hist_g):
+            if np.array_equal(hist_t, hist_g):
                 continue  # rule 2: equal on G, hence on C(g)
             if counts_g is None:
                 centralizer = _centralizer_indices(G, g_idx)
-                if not reduction:
-                    cent[i] = centralizer.size
-                elif centralizer.size != cent[i]:
+                if centralizer.size != cent[i]:
                     raise VerificationError(
                         f"centralizer of element {g_idx} has {centralizer.size} "
                         f"elements, but |G| / |class| = {cent[i]}"
@@ -327,13 +296,8 @@ def _generic_scan(G, n: int, *, reduction: bool) -> FszVerdict:
                 first = (int(differ[0]), t, int(counts_t[differ[0]]))
         if first is not None:
             u_pos, t, count_gm = first
-            witness = FszWitness(
-                G.to_element(int(centralizer[u_pos])),
-                G.to_element(g_idx),
-                int(tm[t]),
-                int(counts_g[u_pos]),
-                count_gm,
-            )
+            witness = FszWitness(G.to_element(int(centralizer[u_pos])), G.to_element(g_idx),
+                                 int(tm[t]), int(counts_g[u_pos]), count_gm)
             stop, extra_pairs = i, u_pos + 1
             extra_comparisons = u_pos * (hi_t - lo_t) + t - lo_t + 1
             break
@@ -342,11 +306,43 @@ def _generic_scan(G, n: int, *, reduction: bool) -> FszVerdict:
     stats = {
         "pairs_examined": sum(cent[:stop].tolist()) + extra_pairs,
         "comparisons": sum((cent * ntargets)[:stop].tolist()) + extra_comparisons,
+        "conjugacy_classes": len(reps),
     }
-    if reduction:
-        stats["conjugacy_classes"] = len(reps)
     verdict = f"FSZ_{n}" if witness is None else f"non-FSZ_{n}"
     return FszVerdict(G.describe(), n, verdict, witness, stats)
+
+
+def _reference_scan(G, n: int) -> FszVerdict:
+    """Every element g, every target, all of C(g).  The witness is the first
+    unequal count: smallest g, then u, then the order of
+    residue_witness_classes; each g before it counts |C(g)| pairs and
+    |C(g)| comparisons per target."""
+    order, starts = _power_buckets(G.pow_index_array(n))
+    witness, pairs, comparisons = None, 0, 0
+    for g_idx, og in enumerate(element_orders(G).tolist()):
+        ms = residue_witness_classes(og, G.N)
+        centralizer = _centralizer_indices(G, g_idx)
+        first = None  # (position in C(g), target position, count): smallest u, then target
+        if ms:
+            counts_g = _u_counts(G, order[starts[g_idx] : starts[g_idx + 1]])[centralizer]
+        for t, m in enumerate(ms):
+            h = G.from_element(G.power(G.to_element(g_idx), m))
+            counts_t = _u_counts(G, order[starts[h] : starts[h + 1]])[centralizer]
+            differ = np.flatnonzero(counts_t != counts_g)
+            if differ.size and (first is None or differ[0] < first[0]):
+                first = (int(differ[0]), t, int(counts_t[differ[0]]))
+        if first is not None:
+            u_pos, t, count_gm = first
+            witness = FszWitness(G.to_element(int(centralizer[u_pos])), G.to_element(g_idx),
+                                 ms[t], int(counts_g[u_pos]), count_gm)
+            pairs += u_pos + 1
+            comparisons += u_pos * len(ms) + t + 1
+            break
+        pairs += centralizer.size
+        comparisons += centralizer.size * len(ms)
+    verdict = f"FSZ_{n}" if witness is None else f"non-FSZ_{n}"
+    return FszVerdict(G.describe(), n, verdict, witness,
+                      {"pairs_examined": pairs, "comparisons": comparisons})
 
 
 def _central_target(params: GroupParams, s: int) -> SElement:
@@ -473,7 +469,7 @@ def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
     if reduction and isinstance(G, SpjGroup) and n == G.params.n:
         return _structured_full_scan(G)
     _scan_guard(G, reduction)
-    return _generic_scan(G, n, reduction=reduction)
+    return (_generic_scan if reduction else _reference_scan)(G, n)
 
 
 def check_fsz(G, *, reduction: bool = True) -> list[FszVerdict]:

@@ -209,9 +209,11 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
     if T is None:
         for r, row in enumerate(table):
             for c, val in enumerate(row):
-                if not isinstance(val, int) or isinstance(val, bool) or not 0 <= val < N:
+                integer = isinstance(val, int) and not isinstance(val, bool)
+                if not integer or not 0 <= val < N:
+                    kind = "" if integer else "an integer in "
                     raise TableError(
-                        f"entry at row {r} column {c} is {val!r}, expected 0..{N - 1}"
+                        f"entry at row {r} column {c} is {val!r}, expected {kind}0..{N - 1}"
                     )
         T = np.array(table, dtype=np.int64)
     return _validate_grid(T, name)

@@ -288,6 +288,31 @@ def test_fsz_s71_at_n_7_is_pinned(capsys, fmt, want):
     assert out == want
 
 
+S31_FSZ_TEXT = (
+    "FSZ scan of S(3,1) (order 81)\n"
+    "fsz_n [n=1]: FSZ_1\n"
+    "fsz_n [n=3]: FSZ_3\n"
+    "fsz_n [n=9]: FSZ_9\n"
+    "fsz_overall: FSZ\n"
+    "overall: FSZ\n"
+)
+S31_FSZ_CSV = (
+    "check_or_query,parameters,value\n"
+    "fsz_n,n=1,FSZ_1\n"
+    "fsz_n,n=3,FSZ_3\n"
+    "fsz_n,n=9,FSZ_9\n"
+    "fsz_overall,,FSZ\n"
+)
+
+
+@pytest.mark.parametrize("fmt,want", [("text", S31_FSZ_TEXT), ("csv", S31_FSZ_CSV)])
+def test_full_fsz_scan_rows_are_pinned(capsys, fmt, want):
+    # The full scan ends on the fsz_overall row, whose parameters are empty.
+    code, out, err = _run(capsys, "fsz", "--p", "3", "--j", "1", "--format", fmt)
+    assert code == 0, err
+    assert out == want
+
+
 def test_fsz_at_p_to_the_j_is_complete_beyond_the_limit(capsys):
     code, out, err = _run(capsys, "fsz", "--p", "5", "--j", "2", "--n", "25")
     assert code == 0, err
@@ -363,6 +388,22 @@ def test_selftest_grid_passes(capsys):
     assert "FAIL" not in out
     for tag in ("S(3,1)", "S(3,2)", "S(5,1)", "S(5,2)", "S(7,1)"):
         assert tag in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("fsz", "--p", "3", "--j", "1"),
+    ("witness", "--p", "5", "--j", "1"),
+    ("count", "--p", "3", "--j", "1", "--n", "3", "--u", "b", "--g", "a1^3"),
+])
+def test_seed_is_refused_where_nothing_is_drawn(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--seed", "1")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --seed 1" in err
+
+
+def test_seed_is_taken_where_it_draws():
+    for argv in (["verify", "--p", "3", "--j", "1"], ["selftest"]):
+        assert build_parser().parse_args([*argv, "--seed", "4"]).seed == 4
 
 
 def test_parser_defaults():

@@ -244,7 +244,7 @@ def test_generic_scan_finds_the_5_1_witness():
     # check_fsz_n takes the structured route at n = p^j.  No smaller group
     # in these tests makes the generic scan compare on a centralizer.
     G = SpjGroup(P51)
-    verdict = _generic_scan(G, 5, reduction=True)
+    verdict = _generic_scan(G, 5)
     assert verdict.as_dict(G.describe_element) == {
         "group": "S(5,1) (order 15625)",
         "n": 5,
@@ -441,7 +441,7 @@ def test_histogram_budget_changes_no_output(name, fake, monkeypatch):
         monkeypatch.setattr(fz, "_HIST_BUDGET", budget)
         G = make()
         outputs.append([
-            fz._generic_scan(G, n, reduction=True).as_dict(G.describe_element)
+            fz._generic_scan(G, n).as_dict(G.describe_element)
             for n in range(1, exponent(G) + 1)
         ])
         builds.append(len(built))
@@ -453,6 +453,145 @@ def test_histogram_budget_changes_no_output(name, fake, monkeypatch):
         assert any(v["witness"] for v in outputs[0])
     else:
         assert builds[0] < builds[2]  # the kept histograms spare builds
+
+
+def test_default_budget_builds_each_requested_histogram_once(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    real, built = fz._u_counts, []
+
+    def counted(G, bucket):
+        # Buckets of distinct h are disjoint, and D6xC4 asks for no empty
+        # one, so a bucket's elements name it.
+        built.append(tuple(bucket.tolist()))
+        return real(G, bucket)
+
+    monkeypatch.setattr(fz, "_u_counts", counted)
+
+    def builds_per_n(budget):
+        monkeypatch.setattr(fz, "_HIST_BUDGET", budget)
+        G = _d6xc4()
+        out = []
+        for n in range(1, exponent(G) + 1):
+            check_fsz_n(G, n)
+            out.append(built[:])
+            built.clear()
+        return out
+
+    default = fz._HIST_BUDGET
+    requested = builds_per_n(0)  # no histogram kept: one build per request
+    once = builds_per_n(default)
+    assert () not in {b for per_n in requested for b in per_n}
+    assert [sorted(b) for b in once] == [sorted(set(b)) for b in requested]
+    assert sum(map(len, once)) < sum(map(len, requested))
+
+
+# check_fsz_n(G, n, reduction=False) under _fake_u_counts for every n from 1
+# to the exponent, recorded while the reference still ran in the loop of the
+# class scan: (n, witness as (u, g, m, count_g, count_gm) or None,
+# pairs_examined, comparisons).  No group of these tests is non-FSZ, so
+# these rows are what reaches the reference's witness branch.
+REFERENCE_FAKE_ROWS = {
+    "S(3,1)": [
+        (1, ("a2^1", "a2^1", 2, 1, 3), 83, 2),
+        (2, ("a2^1", "a2^1", 2, 3, 1), 83, 2),
+        (3, ("a1^1", "a1^3", 2, 1, 3), 301, 868),
+        (4, ("a2^1", "a2^1", 2, 1, 3), 83, 2),
+        (5, ("a2^1", "a2^1", 2, 3, 1), 83, 2),
+        (6, ("a1^1", "a1^3", 2, 3, 1), 301, 868),
+        (7, ("a2^1", "a2^1", 2, 1, 3), 83, 2),
+        (8, ("a2^1", "a2^1", 2, 3, 1), 83, 2),
+        (9, None, 1377, 4536),
+    ],
+    "Z6": [
+        (1, ("1", "1", 5, 1, 0), 8, 2),
+        (2, ("1", "2", 5, 1, 0), 14, 8),
+        (3, None, 36, 24),
+        (4, ("1", "2", 5, 0, 1), 14, 8),
+        (5, ("1", "1", 5, 0, 1), 8, 2),
+        (6, None, 36, 24),
+    ],
+    "D6xC4": [
+        (1, ("1", "1", 7, 1, 0), 50, 2),
+        (2, ("4", "8", 5, 1, 0), 293, 293),
+        (3, ("1", "1", 7, 0, 1), 50, 2),
+        (4, ("4", "8", 5, 0, 1), 293, 293),
+        (5, ("1", "1", 7, 1, 0), 50, 2),
+        (6, None, 1152, 1152),
+        (7, ("1", "1", 7, 0, 1), 50, 2),
+        (8, ("4", "8", 5, 1, 0), 293, 293),
+        (9, ("1", "1", 7, 1, 0), 50, 2),
+        (10, ("4", "8", 5, 0, 1), 293, 293),
+        (11, ("1", "1", 7, 0, 1), 50, 2),
+        (12, None, 1152, 1152),
+    ],
+    "random3": [
+        (1, ("0", "0", 5, 1, 0), 1, 1),
+        (2, ("1", "3", 5, 1, 0), 38, 50),
+        (3, ("1", "10", 7, 0, 1), 157, 133),
+        (4, ("0", "14", 5, 0, 1), 205, 229),
+        (5, ("0", "0", 5, 0, 1), 1, 1),
+        (6, None, 360, 360),
+        (7, ("0", "0", 5, 1, 0), 1, 1),
+        (8, ("0", "14", 5, 1, 0), 205, 229),
+        (9, ("1", "10", 7, 1, 0), 157, 133),
+        (10, ("1", "3", 5, 0, 1), 38, 50),
+        (11, ("0", "0", 5, 0, 1), 1, 1),
+        (12, None, 360, 360),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_FAKE_ROWS))
+def test_reference_scan_under_fake_histograms_is_pinned(name, monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    monkeypatch.setattr(fz, "_u_counts", _fake_u_counts)
+    G = _d6xc4() if name == "D6xC4" else SWEEP_GROUPS[name]()
+    rows = []
+    for n in range(1, exponent(G) + 1):
+        v = check_fsz_n(G, n, reduction=False).as_dict(G.describe_element)
+        w, stats = v["witness"], v["statistics"]
+        assert v["verdict"] == (f"FSZ_{n}" if w is None else f"non-FSZ_{n}")
+        assert list(stats) == ["comparisons", "pairs_examined"]
+        w = w and tuple(w[k] for k in ("u", "g", "m", "count_g", "count_gm"))
+        rows.append((n, w, stats["pairs_examined"], stats["comparisons"]))
+    assert rows == REFERENCE_FAKE_ROWS[name]
+
+
+def test_reference_scan_takes_the_first_target_at_the_smallest_u(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    # Constant in u, so a row differs at its first u on every target whose
+    # value differs.  Below order 5 the value is the bucket size, which the
+    # units preserve, so the first such row is that of a1, of order 9 with
+    # five targets, and several of them differ there.
+    def flat(G, bucket):
+        high = bucket.size and element_orders(G)[bucket].max() > 4
+        return np.full(G.N, int(bucket.sum()) if high else bucket.size)
+
+    monkeypatch.setattr(fz, "_u_counts", flat)
+    G = SpjGroup(P31)
+    v = check_fsz_n(G, 1, reduction=False)
+    assert (G.describe_element(v.witness.g), v.witness.m, v.statistics["comparisons"]) == (
+        "a1^1", 2, 55)
+
+
+@pytest.mark.parametrize("name,ns,stats", [
+    ("S(3,1)", [1, 3, 9], {"comparisons": 4536, "pairs_examined": 1377}),
+    ("D6xC4", [1, 2, 3, 4, 6, 12], {"comparisons": 1152, "pairs_examined": 1152}),
+])
+def test_reference_scan_needs_no_conjugacy_classes(name, ns, stats, monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    def never(G):
+        raise AssertionError("the reference scan must not reduce to classes")
+
+    monkeypatch.setattr(fz, "_class_table", never)
+    monkeypatch.setattr(fz, "conjugacy_class_reps", never)
+    G = _d6xc4() if name == "D6xC4" else SWEEP_GROUPS[name]()
+    got = [v.as_dict(G.describe_element) for v in check_fsz(G, reduction=False)]
+    assert got == _fsz_entries(G.describe(), ns, stats)
 
 
 def test_check_fsz_flags_s51_at_n_5():

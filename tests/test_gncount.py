@@ -347,6 +347,22 @@ def test_validate_table_rejects_shape_errors():
         validate_table([[0, 1], None])
 
 
+@pytest.mark.parametrize("val,shown", [
+    (1.0, "1.0"), (True, "True"), ("1", "'1'"), (np.int64(0), repr(np.int64(0))),
+], ids=["float", "bool", "str", "np.int64"])
+def test_validate_table_names_a_wrong_typed_entry(tmp_path, val, shown):
+    want = f"entry at row 0 column 1 is {shown}, expected an integer in 0..1"
+    with pytest.raises(TableError) as exc:
+        validate_table([[0, val], [1, 0]])
+    assert str(exc.value) == want
+    if isinstance(val, np.integer):
+        return  # JSON has no such value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, val], [1, 0]]}))
+    _same_on_both_routes(path)
+    assert _load(path, True) == f"{path}: {want}"
+
+
 def test_validate_table_accepts_cyclic_520():
     T = validate_table(tf.cyclic(520))
     assert T.order() == 520
