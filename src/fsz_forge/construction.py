@@ -37,15 +37,10 @@ class CheckResult:
 
 def build_b(params: GroupParams) -> EndoMatrix:
     """Matrix of the outer automorphism, columns are generator images."""
-    d, pj = params.dim, params.n
-    rows = [[0] * d for _ in range(d)]
-    for c in range(d):
-        rows[c][c] = 1
-    rows[1][0] = -1
-    for c in range(1, d - 1):
-        rows[c + 1][c] = 1
-    rows[0][d - 1] = -pj
-    return EndoMatrix(params, rows)
+    A = np.eye(params.dim, dtype=np.int64) + np.eye(params.dim, k=-1, dtype=np.int64)
+    A[1, 0] = -1
+    A[0, -1] = -params.n
+    return EndoMatrix(params, A)
 
 
 def build_shift(params: GroupParams) -> EndoMatrix:
@@ -122,24 +117,25 @@ def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
 def right_product(M: EndoMatrix):
     """X -> X M reduced row-wise by row_moduli, for int64 residue arrays X.
 
-    Column c of X M sums X[:, r] * M[r, c] over the nonzeros of column c,
-    for every c by one gather and one np.add.reduceat: O(dim * nnz(M)),
-    against O(dim^3) for mat_mul.  B has two nonzeros per column, S one.
+    Layer i holds the i-th nonzero of every column of M, its row and its
+    weight, padded with weight 0 where a column has fewer, so X M is the
+    sum over layers of X[:, rows_i] * weights_i: O(dim^2 * depth), the
+    depth being the most nonzeros in a column, 2 for B and 1 for S.
     """
     A = M.array
-    # np.add.reduceat gives X[:, start] for an empty segment, not 0, so a
-    # zero column gets one explicit zero entry.
     nonzero = A != 0
-    nonzero[0, ~nonzero.any(axis=0)] = True
-    cols, rows = np.nonzero(nonzero.T)
-    weights = A[rows, cols]
-    starts = np.searchsorted(cols, np.arange(len(A)))
+    depth = max(1, int(nonzero.sum(axis=0).max()))
+    # A stable sort of each column's zero flags puts its nonzero rows first.
+    rows = np.argsort(~nonzero, axis=0, kind="stable")[:depth]
+    weights = np.take_along_axis(A, rows, axis=0)
     moduli = M.params.row_moduli[:, None]
 
     def times(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Each entry sums at most dim products of residues below
         # top_modulus, under the GroupParams bound dim * top_modulus^2 < 2^62.
-        out = np.add.reduceat(X[:, rows] * weights, starts, axis=1, out=out)
+        out = np.multiply(X[:, rows[0]], weights[0], out=out)
+        for r, w in zip(rows[1:], weights[1:]):
+            out += X[:, r] * w
         return np.remainder(out, moduli, out=out)
 
     return times

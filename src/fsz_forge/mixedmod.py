@@ -13,8 +13,8 @@ residues directly.
 Vectors and matrices share one stored form: a reduced, read-only int64
 array of canonical residues, row r (coordinate r of a vector) reduced mod
 row_modulus(r).  An int64 array is reduced with numpy; any other input,
-such as build_b's nested lists or an integer past int64, is reduced
-once with Python integers on entry.  Sums, scalings and products
+such as nested lists or an integer past int64, is reduced once with
+Python integers on entry.  Sums, scalings and products
 run on the stored arrays and cannot wrap: every stored entry is below
 top_modulus = p^{j+1}, so a dot product of dim such pairs, in mat_mul and
 in mat_apply alike, is below dim * top_modulus^2, which GroupParams keeps

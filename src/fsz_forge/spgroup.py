@@ -41,6 +41,8 @@ DEFAULT_ENUMERATION_LIMIT = 10 ** 8
 _MAX_PARSE_EXPONENT = 2 ** 63
 _MAX_PARSE_DIGITS = len(str(_MAX_PARSE_EXPONENT))
 _CHUNK = 1 << 16
+# The most 32-bit words one getrandbits call of random_rows draws.
+_DRAW_WORDS = 1 << 11
 
 
 class EnumerationLimitError(RuntimeError):
@@ -200,13 +202,46 @@ def element_at(params: GroupParams, idx: int) -> SElement:
 
 
 def random_rows(params: GroupParams, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n uniform elements from a random.Random source, as stacked (V, K) int64 rows."""
-    randrange, draws = rng.randrange, []
-    for _ in range(n):
-        draws.append(randrange(params.top_modulus))
-        draws.extend([randrange(params.p) for _ in range(params.dim - 1)])
-        draws.append(randrange(params.b_order))
-    rows = np.array(draws, dtype=np.int64).reshape(n, params.dim + 1)
+    """n uniform elements from a random.Random source, as stacked (V, K) int64 rows.
+
+    Values and final state are those of randrange(top_modulus), dim - 1
+    randrange(p) and randrange(b_order) per element.  CPython's randrange(m),
+    0 < m < 2^32, takes 32-bit words w until w >> (32 - m.bit_length()) is
+    below m, and getrandbits(32 c) is the next c words, least significant
+    first.  So each chunk of words gives, for every start position, the end
+    of an element starting there; one walk over these ends finds the starts,
+    one gather per request reads the values, and the state is reset and
+    advanced by the words used.
+    """
+    requests = ((params.top_modulus, 1), (params.p, params.dim - 1), (params.b_order, 1))
+    rows = np.empty((n, params.dim + 1), dtype=np.int64)
+    state, used, done = rng.getstate(), 0, 0
+    words = np.empty(0, dtype=np.uint32)
+    while done < n:
+        chunk = min(_DRAW_WORDS, 2 * (n - done) * (params.dim + 1))
+        fresh = rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")
+        words = np.concatenate([words, np.frombuffer(fresh, dtype="<u4")])
+        W = len(words)
+        end, picks = np.arange(W + 1), []
+        for m, count in requests:
+            drawn = words >> (32 - m.bit_length())
+            accept = drawn < m
+            hits = np.flatnonzero(accept)
+            # The accepted words ahead of each position 0..W, and of W + 1.
+            rank = np.concatenate(([0], np.cumsum(accept), [len(hits)]))[end]
+            picks.append((drawn[hits], rank, count))
+            # W + 1 marks an element that runs past the chunk.
+            end = np.append(hits + 1, W + 1)[np.minimum(rank + (count - 1), len(hits))]
+        starts, s = [], 0
+        while done + len(starts) < n and end[s] <= W:
+            starts.append(s)
+            s = end[s]
+        rows[done : done + len(starts)] = np.hstack([
+            values[rank[starts][:, None] + np.arange(count)] for values, rank, count in picks
+        ])
+        used, done, words = used + s, done + len(starts), words[s:]
+    rng.setstate(state)
+    rng.getrandbits(32 * used)
     return rows[:, :-1], rows[:, -1]
 
 
@@ -442,14 +477,21 @@ class SpjGroup(IndexGroup):
         return K * self._abelian + V @ self._place_values
 
     def _apply_by_k(self, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """B^{K[i]} applied to row i of V, one b_power_table row per b-exponent."""
+        """B^{K[i]} applied to row i of V, one product per present b-exponent.
+
+        One stable argsort of K (b_order <= 513 under the dimension guard,
+        so a uint16 sort, which numpy does by radix) lists the rows of each
+        b-exponent as one contiguous slice of indices, in ascending order.
+        """
         table = b_power_table(self.params)
+        order = np.argsort(K.astype(np.uint16), kind="stable")
+        edges = np.searchsorted(K[order], np.arange(self.params.b_order + 1)).tolist()
         out = np.empty_like(V)
-        for kk in range(self.params.b_order):
-            mask = K == kk
-            if mask.any():
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if lo < hi:
+                rows = order[lo:hi]
                 # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
-                out[mask] = V[mask] @ table[kk].T
+                out[rows] = V[rows] @ table[k].T
         return self._mod(out)
 
     def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:
@@ -471,7 +513,7 @@ class SpjGroup(IndexGroup):
         one = (np.zeros_like(V), np.zeros_like(K))
         GV, GK = square_and_multiply((V, K), pr.n, lambda a, b: self.mul(*a, *b), one)
         bad = GK != 0
-        t_of = np.array([t_of_b_exponent(pr, k) for k in K.tolist()])
+        t_of = np.array([t_of_b_exponent(pr, k) for k in range(pr.b_order)])[K]
         for t in range(pr.j + 1):
             rows = t_of == t
             moved = self._mod(V[rows] @ _y_matrix(pr, t).array.T)

@@ -64,6 +64,25 @@ def test_small_case_matrix_literals():
     assert build_y(p, 0).rows == ((6, 0), (0, 0))
 
 
+def _list_built_b(params):
+    """B as nested Python lists, column c the image of generator c."""
+    d, pj = params.dim, params.n
+    rows = [[0] * d for _ in range(d)]
+    for c in range(d):
+        rows[c][c] = 1
+    rows[1][0] = -1
+    for c in range(1, d - 1):
+        rows[c + 1][c] = 1
+    rows[0][d - 1] = -pj
+    return rows
+
+
+@pytest.mark.parametrize("p,j", [(3, 1), (5, 2), (7, 2), (509, 1)])
+def test_build_b_equals_the_list_built_grid(p, j):
+    params = GroupParams(p, j)
+    assert build_b(params) == EndoMatrix(params, _list_built_b(params))
+
+
 @pytest.mark.parametrize("p,j", GRID)
 def test_b_order_is_exactly_p_to_j(p, j):
     params = GroupParams(p, j)
@@ -190,19 +209,24 @@ def _endomorphisms(params, rng):
     zero_column[:, d // 2] = 0
     dense_column = np.zeros((d, d), dtype=np.int64)
     dense_column[:, 0] = rng.integers(1, p, size=d)
+    b_dense_last = build_b(params).array.copy()
+    b_dense_last[1:, -1] = rng.integers(1, p, size=d - 1)
+    b_dense_last[0, -1] = params.n * rng.integers(1, p)
     return [build_b(params), build_shift(params)] + [
-        EndoMatrix(params, A) for A in (R, zero_column, dense_column)
+        EndoMatrix(params, A) for A in (R, zero_column, dense_column, b_dense_last)
     ]
 
 
 @pytest.mark.parametrize("p,j", TABLE_GRID)
 def test_right_product_matches_the_dense_product(p, j):
-    # A column of M with no nonzero entry is an empty np.add.reduceat
-    # segment, which would copy a column of X instead of giving zeros.
+    # A column of M with no nonzero entry is all padding and must give
+    # zeros; one dense column among columns of two nonzeros makes every
+    # other column padded to depth dim.
     params = GroupParams(p, j)
     rng = np.random.default_rng(p * 10 + j)
     Ms = _endomorphisms(params, rng)
     assert not Ms[3].array[:, params.dim // 2].any() and Ms[4].array[:, 0].all()
+    assert Ms[5].array[:, -1].all() and (Ms[5].array[:, :-1] != 0).sum(axis=0).max() == 2
     moduli = params.row_moduli[:, None]
     for X in [M.array for M in Ms] + [identity_matrix(params).array]:
         for M in Ms:

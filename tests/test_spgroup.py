@@ -7,6 +7,7 @@ import pytest
 
 import tablefixtures as tf
 from fsz_forge import spgroup
+from fsz_forge.cli import _SAMPLE_BLOCK
 from fsz_forge.construction import b_power_table
 from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError, identity_matrix
 from fsz_forge.spgroup import (
@@ -216,6 +217,54 @@ def test_enumeration_is_a_bijection():
     for idx, x in enumerate(elements):
         assert element_index(P31, x) == idx
         assert element_at(P31, idx) == x
+
+
+def _randrange_rows(params, rng, n):
+    """random_rows as a loop of randrange calls, one per coordinate."""
+    rows = []
+    for _ in range(n):
+        rows.append([rng.randrange(params.top_modulus)]
+                    + [rng.randrange(params.p) for _ in range(params.dim - 1)]
+                    + [rng.randrange(params.b_order)])
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,j", [(3, 1), (5, 1), (7, 2), (3, 3), (5, 2), (509, 1)])
+def test_random_rows_equal_the_randrange_loop(p, j):
+    # n = _SAMPLE_BLOCK // dim is a full block of the power sample, drawn
+    # over many chunks of words.
+    params = GroupParams(p, j)
+    for seed in range(10):
+        for n in (1, j + 1, 200, _SAMPLE_BLOCK // params.dim):
+            bulk, loop = random.Random(seed), random.Random(seed)
+            V, K = spgroup.random_rows(params, bulk, n)
+            assert V.dtype == K.dtype == np.int64
+            assert np.array_equal(np.column_stack([V, K]), _randrange_rows(params, loop, n))
+            assert bulk.getstate() == loop.getstate()
+            assert bulk.random() == loop.random()
+
+
+@pytest.mark.parametrize("p,j,rows", [(3, 1, 200), (7, 2, 200), (509, 1, 129)])
+def test_apply_by_k_equals_the_per_row_product(monkeypatch, p, j, rows):
+    params = GroupParams(p, j)
+    G, rng = SpjGroup(params), np.random.default_rng(p + j)
+    bo, d = params.b_order, params.dim
+    if p == 509:
+        # The grouping does not depend on what the table holds, and the
+        # b_power_table of S(509,1) is 1 GB: each b-exponent gets its own
+        # window of one buffer of residues instead.
+        buffer = rng.integers(0, params.p, size=bo + d * d)
+        stand_in = np.lib.stride_tricks.sliding_window_view(buffer, d * d)[:bo].reshape(bo, d, d)
+        monkeypatch.setattr(spgroup, "b_power_table", lambda pr: stand_in)
+    table = spgroup.b_power_table(params)
+    for K in (np.empty(0, dtype=np.int64), np.full(rows, bo // 2), rng.permutation(bo),
+              rng.integers(0, bo, size=rows)):
+        V = rng.integers(0, params.p, size=(len(K), d))
+        V[:, 0] = rng.integers(0, params.top_modulus, size=len(K))
+        want = np.empty_like(V)
+        for i, k in enumerate(K.tolist()):
+            want[i] = V[i] @ table[k].T % params.row_moduli
+        assert np.array_equal(G._apply_by_k(K, V), want)
 
 
 def test_random_element_is_seed_deterministic():
