@@ -139,8 +139,8 @@ def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, s
     """power_pj against generic square-and-multiply, all b-orders forced.
 
     Element i < j has b-exponent p^i and element j has 0; the rest are
-    uniform.  They are drawn as random_element draws them, straight into
-    stacked (V, K) rows, and checked in order, in blocks of at most
+    uniform.  random_rows draws them straight into stacked (V, K) rows,
+    and they are checked in order, in blocks of at most
     _SAMPLE_BLOCK coordinates, so the first mismatch is reported.
     """
     rng = random.Random(seed)

@@ -17,15 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mixedmod import (
-    EndoMatrix,
-    GroupParams,
-    ParameterError,
-    identity_matrix,
-    mat_add,
-    mat_mul,
-    mat_scale,
-)
+from .mixedmod import EndoMatrix, GroupParams, ParameterError
 
 
 @dataclass(frozen=True)
@@ -45,7 +37,7 @@ def build_b(params: GroupParams) -> EndoMatrix:
 
 def build_shift(params: GroupParams) -> EndoMatrix:
     """S = B - I, the nilpotent part of the automorphism matrix."""
-    return mat_add(build_b(params), mat_scale(-1, identity_matrix(params)))
+    return EndoMatrix(params, build_b(params).array - np.eye(params.dim, dtype=np.int64))
 
 
 def _shift_power_array(params: GroupParams, k: int) -> np.ndarray:
@@ -114,31 +106,48 @@ def binomial_entry_closed(params: GroupParams, k: int) -> EndoMatrix:
     return EndoMatrix(params, _binomial_array(params, row))
 
 
-def right_product(M: EndoMatrix):
-    """X -> X M reduced row-wise by row_moduli, for int64 residue arrays X.
+def _layered_product(A: np.ndarray, moduli: np.ndarray):
+    """X -> X A reduced by moduli, for int64 residue arrays X.
 
-    Layer i holds the i-th nonzero of every column of M, its row and its
-    weight, padded with weight 0 where a column has fewer, so X M is the
-    sum over layers of X[:, rows_i] * weights_i: O(dim^2 * depth), the
-    depth being the most nonzeros in a column, 2 for B and 1 for S.
+    Layer i holds the i-th nonzero of every column of A, its row and its
+    weight, padded with weight 0 where a column has fewer, so X A is the
+    sum over layers of X[..., rows_i] * weights_i: O(len(X) * dim * depth),
+    the depth being the most nonzeros in a column.  Each layer is gathered
+    and scaled in place, the first in the result and the others in one
+    scratch array per call.
     """
-    A = M.array
     nonzero = A != 0
     depth = max(1, int(nonzero.sum(axis=0).max()))
     # A stable sort of each column's zero flags puts its nonzero rows first.
     rows = np.argsort(~nonzero, axis=0, kind="stable")[:depth]
     weights = np.take_along_axis(A, rows, axis=0)
-    moduli = M.params.row_moduli[:, None]
+    first, rest = (rows[0], weights[0]), list(zip(rows[1:], weights[1:]))
 
     def times(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # Each entry sums at most dim products of residues below
         # top_modulus, under the GroupParams bound dim * top_modulus^2 < 2^62.
-        out = np.multiply(X[:, rows[0]], weights[0], out=out)
-        for r, w in zip(rows[1:], weights[1:]):
-            out += X[:, r] * w
-        return np.remainder(out, moduli, out=out)
+        # The indices are in range, so mode="clip" only spares take a buffer.
+        out = X.take(first[0], axis=-1, out=out, mode="clip")
+        out *= first[1]
+        scratch = np.empty_like(out) if rest else None
+        for r, w in rest:
+            X.take(r, axis=-1, out=scratch, mode="clip")
+            scratch *= w
+            out += scratch
+        out %= moduli
+        return out
 
     return times
+
+
+def right_product(M: EndoMatrix):
+    """X -> X M reduced row-wise, for dim x dim residue arrays X: 2 layers for B, 1 for S."""
+    return _layered_product(M.array, M.params.row_moduli[:, None])
+
+
+def row_product(M: EndoMatrix):
+    """X -> X M^T, M applied to each residue row of X (or to one vector), by M's rows."""
+    return _layered_product(M.array.T, M.params.row_moduli)
 
 
 @lru_cache(maxsize=None)
@@ -147,9 +156,9 @@ def b_power_table(params: GroupParams) -> np.ndarray:
 
     One chain B^k = B^{k-1} B of right_products, so every entry is a
     canonical residue.  The table holds p^j * dim^2 entries, so only
-    verify_construction, build_y and the whole-group kernels of
-    enumerable groups read it; multiply and invert build the single
-    powers they need.
+    verify_construction, build_y and the bulk kernels of SpjGroup read it;
+    the scalar multiply, invert and parse_element apply B to their one
+    row in sparse steps instead.
     """
     d = params.dim
     times_b = right_product(build_b(params))
@@ -175,10 +184,9 @@ def build_y(params: GroupParams, t: int) -> EndoMatrix:
     return EndoMatrix(params, b_power_table(params)[:: params.p ** t].sum(axis=0))
 
 
-def _is_corner_block(M: EndoMatrix, corner: int) -> bool:
-    """True when (0,0) equals corner and every other entry is zero."""
-    A = M.array
-    return bool(A[0, 0] == corner % M.params.top_modulus and not A.ravel()[1:].any())
+def _is_corner_block(params: GroupParams, A: np.ndarray, corner: int) -> bool:
+    """True when (0,0) of the residue array A equals corner and every other entry is zero."""
+    return bool(A[0, 0] == corner % params.top_modulus and not A.ravel()[1:].any())
 
 
 def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
@@ -203,7 +211,8 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
 
     results = []
 
-    premature = (np.flatnonzero((table[1:] == ident).all(axis=(1, 2))) + 1).tolist()
+    # One power at a time: a comparison of the whole table would hold p^j * dim^2 bytes.
+    premature = [k for k in range(1, pj) if np.array_equal(table[k], ident)]
     order_ok = not premature and last_is_ident
     results.append(
         CheckResult(
@@ -224,19 +233,20 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
         )
     )
 
-    y1 = build_y(params, 0)
+    y1 = build_y(params, 0).array
     results.append(
         CheckResult(
             "y1_block_form",
-            _is_corner_block(y1, 2 * pj),
-            f"Y(1) corner entry {int(y1.array[0, 0])}, expected {2 * pj} with zeros elsewhere",
+            _is_corner_block(params, y1, 2 * pj),
+            f"Y(1) corner entry {int(y1[0, 0])}, expected {2 * pj} with zeros elsewhere",
         )
     )
 
+    moduli = params.row_moduli[:, None]
     bad_t = [
         t
         for t in range(1, params.j)
-        if not _is_corner_block(mat_scale(params.p ** t, build_y(params, t)), pj)
+        if not _is_corner_block(params, params.p ** t * build_y(params, t).array % moduli, pj)
     ]
     if params.j == 1:
         yp_detail = "vacuous, no t in range 1..j-1"
@@ -270,7 +280,8 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
             )
         )
 
-    fixed = mat_mul(B, y1) == y1 and mat_mul(y1, B) == y1
+    # B Y(1) applies B to each column of Y(1), that is to each row of Y(1)^T.
+    fixed = all(np.array_equal(Z, y1) for Z in (row_product(B)(y1.T).T, right_product(B)(y1)))
     results.append(
         CheckResult(
             "y1_b_fixed_point",

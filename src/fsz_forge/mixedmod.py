@@ -1,4 +1,4 @@
-"""Exact arithmetic over Z_{p^{j+1}} x Z_p^(d-1) and its endomorphism ring.
+"""Exact arithmetic over Z_{p^{j+1}} x Z_p^(d-1): value types, powers, quotient orders.
 
 Vectors carry one wide coordinate reduced mod p^{j+1} followed by d-1
 coordinates reduced mod p, where d = p^j - 1.  Endomorphisms of that group
@@ -14,10 +14,10 @@ Vectors and matrices share one stored form: a reduced, read-only int64
 array of canonical residues, row r (coordinate r of a vector) reduced mod
 row_modulus(r).  An int64 array is reduced with numpy; any other input,
 such as nested lists or an integer past int64, is reduced once with
-Python integers on entry.  Sums, scalings and products
-run on the stored arrays and cannot wrap: every stored entry is below
-top_modulus = p^{j+1}, so a dot product of dim such pairs, in mat_mul and
-in mat_apply alike, is below dim * top_modulus^2, which GroupParams keeps
+Python integers on entry.  Products run on the stored arrays elsewhere
+(construction.right_product and the kernels of spgroup) and cannot wrap:
+every stored entry is below top_modulus = p^{j+1}, so a dot product of
+dim such pairs is below dim * top_modulus^2, which GroupParams keeps
 below 2^62 (under the dimension guard DEFAULT_MAX_DIMENSION = 512 the
 worst case, S(509,1), reaches about 3.4e13).  The constructor reduces
 each result, and a matrix re-checks the invariant on its array.  Values
@@ -33,7 +33,7 @@ import numpy as np
 
 DEFAULT_MAX_DIMENSION = 512
 # GroupParams keeps dim * top_modulus^2, which bounds every dot product of
-# residues in mat_mul and mat_apply, below this.
+# residues, below this.
 _INT64_PRODUCT_BOUND = 2 ** 62
 
 
@@ -116,11 +116,6 @@ class GroupParams:
         return f"S({self.p},{self.j})"
 
 
-def _require_same_params(a, b) -> None:
-    if a.params is not b.params and a.params != b.params:
-        raise ParameterError(f"mixed parameters: {a.params} vs {b.params}")
-
-
 @dataclass(frozen=True, eq=False)
 class _Residues:
     """The stored form of vectors (_ndim 1) and matrices (_ndim 2).
@@ -163,9 +158,6 @@ class MixedVector(_Residues):
         """The coordinates as Python ints, for output and index arithmetic."""
         return tuple(self.array.tolist())
 
-    def __add__(self, other: "MixedVector") -> "MixedVector":
-        return vec_combine(self, other)
-
 
 def zero_vector(params: GroupParams) -> MixedVector:
     return MixedVector(params, np.zeros(params.dim, dtype=np.int64))
@@ -207,54 +199,6 @@ class EndoMatrix(_Residues):
         return tuple(map(tuple, self.array.tolist()))
 
 
-def identity_matrix(params: GroupParams) -> EndoMatrix:
-    return EndoMatrix(params, np.eye(params.dim, dtype=np.int64))
-
-
-def zero_matrix(params: GroupParams) -> EndoMatrix:
-    return EndoMatrix(params, np.zeros((params.dim, params.dim), dtype=np.int64))
-
-
-# Every stored entry is below top_modulus and GroupParams keeps
-# dim * top_modulus^2 below 2^62, so the int64 sums, scalings by
-# c % top_modulus and dot products below stay exact before the reduction.
-def vec_combine(v: MixedVector, w: MixedVector) -> MixedVector:
-    """Componentwise sum, the abelian group operation."""
-    _require_same_params(v, w)
-    return MixedVector(v.params, v.array + w.array)
-
-
-def vec_scale(c: int, v: MixedVector) -> MixedVector:
-    """Scalar multiple: each coordinate times c, reduced by its modulus."""
-    return MixedVector(v.params, (c % v.params.top_modulus) * v.array)
-
-
-def mat_apply(M: EndoMatrix, v: MixedVector) -> MixedVector:
-    """Apply M to v on the left.
-
-    The row-0 sum mixes mod-p residues into a mod-p^{j+1} result; this is
-    lift-independent because the corresponding matrix entries are
-    divisible by p^j.
-    """
-    _require_same_params(M, v)
-    return MixedVector(M.params, M.array @ v.array)
-
-
-def mat_mul(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
-    """Matrix product with per-row reduction; preserves the invariant."""
-    _require_same_params(M, N)
-    return EndoMatrix(M.params, M.array @ N.array)
-
-
-def mat_add(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
-    _require_same_params(M, N)
-    return EndoMatrix(M.params, M.array + N.array)
-
-
-def mat_scale(c: int, M: EndoMatrix) -> EndoMatrix:
-    return EndoMatrix(M.params, (c % M.params.top_modulus) * M.array)
-
-
 def square_and_multiply(base, e: int, mul, one):
     """base^e for e >= 0 under the associative product mul, with identity one."""
     result = one
@@ -265,13 +209,6 @@ def square_and_multiply(base, e: int, mul, one):
         if e:
             base = mul(base, base)
     return result
-
-
-def mat_pow(M: EndoMatrix, e: int) -> EndoMatrix:
-    """M^e by square-and-multiply; M^0 is the identity."""
-    if e < 0:
-        raise ParameterError(f"negative exponent {e}")
-    return square_and_multiply(M, e, mat_mul, identity_matrix(M.params))
 
 
 def quotient_order(params: GroupParams, A: np.ndarray) -> int:

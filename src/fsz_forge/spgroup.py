@@ -3,9 +3,11 @@
 Elements are pairs (v, k): a vector from the abelian part and an exponent
 of the outer generator b, with b acting by the automorphism matrix.  The
 normal form stores q*b^k with 0 <= k < p^j, so two elements are equal iff
-their fields are equal.  Besides generic square-and-multiply powering,
-power_pj evaluates p^j-th powers through the power-sum matrices Y(p^t),
-which is the structured route the counting layer depends on.
+their fields are equal.  The scalar product, inverse and parser apply B^k
+to their one int64 row as k sparse steps of B, and never build a power of
+B.  Besides generic square-and-multiply powering, power_pj evaluates
+p^j-th powers through the power-sum matrices Y(p^t), which is the
+structured route the counting layer depends on.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .construction import CheckResult, b_power_table, build_b, build_y
+from .construction import CheckResult, b_power_table, build_b, build_y, row_product
 from .mixedmod import (
     EndoMatrix,
     GroupParams,
@@ -25,11 +27,8 @@ from .mixedmod import (
     ParameterError,
     VerificationError,
     basis_vector,
-    mat_apply,
-    mat_pow,
     quotient_order,
     square_and_multiply,
-    vec_scale,
     zero_vector,
 )
 
@@ -69,13 +68,31 @@ class SElement:
 
 
 @lru_cache(maxsize=None)
-def _b_power(params: GroupParams, k: int) -> EndoMatrix:
-    return mat_pow(build_b(params), k % params.b_order)
+def _b_step(params: GroupParams):
+    """v -> B v on int64 residue rows, from the two nonzeros of each row of B."""
+    return row_product(build_b(params))
+
+
+def _apply_b(params: GroupParams, k: int, v: np.ndarray) -> np.ndarray:
+    """B^k v for a residue vector v and 0 <= k < p^j, as k sparse steps."""
+    for _ in range(k):
+        v = _b_step(params)(v)
+    return v
 
 
 @lru_cache(maxsize=None)
 def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
     return build_y(params, t)
+
+
+def _power_pj_rows(params: GroupParams, V: np.ndarray, t: int) -> np.ndarray:
+    """p^t Y(p^t) applied to each residue row v of V: the vector of x^{p^j}
+    for x = (v, k) with |b^k| = p^{j-t}.  No entry reaches dim * top_modulus^2."""
+    moved = V @ _y_matrix(params, t).array.T
+    moved %= params.row_moduli
+    moved *= params.p ** t
+    moved %= params.row_moduli
+    return moved
 
 
 def t_of_b_exponent(params: GroupParams, k: int) -> int:
@@ -105,13 +122,14 @@ def generator_b(params: GroupParams) -> SElement:
 
 def multiply(params: GroupParams, x: SElement, y: SElement) -> SElement:
     """(v_x, k_x)(v_y, k_y) = (v_x + B^{k_x} v_y, k_x + k_y)."""
-    moved = mat_apply(_b_power(params, x.k), y.vec)
-    return SElement(x.vec + moved, x.k + y.k)
+    moved = _apply_b(params, x.k, y.vec.array)
+    return SElement(MixedVector(params, x.vec.array + moved), x.k + y.k)
 
 
 def invert(params: GroupParams, x: SElement) -> SElement:
-    back = params.b_order - x.k
-    return SElement(vec_scale(-1, mat_apply(_b_power(params, back), x.vec)), back)
+    """(v, k)^-1 = (-B^{-k} v, -k)."""
+    back = -x.k % params.b_order
+    return SElement(MixedVector(params, -_apply_b(params, back, x.vec.array)), back)
 
 
 def power_generic(params: GroupParams, x: SElement, e: int) -> SElement:
@@ -130,8 +148,7 @@ def power_pj(params: GroupParams, x: SElement) -> SElement:
     always lies in the central cyclic subgroup generated by a_1^{p^j}.
     """
     t = t_of_b_exponent(params, x.k)
-    moved = mat_apply(_y_matrix(params, t), x.vec)
-    return SElement(vec_scale(params.p ** t, moved), 0)
+    return SElement(MixedVector(params, _power_pj_rows(params, x.vec.array, t)), 0)
 
 
 _TOKEN_RE = re.compile(r"(?:a([1-9][0-9]*)|b|e)(?:\^(-?[0-9]+))?\Z")
@@ -159,7 +176,8 @@ def parse_element(params: GroupParams, text: str) -> SElement:
                 raise ElementSyntaxError(
                     f"generator index out of range in {token!r}: valid are a1..a{params.dim}"
                 )
-            factor = SElement(vec_scale(exponent, basis_vector(params, i - 1)), 0)
+            scaled = exponent % params.row_modulus(i - 1) * basis_vector(params, i - 1).array
+            factor = SElement(MixedVector(params, scaled), 0)
         elif token.startswith("b"):
             factor = SElement(zero_vector(params), exponent)
         else:
@@ -243,12 +261,6 @@ def random_rows(params: GroupParams, rng, n: int) -> tuple[np.ndarray, np.ndarra
     rng.setstate(state)
     rng.getrandbits(32 * used)
     return rows[:, :-1], rows[:, -1]
-
-
-def random_element(params: GroupParams, rng) -> SElement:
-    """Uniform element from a random.Random source."""
-    V, K = random_rows(params, rng, 1)
-    return SElement(MixedVector(params, V[0]), int(K[0]))
 
 
 @dataclass(frozen=True)
@@ -516,8 +528,7 @@ class SpjGroup(IndexGroup):
         t_of = np.array([t_of_b_exponent(pr, k) for k in range(pr.b_order)])[K]
         for t in range(pr.j + 1):
             rows = t_of == t
-            moved = self._mod(V[rows] @ _y_matrix(pr, t).array.T)
-            bad[rows] |= (self._mod(moved * pr.p ** t) != GV[rows]).any(axis=1)
+            bad[rows] |= (_power_pj_rows(pr, V[rows], t) != GV[rows]).any(axis=1)
         first = np.flatnonzero(bad)
         return SElement(MixedVector(pr, V[first[0]]), int(K[first[0]])) if first.size else None
 

@@ -1,5 +1,6 @@
 """Multiplication-table builders, corrupted fixtures, scalar order and
-power oracles and a lexicographic element oracle shared by tests.
+power oracles, a lexicographic element oracle, random S(p,j) elements and
+the dense matrix oracle shared by tests.
 
 Tables are lists of rows of 0-based indices; table[a][b] is the product
 a*b.  Builders return plain lists so tests can corrupt copies freely.
@@ -10,8 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from fsz_forge.mixedmod import GroupParams, MixedVector
-from fsz_forge.spgroup import SElement
+import numpy as np
+
+from fsz_forge.mixedmod import EndoMatrix, GroupParams, MixedVector
+from fsz_forge.spgroup import SElement, random_rows
 
 
 def cyclic(n: int) -> list[list[int]]:
@@ -90,6 +93,35 @@ def lexicographic_elements(params: GroupParams):
     for k in range(params.b_order):
         for coords in itertools.product(*ranges):
             yield SElement(MixedVector(params, coords), k)
+
+
+def random_elements(params: GroupParams, rng: random.Random, count: int) -> list[SElement]:
+    """count uniform elements, drawn by random_rows from the random.Random source."""
+    V, K = random_rows(params, rng, count)
+    return [SElement(MixedVector(params, v), k) for v, k in zip(V, K.tolist())]
+
+
+def identity_matrix(params: GroupParams) -> EndoMatrix:
+    return EndoMatrix(params, np.eye(params.dim, dtype=np.int64))
+
+
+def mat_mul(M: EndoMatrix, N: EndoMatrix) -> EndoMatrix:
+    """M N by row-by-column sums of Python ints, reduced by the EndoMatrix constructor."""
+    cols = list(zip(*N.rows))
+    return EndoMatrix(M.params, [[sum(a * b for a, b in zip(row, col)) for col in cols]
+                                 for row in M.rows])
+
+
+def mat_powers(M: EndoMatrix):
+    """M^0, M^1, M^2, ... by repeated mat_mul: the dense oracle for powers of B and S."""
+    power = identity_matrix(M.params)
+    while True:
+        yield power
+        power = mat_mul(power, M)
+
+
+def mat_pow(M: EndoMatrix, e: int) -> EndoMatrix:
+    return next(itertools.islice(mat_powers(M), e, None))
 
 
 # Row 1 repeats the entry 1, violating the Latin-square property.

@@ -106,9 +106,8 @@ def _first_power_mismatch(params, samples, seed):
     elements = []
     for t in range(params.j + 1):
         k = 0 if t == params.j else params.p ** t
-        elements.append(spgroup.SElement(spgroup.random_element(params, rng).vec, k))
-    while len(elements) < max(samples, params.j + 1):
-        elements.append(spgroup.random_element(params, rng))
+        elements.append(spgroup.SElement(tf.random_elements(params, rng, 1)[0].vec, k))
+    elements += tf.random_elements(params, rng, max(samples, params.j + 1) - len(elements))
     bad = [
         i for i, x in enumerate(elements)
         if spgroup.power_pj(params, x) != spgroup.power_generic(params, x, params.n)

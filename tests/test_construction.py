@@ -1,10 +1,12 @@
 """Automorphism matrix B, shift matrix S, and the Y endomorphisms."""
 
+import itertools
 from math import comb
 
 import numpy as np
 import pytest
 
+import tablefixtures as tf
 from fsz_forge import construction
 from fsz_forge.construction import (
     b_power_table,
@@ -13,18 +15,11 @@ from fsz_forge.construction import (
     build_shift,
     build_y,
     right_product,
+    row_product,
     shift_power_closed,
     verify_construction,
 )
-from fsz_forge.mixedmod import (
-    EndoMatrix,
-    GroupParams,
-    identity_matrix,
-    mat_add,
-    mat_mul,
-    mat_pow,
-    mat_scale,
-)
+from fsz_forge.mixedmod import EndoMatrix, GroupParams
 
 GRID = [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1)]
 
@@ -56,11 +51,11 @@ def test_small_case_matrix_literals():
     B = build_b(p)
     S = build_shift(p)
     assert B.rows == ((1, 6), (2, 1))
-    assert mat_pow(B, 2).rows == ((4, 3), (1, 1))
-    assert mat_pow(B, 3).rows == ((1, 0), (0, 1))
+    assert tf.mat_pow(B, 2).rows == ((4, 3), (1, 1))
+    assert tf.mat_pow(B, 3).rows == ((1, 0), (0, 1))
     assert S.rows == ((0, 6), (2, 0))
-    assert mat_pow(S, 2).rows == ((3, 0), (0, 0))
-    assert mat_pow(S, 3).rows == ((0, 0), (0, 0))
+    assert tf.mat_pow(S, 2).rows == ((3, 0), (0, 0))
+    assert tf.mat_pow(S, 3).rows == ((0, 0), (0, 0))
     assert build_y(p, 0).rows == ((6, 0), (0, 0))
 
 
@@ -86,17 +81,17 @@ def test_build_b_equals_the_list_built_grid(p, j):
 @pytest.mark.parametrize("p,j", GRID)
 def test_b_order_is_exactly_p_to_j(p, j):
     params = GroupParams(p, j)
-    B = build_b(params)
-    I = identity_matrix(params).rows
-    assert mat_pow(B, params.b_order).rows == I
+    I = tf.identity_matrix(params).rows
+    powers = list(itertools.islice(tf.mat_powers(build_b(params)), params.b_order + 1))
+    assert powers[params.b_order].rows == I
     for k in range(1, params.b_order):
-        assert mat_pow(B, k).rows != I
+        assert powers[k].rows != I
 
 
 @pytest.mark.parametrize("p,j", GRID)
 def test_b_penultimate_power_corner_entry(p, j):
     params = GroupParams(p, j)
-    top = mat_pow(build_b(params), params.b_order - 1)
+    top = tf.mat_pow(build_b(params), params.b_order - 1)
     assert top.rows[0][0] == params.n + 1
 
 
@@ -110,7 +105,7 @@ def test_y_block_forms(p, j):
         if (r, c) != (0, 0)
     )
     for t in range(1, j):
-        scaled = mat_scale(p**t, build_y(params, t))
+        scaled = EndoMatrix(params, p**t * build_y(params, t).array)
         assert scaled.rows[0][0] == params.n
         assert all(
             scaled.rows[r][c] == 0
@@ -123,20 +118,20 @@ def test_y_block_forms(p, j):
 @pytest.mark.parametrize("p,j", GRID)
 def test_closed_forms_match_mat_pow(p, j):
     params = GroupParams(p, j)
-    B = build_b(params)
-    S = build_shift(params)
-    for k in range(1, params.b_order + 1):
-        assert shift_power_closed(params, k).rows == mat_pow(S, k).rows
-    for k in range(1, params.b_order - 1):
-        assert binomial_entry_closed(params, k).rows == mat_pow(B, k).rows
+    S_powers = tf.mat_powers(build_shift(params))
+    B_powers = tf.mat_powers(build_b(params))
+    for k, S_k in zip(range(1, params.b_order + 1), itertools.islice(S_powers, 1, None)):
+        assert shift_power_closed(params, k).rows == S_k.rows
+    for k, B_k in zip(range(1, params.b_order - 1), itertools.islice(B_powers, 1, None)):
+        assert binomial_entry_closed(params, k).rows == B_k.rows
 
 
 def test_y1_absorbs_b():
     params = GroupParams(5, 1)
     B = build_b(params)
     y1 = build_y(params, 0)
-    assert mat_mul(B, y1).rows == y1.rows
-    assert mat_mul(y1, B).rows == y1.rows
+    assert tf.mat_mul(B, y1).rows == y1.rows
+    assert tf.mat_mul(y1, B).rows == y1.rows
 
 
 TABLE_GRID = [(3, 1), (5, 1), (3, 2), (7, 2)]
@@ -145,25 +140,24 @@ TABLE_GRID = [(3, 1), (5, 1), (3, 2), (7, 2)]
 @pytest.mark.parametrize("p,j", TABLE_GRID)
 def test_b_power_table_is_read_only_and_matches_mat_pow(p, j):
     params = GroupParams(p, j)
-    B = build_b(params)
     table = b_power_table(params)
     assert table.shape == (params.b_order, params.dim, params.dim)
     assert table.dtype == np.int64
-    for k in range(params.b_order):
-        assert np.array_equal(table[k], mat_pow(B, k).array)
+    for k, B_k in zip(range(params.b_order), tf.mat_powers(build_b(params))):
+        assert np.array_equal(table[k], B_k.array)
     assert not table.flags.writeable
     with pytest.raises(ValueError):
         table[0, 0, 0] = 0
 
 
 def _y_by_products(params, t):
-    """Y(p^t) by the product loop over mat_pow(B, p^t): the oracle for build_y."""
-    step = mat_pow(build_b(params), params.p ** t)
-    total = identity_matrix(params)
-    power = identity_matrix(params)
+    """Y(p^t) by the product loop over tf.mat_pow(B, p^t): the oracle for build_y."""
+    step = tf.mat_pow(build_b(params), params.p ** t)
+    total = tf.identity_matrix(params)
+    power = tf.identity_matrix(params)
     for _ in range(params.p ** (params.j - t) - 1):
-        power = mat_mul(power, step)
-        total = mat_add(total, power)
+        power = tf.mat_mul(power, step)
+        total = EndoMatrix(params, total.array + power.array)
     return total
 
 
@@ -221,20 +215,24 @@ def _endomorphisms(params, rng):
 def test_right_product_matches_the_dense_product(p, j):
     # A column of M with no nonzero entry is all padding and must give
     # zeros; one dense column among columns of two nonzeros makes every
-    # other column padded to depth dim.
+    # other column padded to depth dim.  row_product reads the same layers
+    # off the rows of M, so the rows of X^T, X and one vector run through
+    # it too, and a row of X M^T reduces per coordinate.
     params = GroupParams(p, j)
     rng = np.random.default_rng(p * 10 + j)
     Ms = _endomorphisms(params, rng)
     assert not Ms[3].array[:, params.dim // 2].any() and Ms[4].array[:, 0].all()
     assert Ms[5].array[:, -1].all() and (Ms[5].array[:, :-1] != 0).sum(axis=0).max() == 2
     moduli = params.row_moduli[:, None]
-    for X in [M.array for M in Ms] + [identity_matrix(params).array]:
+    for X in [M.array for M in Ms] + [tf.identity_matrix(params).array]:
         for M in Ms:
             want = np.remainder(X @ M.array, moduli)
             assert np.array_equal(right_product(M)(X), want)
             out = np.full_like(X, -1)
             right_product(M)(X, out=out)
             assert np.array_equal(out, want)
+            assert np.array_equal(row_product(M)(X.T).T, np.remainder(M.array @ X, moduli))
+            assert np.array_equal(row_product(M)(X[0]), M.array @ X[0] % params.row_moduli)
 
 
 def _failed(params):
@@ -289,3 +287,13 @@ def test_a_wrong_last_power_corner_fails_only_its_check(monkeypatch, p, j):
     assert _failed(params) == {
         "b_last_power_corner": f"(0,0) of B^{pj - 1} = {pj + 1 + params.top_modulus}, expected {pj + 1}"
     }
+
+
+@pytest.mark.parametrize("p,j", [(3, 2), (5, 1)])
+def test_a_premature_identity_in_the_table_is_named(monkeypatch, p, j):
+    params = GroupParams(p, j)
+    table = b_power_table(params).copy()
+    table[[1, params.n - 1]] = np.eye(params.dim, dtype=np.int64)
+    monkeypatch.setattr(construction, "b_power_table", lambda pr: table)
+    want = f"premature identity at powers [1, {params.n - 1}], top power equal: False"
+    assert _failed(params)["b_order_exact"] == want

@@ -32,7 +32,6 @@ from fsz_forge.spgroup import (
     identity_element,
     multiply,
     power_generic,
-    random_element,
 )
 
 P31 = GroupParams(3, 1)
@@ -101,9 +100,9 @@ def test_oracle_equivalence_on_sampled_pairs(params):
         coords = (s * params.n % params.top_modulus,) + (0,) * (params.dim - 1)
         g = SElement(MixedVector(params, coords), 0)
         pairs.append((u_des, g))
-        pairs.extend((random_element(params, rng), g) for _ in range(4))
+        pairs.extend((u, g) for u in tf.random_elements(params, rng, 4))
     while len(pairs) < 60:
-        pairs.append((random_element(params, rng), random_element(params, rng)))
+        pairs.append(tuple(tf.random_elements(params, rng, 2)))
     for u, g in pairs:
         s = gn_count_structured(params, u, g)
         b = gn_count_bruteforce(G, params.n, u, g)

@@ -5,7 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from fsz_forge import mixedmod
+import tablefixtures as tf
+from fsz_forge import mixedmod, spgroup
+from fsz_forge.construction import build_b, right_product, row_product
 from fsz_forge.mixedmod import (
     EndoMatrix,
     GroupParams,
@@ -13,16 +15,8 @@ from fsz_forge.mixedmod import (
     MixedVector,
     ParameterError,
     basis_vector,
-    identity_matrix,
-    mat_add,
-    mat_apply,
-    mat_mul,
-    mat_pow,
-    mat_scale,
     quotient_order,
-    vec_combine,
-    vec_scale,
-    zero_matrix,
+    square_and_multiply,
     zero_vector,
 )
 
@@ -80,9 +74,10 @@ def test_vector_arithmetic():
     p = GroupParams(5, 1)
     v = MixedVector(p, (7, 1, 2, 3))
     w = MixedVector(p, (20, 4, 4, 4))
-    assert vec_combine(v, w).coords == (2, 0, 1, 2)
-    assert vec_scale(3, v).coords == (21, 3, 1, 4)
-    assert vec_combine(v, zero_vector(p)) == v
+    # The group operation and its multiples: the constructor reduces the int64 sums.
+    assert MixedVector(p, v.array + w.array).coords == (2, 0, 1, 2)
+    assert MixedVector(p, 3 * v.array).coords == (21, 3, 1, 4)
+    assert MixedVector(p, v.array + zero_vector(p).array) == v
     assert basis_vector(p, 0).coords == (1, 0, 0, 0)
     assert basis_vector(p, 3).coords == (0, 0, 0, 1)
 
@@ -95,16 +90,29 @@ def test_matrix_divisibility_invariant():
     EndoMatrix(p, ((1, 6), (2, 1)))
 
 
+def _zero_matrix(p):
+    return EndoMatrix(p, np.zeros((p.dim, p.dim), dtype=np.int64))
+
+
+def _apply(M, v):
+    """M v by the layered row product, as a vector."""
+    return MixedVector(M.params, row_product(M)(v.array))
+
+
 def test_matrix_apply_and_identity():
+    # M is B of S(3,1); the zero matrix is all padding.
     p = GroupParams(3, 1)
     M = EndoMatrix(p, ((1, 6), (2, 1)))
+    assert M == build_b(p)
     v = MixedVector(p, (2, 1))
-    assert mat_apply(M, v).coords == ((2 + 6) % 9, (4 + 1) % 3)
-    assert mat_apply(identity_matrix(p), v) == v
-    assert mat_apply(zero_matrix(p), v) == zero_vector(p)
+    assert _apply(M, v).coords == ((2 + 6) % 9, (4 + 1) % 3)
+    assert _apply(tf.identity_matrix(p), v) == v
+    assert _apply(_zero_matrix(p), v) == zero_vector(p)
 
 
 def test_matrix_ring_operations_agree_with_apply():
+    # right_product is the ring product, the constructor reduces sums and
+    # multiples, and row_product applies each to a vector.
     p = GroupParams(5, 1)
     rng = random.Random(7)
 
@@ -123,12 +131,16 @@ def test_matrix_ring_operations_agree_with_apply():
     for _ in range(25):
         M, N = random_matrix(), random_matrix()
         v = MixedVector(p, tuple(rng.randrange(p.row_modulus(r)) for r in range(p.dim)))
-        assert mat_apply(mat_mul(M, N), v) == mat_apply(M, mat_apply(N, v))
-        assert mat_apply(mat_add(M, N), v) == vec_combine(mat_apply(M, v), mat_apply(N, v))
-        assert mat_apply(mat_scale(3, M), v) == vec_scale(3, mat_apply(M, v))
+        MN = EndoMatrix(p, right_product(N)(M.array))
+        assert _apply(MN, v) == _apply(M, _apply(N, v))
+        added = _apply(EndoMatrix(p, M.array + N.array), v)
+        assert added == MixedVector(p, _apply(M, v).array + _apply(N, v).array)
+        assert _apply(EndoMatrix(p, 3 * M.array), v) == MixedVector(p, 3 * _apply(M, v).array)
 
 
 def test_mat_pow_matches_repeated_multiplication():
+    # The matrix power by square_and_multiply over the oracle's product,
+    # from e = 0, where it is the identity.
     p = GroupParams(3, 2)
     M = EndoMatrix(
         p,
@@ -140,16 +152,10 @@ def test_mat_pow_matches_repeated_multiplication():
             for r in range(p.dim)
         ),
     )
-    acc = identity_matrix(p)
+    acc = tf.identity_matrix(p)
     for e in range(7):
-        assert mat_pow(M, e).rows == acc.rows
-        acc = mat_mul(acc, M)
-
-
-def test_mat_pow_zero_is_identity():
-    p = GroupParams(5, 1)
-    M = EndoMatrix(p, ((2, 5, 0, 10), (1, 1, 0, 0), (0, 3, 2, 1), (4, 0, 0, 1)))
-    assert mat_pow(M, 0).rows == identity_matrix(p).rows
+        assert square_and_multiply(M, e, tf.mat_mul, tf.identity_matrix(p)).rows == acc.rows
+        acc = tf.mat_mul(acc, M)
 
 
 def _reference_mul(M, N):
@@ -180,22 +186,27 @@ def _random_vector(p, rng):
 
 @pytest.mark.parametrize("pj", [(3, 1), (5, 2), (3, 3), (7, 2)])
 def test_int64_products_match_the_python_reference(pj):
+    # right_product and row_product on dense matrices, and a chain of
+    # right products as b_power_table builds the powers of B.
     p = GroupParams(*pj)
     rng = random.Random(sum(pj))
     for _ in range(4):
         M, N = _random_well_defined(p, rng), _random_well_defined(p, rng)
         v = _random_vector(p, rng)
-        assert mat_mul(M, N) == _reference_mul(M, N)
-        assert mat_apply(M, v) == _reference_apply(M, v)
-    acc = identity_matrix(p)
+        assert EndoMatrix(p, right_product(N)(M.array)) == _reference_mul(M, N)
+        assert _apply(M, v) == _reference_apply(M, v)
+    acc, X = tf.identity_matrix(p), tf.identity_matrix(p).array
     for e in range(6):
-        assert mat_pow(M, e) == acc
-        acc = _reference_mul(acc, M)
+        assert EndoMatrix(p, X) == acc
+        acc, X = _reference_mul(acc, M), right_product(M)(X)
 
 
 def test_int64_apply_matches_the_python_reference_at_the_largest_guarded_size():
     # dim 508 and top modulus 509^2 give the largest dim * top^2 that the
     # default dimension guard admits; entries sit at or near their moduli.
+    # The dense M sums dim products per entry in the row product.  The
+    # one-row B step of the scalar arithmetic sums two; its first steps
+    # meet the dense reference, and p^j of them return to the start.
     p = GroupParams(509, 1)
     assert p.dim == 508
     rng = random.Random(509)
@@ -204,9 +215,18 @@ def test_int64_apply_matches_the_python_reference_at_the_largest_guarded_size():
     rows[0] = [top - 1 - rng.randrange(3)] + [(p.p - 1) * p.n] * (p.dim - 1)
     M = EndoMatrix(p, tuple(map(tuple, rows)))
     v = MixedVector(p, (top - 1,) + tuple(p.p - 1 - rng.randrange(3) for _ in range(p.dim - 1)))
-    assert mat_apply(M, v) == _reference_apply(M, v)
+    assert _apply(M, v) == _reference_apply(M, v)
     w = _random_vector(p, rng)
-    assert mat_apply(M, w) == _reference_apply(M, w)
+    assert _apply(M, w) == _reference_apply(M, w)
+    B, step = build_b(p), spgroup._b_step(p)
+    for x in (v, w):
+        y = x.array
+        for k in range(p.b_order):
+            before, y = y, step(y)
+            assert y.dtype == np.int64 and MixedVector(p, y).array.tolist() == y.tolist()
+            if k < 3:
+                assert MixedVector(p, y) == _reference_apply(B, MixedVector(p, before))
+        assert MixedVector(p, y) == x
 
 
 def test_matrix_array_is_read_only():
@@ -227,7 +247,7 @@ def test_matrix_from_any_grid_is_one_value():
     A = np.array(M.rows, dtype=np.int64)
     N = EndoMatrix(p, A + np.array([[9, 18], [-3, 30]], dtype=np.int64))
     assert M == N and hash(M) == hash(N)
-    assert M != identity_matrix(p)
+    assert M != tf.identity_matrix(p)
 
 
 def test_vector_from_any_integers_is_one_value():
@@ -254,13 +274,6 @@ def test_vector_array_is_read_only():
     assert u.coords == (1, 2)
 
 
-def test_vector_scale_by_extreme_scalars_matches_python_ints():
-    p = GroupParams(5, 1)
-    v = MixedVector(p, (24, 4, 3, 1))
-    for c in (2 ** 63, -2 ** 63, 2 ** 63 - 1, 2 ** 64 + 5):
-        assert vec_scale(c, v) == MixedVector(p, tuple(c * x for x in v.coords))
-
-
 def _kernel_size(M):
     """|{v in P : Mv = 0}| by applying M to every vector of P."""
     p = M.params
@@ -274,8 +287,9 @@ def test_quotient_order_is_the_kernel_size(pj):
     p = GroupParams(*pj)
     rng = random.Random(sum(pj) * 31)
     size = int(np.prod(p.row_moduli))
-    assert quotient_order(p, zero_matrix(p).array) == _kernel_size(zero_matrix(p)) == size
-    assert quotient_order(p, identity_matrix(p).array) == _kernel_size(identity_matrix(p)) == 1
+    zero, one = _zero_matrix(p), tf.identity_matrix(p)
+    assert quotient_order(p, zero.array) == _kernel_size(zero) == size
+    assert quotient_order(p, one.array) == _kernel_size(one) == 1
     for trial in range(12):
         M = _random_well_defined(p, rng)
         if trial % 3 == 1:
@@ -284,7 +298,7 @@ def test_quotient_order_is_the_kernel_size(pj):
             M = EndoMatrix(p, grid)
         elif trial % 3 == 2:
             # p times a matrix: every row >= 1 vanishes and row 0 gains a factor p.
-            M = mat_mul(mat_scale(p.p, identity_matrix(p)), M)
+            M = EndoMatrix(p, p.p * M.array)
         assert quotient_order(p, M.array) == _kernel_size(M), trial
 
 
@@ -292,7 +306,7 @@ def test_quotient_order_is_the_kernel_size(pj):
 def test_quotient_order_decides_generation(pj):
     p = GroupParams(*pj)
     e0 = basis_vector(p, 0).array[:, None]
-    assert quotient_order(p, identity_matrix(p).array) == 1
+    assert quotient_order(p, tf.identity_matrix(p).array) == 1
     # e_0 alone generates only the wide factor, of index p^(dim - 1).
     assert quotient_order(p, e0) == p.p ** (p.dim - 1)
     assert quotient_order(p, np.zeros((p.dim, 0), dtype=np.int64)) == int(np.prod(p.row_moduli))

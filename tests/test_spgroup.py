@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import tablefixtures as tf
-from fsz_forge import spgroup
+from fsz_forge import cli, spgroup
 from fsz_forge.cli import _SAMPLE_BLOCK
 from fsz_forge.construction import b_power_table
-from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError, identity_matrix
+from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.spgroup import (
     ElementSyntaxError,
     SElement,
@@ -25,7 +25,6 @@ from fsz_forge.spgroup import (
     parse_element,
     power_generic,
     power_pj,
-    random_element,
     structure_report,
     t_of_b_exponent,
 )
@@ -35,15 +34,11 @@ P51 = GroupParams(5, 1)
 P32 = GroupParams(3, 2)
 
 
-def _samples(params, rng, count):
-    return [random_element(params, rng) for _ in range(count)]
-
-
 @pytest.mark.parametrize("params", [P31, P51])
 def test_group_axioms_on_random_samples(params):
     rng = random.Random(11)
     e = identity_element(params)
-    xs = _samples(params, rng, 30)
+    xs = tf.random_elements(params, rng, 30)
     for i in range(0, 30, 3):
         x, y, z = xs[i], xs[i + 1], xs[i + 2]
         assert multiply(params, multiply(params, x, y), z) == multiply(
@@ -59,7 +54,7 @@ def test_group_axioms_on_random_samples(params):
 def test_power_generic_matches_repeated_multiplication():
     rng = random.Random(5)
     for params in (P31, P51):
-        for x in _samples(params, rng, 5):
+        for x in tf.random_elements(params, rng, 5):
             acc = identity_element(params)
             for e in range(9):
                 assert power_generic(params, x, e) == acc
@@ -83,7 +78,7 @@ def test_power_pj_agrees_with_generic_for_every_b_order(params):
             )
             x = SElement(vec, k)
             assert power_pj(params, x) == power_generic(params, x, params.n)
-    for x in _samples(params, rng, 50):
+    for x in tf.random_elements(params, rng, 50):
         assert power_pj(params, x) == power_generic(params, x, params.n)
 
 
@@ -114,7 +109,7 @@ def test_parse_folds_factors_left_to_right():
 def test_parse_format_roundtrip():
     rng = random.Random(23)
     for params in (P31, P32):
-        for x in _samples(params, rng, 40):
+        for x in tf.random_elements(params, rng, 40):
             assert parse_element(params, format_element(params, x)) == x
 
 
@@ -142,13 +137,33 @@ def test_parse_extreme_exponents_match_python_int_residues():
     assert parse_element(P51, "a1^-000" + str(big)) == parse_element(P51, f"a1^{-big}")
 
 
+def test_commands_that_never_enumerate_never_build_the_b_power_table(capsys):
+    # At S(509,1) the table would hold 509 * 508^2 int64 entries, about
+    # 1 GB.  The scalar product walks B^k e_0 one sparse step at a time,
+    # against _column0_orbit, an independent dense chain.
+    P = GroupParams(509, 1)
+    b_power_table.cache_clear()
+    assert cli.run(["witness", "--p", "7", "--j", "3"]) == 0
+    capsys.readouterr()
+    assert b_power_table.cache_info().currsize == 0
+    structure_report(P)
+    assert b_power_table.cache_info().currsize == 0
+    x = parse_element(P, "b^300 a1")
+    assert b_power_table.cache_info().currsize == 0
+    W = spgroup._column0_orbit(P)
+    assert x == SElement(MixedVector(P, W[:, 300]), 300)
+    for k in (1, 300, 508):
+        assert parse_element(P, f"b^{k} a1 b^-{k}") == SElement(MixedVector(P, W[:, k]), 0)
+    assert b_power_table.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("params", [P31, GroupParams(7, 2)])
 def test_scalar_arithmetic_matches_the_index_kernels(params):
     # S(7,2) has dimension 48 and is never enumerated; the kernels take
     # (V, K) arrays, not indices.
     G = SpjGroup(params)
     rng = random.Random(40)
-    xs, ys = _samples(params, rng, 40), _samples(params, rng, 40)
+    xs, ys = tf.random_elements(params, rng, 40), tf.random_elements(params, rng, 40)
 
     def arrays(elements):
         return (np.array([x.vec.array for x in elements]),
@@ -267,12 +282,6 @@ def test_apply_by_k_equals_the_per_row_product(monkeypatch, p, j, rows):
         assert np.array_equal(G._apply_by_k(K, V), want)
 
 
-def test_random_element_is_seed_deterministic():
-    xs = _samples(P51, random.Random(99), 10)
-    ys = _samples(P51, random.Random(99), 10)
-    assert xs == ys
-
-
 def test_structure_report_exact_mode():
     report = structure_report(P31)
     assert all(c.passed for c in report.checks)
@@ -298,12 +307,12 @@ def test_structure_report_center_matches_scalar_commutation(params):
 @pytest.fixture
 def b_is_identity(monkeypatch):
     """S(p,j) with B replaced by I: an abelian group, a_1 and b no longer generate it."""
-    monkeypatch.setattr(spgroup, "build_b", identity_matrix)
-    spgroup._b_power.cache_clear()
+    monkeypatch.setattr(spgroup, "build_b", tf.identity_matrix)
+    spgroup._b_step.cache_clear()
     spgroup.b_power_table.cache_clear()
     yield
     monkeypatch.undo()
-    spgroup._b_power.cache_clear()
+    spgroup._b_step.cache_clear()
     spgroup.b_power_table.cache_clear()
 
 
