@@ -1,14 +1,39 @@
 """FSZ_n verdicts by comparing |G_n(u,g)| against |G_n(u,g^m)|.
 
 A group is FSZ_n when the counts agree for every commuting pair (u,g)
-and every m coprime to the group order.  The check iterates g over
-conjugacy-class representatives and u over the centralizer of g, which
-covers all commuting pairs up to simultaneous conjugation; one
-representative m per distinct power g^m suffices because the count only
-sees g^m.  Both reductions are tested against a no-reduction mode for
-tiny groups: its own loop over every element g, with targets g^m from
-the scalar G.power, every histogram built at its use and every target
-compared on all of C(g).
+and every m coprime to the group order.  check_fsz_n decides each n by
+one of four routes:
+
+- lemma-coprime and lemma-exponent.  With e the exponent and d =
+  gcd(n, e), FSZ_n holds when d = 1 or d = e (Lemma 1, proved at
+  check_fsz_n), with no power map, class table or scan.  On S(p,j),
+  e = p^{j+1} (Lemma 2, SpjGroup.exponent); a table reads e off its
+  power maps.  The verdict's statistics name the route.
+- structured: S(p,j) at n = p^j, below.
+- generic: the class scan, for every other n.  Only this route
+  enumerates, so the 10^8 bound is checked only when some n needs it.
+
+Lemma 3, the +-m pairing: for u in C(g), |G_n(u, g)| = |G_n(u, g^-1)|.
+If a^n = (a u^-1)^n = g, then c = u a^-1 has c^n = ((a u^-1)^n)^-1 =
+g^-1 and (c u^-1)^n = u (a^-1)^n u^-1 = u g^-1 u^-1 = g^-1, since u
+commutes with g.  a -> u a^-1 is injective, so |G_n(u, g)| <=
+|G_n(u, g^-1)|, and the same map for g^-1 gives the reverse.  For
+u in C(g), which lies in C(g^m), the targets g^m and g^-m thus have
+equal counts, so the scans keep one residue of each pair, the m with
+2 (m mod |g|) < |g|.  That drops m = -1 (mod |g|), whose partner is g
+itself, so an element of order 3, 4 or 6 has no target.  The witness
+does not change: the first unequal target at the smallest u has a
+partner that is unequal at the same u, and of the two the kept one
+comes first.  The reference scan keeps every target and uses no lemma.
+
+The generic scan iterates g over conjugacy-class representatives and u
+over the centralizer of g, which covers all commuting pairs up to
+simultaneous conjugation; one representative m per distinct power g^m
+suffices because the count only sees g^m.  These reductions and the
+pairing are tested against the reference scan for tiny groups, its own
+loop over every element g, with targets g^m from the scalar G.power,
+every histogram built at its use and every target compared on all of
+C(g).
 
 Nothing in the class table depends on n, so it is built once per group
 and reused for every n.  It is five int64 columns with one row per
@@ -180,7 +205,8 @@ def _class_table(G) -> tuple[np.ndarray, ...]:
     Row i is the class of reps[i], with cent[i] = |G| / |class| the size
     of its centralizer.  Its targets are the entries tstart[i] to
     tstart[i + 1] of tm, the residues m, and of tidx, the indices of
-    reps[i]^m.
+    reps[i]^m: those of residue_witness_classes with 2 (m mod |g|) < |g|,
+    one of each +-m pair (Lemma 3 of the module docstring).
     """
     table = _CLASS_TABLES.get(G)
     if table is not None:
@@ -189,7 +215,7 @@ def _class_table(G) -> tuple[np.ndarray, ...]:
     orders = element_orders(G)[reps]
     # The residues depend only on the order: one list, and one row mask, per order.
     by_order = [
-        (orders == og, residue_witness_classes(og, G.N))
+        (orders == og, [m for m in residue_witness_classes(og, G.N) if 2 * (m % og) < og])
         for og in _distinct_values(orders).tolist()
     ]
     tstart = np.zeros(len(reps) + 1, dtype=np.int64)
@@ -257,7 +283,7 @@ def _generic_scan(G, n: int) -> FszVerdict:
     order, starts = _power_buckets(G.pow_index_array(n))
     reps, cent, tstart, tm, tidx = _class_table(G)
     ntargets = np.diff(tstart)
-    live = ntargets > 0  # orders 1 and 2 leave no m with a new power g^m
+    live = ntargets > 0  # orders 1, 2, 3, 4 and 6 keep no target
     # Rule 1 of the module docstring, for every row at once: the bucket
     # sizes of the rep and of its targets are all 0 or all 1.
     size = np.diff(starts)
@@ -382,10 +408,14 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
     only on the class (k, v_0 mod p) of u.  The scan compares, per s, the
     column of the p^{j+1} class numbers; the smallest index in class
     (k, r) is k |G| / p^j + r p^{dim-1}, so class order is index order and
-    the witness (smallest s, then u, then m) and the statistics are those
-    of a scan over every element.  g outside the central subgroup
-    contributes zero against every power, hence never violates.  The
-    witness counts are recounted by the scalar structured counter.
+    the witness (smallest s, then u, then m) is that of a scan over every
+    element.  g outside the central subgroup contributes zero against
+    every power, hence never violates.  By Lemma 3 of the module
+    docstring, column s equals column p - s, so s and m run over
+    1..(p-1)/2 only: an unequal pair at s > (p-1)/2 recurs at p - s, and
+    an unequal m > (p-1)/2 at p - m, for the same u.  pairs_examined
+    counts the pairs that the whole scan covers, comparisons those made.
+    The witness counts are recounted by the scalar structured counter.
     """
     params = G.params
     p, pj, d = params.p, params.n, params.dim
@@ -398,9 +428,10 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
         return hist[:, residues * pow(s, -1, p) % p].ravel()
 
     per_m = pj * p ** (pj - 2)
-    ms = list(range(2, p))
+    half = (p + 1) // 2
+    ms = list(range(2, half))
 
-    for s in range(1, p):
+    for s in range(1, half):
         col = column(s)
         viol = np.zeros(pj * p, dtype=bool)
         for m in ms:
@@ -437,7 +468,7 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
         )
     stats = {
         "pairs_examined": (p - 1) * N,
-        "comparisons": (p - 1) * N * len(ms),
+        "comparisons": (half - 1) * N * len(ms),
         "central_targets": p - 1,
         "skipped_by_support": N - p,
     }
@@ -453,40 +484,63 @@ def _designated_pair(params: GroupParams) -> tuple[SElement, SElement, SElement]
     return u, g, g2
 
 
-def _scan_guard(G, reduction: bool) -> None:
-    if not reduction and G.order() > NO_REDUCTION_LIMIT:
+def _reference_guard(G) -> None:
+    if G.order() > NO_REDUCTION_LIMIT:
         raise EnumerationLimitError(
             f"the no-reduction scan is for cross-validation on tiny groups: "
             f"order {G.order()} exceeds {NO_REDUCTION_LIMIT}"
         )
-    _guard(G)
+
+
+def _route(G, n: int) -> str:
+    d = math.gcd(n, G.exponent)
+    if d == 1:
+        return "lemma-coprime"
+    if d == G.exponent:
+        return "lemma-exponent"
+    return "structured" if isinstance(G, SpjGroup) and n == G.params.n else "generic"
 
 
 def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
-    """Decide FSZ_n for one n, with a witness when the answer is no."""
+    """Decide FSZ_n for one n, with a witness when the answer is no.
+
+    Lemma 1.  Let e be the exponent and d = gcd(n, e); FSZ_n holds
+    exactly when FSZ_d does.  n = d w (mod e) for a w coprime to e,
+    since the units mod e reach every unit mod e/d.  Every order divides
+    e, so a^n = (a^d)^w, and x -> x^w is a bijection with inverse
+    x -> x^v, v = w^-1 mod e.  Hence G_n(u, g) = G_d(u, g^v), and as g
+    runs over C(u) so does h = g^v, with g^m matching h^m.  At d = 1
+    the set G_1(u, h) = {a : a = h = a u^-1} has [u = 1] elements, and
+    at d = e, where every a^e = 1, G_e(u, h) is G when h = 1 and empty
+    otherwise; neither count changes from h to h^m, so FSZ_n holds with
+    no scan.  Any other n is scanned at n itself.
+
+    With reduction off, the reference scan decides every n, with no
+    lemma and every target.
+    """
     if n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    if reduction and isinstance(G, SpjGroup) and n == G.params.n:
+    if not reduction:
+        _reference_guard(G)
+        return _reference_scan(G, n)
+    route = _route(G, n)
+    if route == "structured":
         return _structured_full_scan(G)
-    _scan_guard(G, reduction)
-    return (_generic_scan if reduction else _reference_scan)(G, n)
+    if route == "generic":
+        _guard(G)
+        return _generic_scan(G, n)
+    return FszVerdict(G.describe(), n, f"FSZ_{n}", None, {"route": route})
 
 
 def check_fsz(G, *, reduction: bool = True) -> list[FszVerdict]:
-    """Verdicts for every n dividing the exponent e, ascending.
-
-    FSZ for all n reduces to these n.  Let d = gcd(n, e).  Then n = d w
-    (mod e) for a w coprime to e, since the units mod e reach every unit
-    mod e/d.  Every order divides e, so a^n = (a^d)^w, and x -> x^w is a
-    bijection with inverse x -> x^v, v = w^-1 mod e.  Hence G_n(u, g) =
-    G_d(u, g^v), and as g runs over C(u) so does h = g^v, with g^m
-    matching h^m: FSZ_n holds exactly when FSZ_d does.  The exponent
-    needs every element, so the scan's guards run before it.
-    """
-    _scan_guard(G, reduction)
-    e = exponent(G)
-    divisors = sorted(d for d in range(1, e + 1) if e % d == 0)
-    return [check_fsz_n(G, n, reduction=reduction) for n in divisors]
+    """Verdicts for every n dividing the exponent e, ascending; FSZ for
+    all n reduces to these n by Lemma 1 of check_fsz_n.  With reduction
+    off, the tiny-group guard runs before the exponent is read off the
+    power maps."""
+    if not reduction:
+        _reference_guard(G)
+    e = G.exponent if reduction else exponent(G)
+    return [check_fsz_n(G, n, reduction=reduction) for n in range(1, e + 1) if e % n == 0]
 
 
 def spj_witness(params: GroupParams) -> FszVerdict:

@@ -21,7 +21,7 @@ read by json.load.
 The group interface.  Both families, spgroup.SpjGroup and TableGroup,
 implement it, and the counters and scans take the group itself:
 
-- N, identity_index, order(), identity(), describe();
+- N, identity_index, exponent, order(), identity(), describe();
 - scalar elements: multiply, invert, power, describe_element, and
   to_element / from_element, which map between elements and their
   indices 0..N-1;
@@ -51,7 +51,7 @@ import json
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -119,6 +119,11 @@ class TableGroup(IndexGroup):
 
     def order(self) -> int:
         return len(self.array)
+
+    @cached_property
+    def exponent(self) -> int:
+        """The exponent certified by the power maps, computed once."""
+        return exponent(self)
 
     def identity(self) -> int:
         return self.identity_index

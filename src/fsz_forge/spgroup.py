@@ -435,6 +435,17 @@ class SpjGroup(IndexGroup):
     def order(self) -> int:
         return self.params.group_order
 
+    @property
+    def exponent(self) -> int:
+        """p^{j+1}, with no enumeration (Lemma 2).
+
+        Every x^{p^j} lies in <a_1^{p^j}> (power_pj), a subgroup of order
+        p, so x^{p^{j+1}} = 1.  a_1 = (e_0, 0) has b-exponent 0, so a_1^k =
+        (k e_0, 0), whose first coordinate is taken mod p^{j+1}: a_1 has
+        order p^{j+1}.  gncount.exponent, on the power maps, is the oracle.
+        """
+        return self.params.top_modulus
+
     def identity(self) -> SElement:
         return identity_element(self.params)
 

@@ -204,7 +204,9 @@ def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call (13-18 ms under numpy
     # 2.4), so the fsz paths find distinct values by a sort instead.  Older
     # numpy imports numpy.ma with numpy itself, so the module set is
-    # compared before and after the calls.
+    # compared before and after the calls.  The S(3,1) scan reads no
+    # element order, so the no-reduction run, which reads the exponent off
+    # the power maps, covers S(p,j).
     path = tmp_path / "d6xc4.json"
     table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
     path.write_text(json.dumps({"order": len(table), "table": table}))
@@ -213,7 +215,8 @@ def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
         "from fsz_forge.cli import run\n"
         "before = 'numpy.ma' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [run(['fsz', '--table', sys.argv[1]]), run(['fsz', '--p', '3', '--j', '1'])]\n"
+        "    codes = [run(['fsz', '--table', sys.argv[1]]), run(['fsz', '--p', '3', '--j', '1']),\n"
+        "             run(['fsz', '--p', '3', '--j', '1', '--no-reduction'])]\n"
         "print(*codes, before, 'numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -221,29 +224,34 @@ def test_fsz_scans_do_not_import_numpy_ma(tmp_path):
         [sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True
     )
     *codes, before, after = done.stdout.split()
-    assert codes == ["0", "0"], done.stderr
+    assert codes == ["0", "0", "0"], done.stderr
     assert after == before
 
 
 def test_cli_runs_start_no_worker_pool():
-    # The sweeps are serial: neither a count nor a scan of S(3,2), whose
-    # N = 531441 spans many sweep chunks, imports concurrent.futures, and
-    # --threads is accepted without effect.
+    # The sweeps are serial: neither a count nor the class table of S(3,2),
+    # whose N = 531441 spans many sweep chunks, imports concurrent.futures,
+    # and --threads is accepted without effect.  fsz decides n = 1 by
+    # Lemma 1, so the class table is built directly.
     script = (
         "import contextlib, io, sys\n"
         "import numpy\n"
         "before = 'concurrent.futures' in sys.modules\n"
         "from fsz_forge.cli import run\n"
+        "from fsz_forge.fszcheck import _class_table\n"
+        "from fsz_forge.mixedmod import GroupParams\n"
+        "from fsz_forge.spgroup import SpjGroup\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [run(['fsz', '--p', '3', '--j', '2', '--n', '1', '--threads', '2']),\n"
         "             run(['count', '--p', '7', '--j', '1', '--n', '7', '--u', 'b a1',\n"
         "                  '--g', 'a1^14', '--threads', '2'])]\n"
+        "codes.append(len(_class_table(SpjGroup(GroupParams(3, 2)))[0]))\n"
         "print(*codes, before, 'concurrent.futures' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     *codes, before, after = done.stdout.split()
-    assert codes == ["0", "0"], done.stderr
+    assert codes == ["0", "0", "6705"], done.stderr
     assert after == before
 
 
@@ -269,7 +277,7 @@ def test_fsz_spj_single_n(capsys):
 S71_FSZ_7_JSON = (
     '{"group": "S(7,1) (order 5764801)", "kind": "fsz", "overall": null, '
     '"verdicts": [{"group": "S(7,1) (order 5764801)", "n": 7, "statistics": '
-    '{"central_targets": 6, "comparisons": 4201751, "pairs_examined": 840351, '
+    '{"central_targets": 6, "comparisons": 1680701, "pairs_examined": 840351, '
     '"skipped_by_support": 5764794}, "verdict": "non-FSZ_7", "witness": '
     '{"count_g": 0, "count_gm": 117649, "g": "a1^7", "m": 2, "u": "a1^1 b^1"}}]}\n'
 )
@@ -412,8 +420,24 @@ def test_parser_defaults():
 
 
 def test_fsz_past_the_enumeration_limit_exits_1(capsys):
-    # |S(11,1)| = 11^12; the exponent would enumerate it
-    code, out, err = _run(capsys, "fsz", "--p", "11", "--j", "1")
+    # |S(5,2)| = 5^28, and n = 5 needs the class scan, which would enumerate it
+    code, out, err = _run(capsys, "fsz", "--p", "5", "--j", "2")
     assert code == 1
     assert out == ""
-    assert "exceeds the enumeration limit 100000000" in err
+    assert err == (
+        "error: group order 37252902984619140625 exceeds the enumeration limit 100000000\n"
+    )
+
+
+def test_fsz_of_s11_1_is_complete(capsys):
+    # Past the limit: n = 1 and n = 121 by Lemma 1, n = 11 by the structured scan.
+    code, out, err = _run(capsys, "fsz", "--p", "11", "--j", "1")
+    assert code == 0, err
+    assert out.splitlines()[1:] == [
+        "fsz_n [n=1]: FSZ_1",
+        "fsz_n [n=11]: non-FSZ_11",
+        "witness [n=11 m=2]: u=a1^1 b^1 g=a1^11 counts 0 vs 25937424601",
+        "fsz_n [n=121]: FSZ_121",
+        "fsz_overall: non-FSZ",
+        "overall: non-FSZ",
+    ]

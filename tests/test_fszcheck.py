@@ -24,6 +24,7 @@ from fsz_forge.fszcheck import (
     VerificationError,
     _central_target,
     _centralizer_indices,
+    _class_table,
     _consistency_histogram,
     _designated_pair,
     _generic_scan,
@@ -200,13 +201,15 @@ def test_centralizer_size_must_match_the_class_size(monkeypatch):
     import fsz_forge.fszcheck as fz
 
     # Histograms that differ whenever the buckets do force the centralizer
-    # comparison; a centralizer one short breaks orbit-stabilizer.
+    # comparison; a centralizer one short breaks orbit-stabilizer.  In Z16
+    # at n = 2 the class of 2, of order 8, keeps the target 6 = 3 * 2, and
+    # both have two square roots.  (In Z8 no class with a target has any.)
     monkeypatch.setattr(fz, "_u_counts", lambda G, b: np.bincount(b, minlength=G.N))
     real = fz._centralizer_indices
     monkeypatch.setattr(fz, "_centralizer_indices", lambda *a: real(*a)[:-1])
-    Z8 = validate_table(tf.cyclic(8), "Z8")
+    Z16 = validate_table(tf.cyclic(16), "Z16")
     with pytest.raises(VerificationError, match="centralizer"):
-        check_fsz_n(Z8, 2)
+        check_fsz_n(Z16, 2)
 
 
 def test_u_counts_histogram_matches_bruteforce():
@@ -250,7 +253,7 @@ def test_generic_scan_finds_the_5_1_witness():
         "verdict": "non-FSZ_5",
         "witness": {"u": "a1^1 b^1", "g": "a1^5", "m": 2, "count_g": 0, "count_gm": 625},
         "statistics": {
-            "comparisons": 20747251,
+            "comparisons": 9715751,
             "conjugacy_classes": 649,
             "pairs_examined": 1331376,
         },
@@ -268,6 +271,11 @@ def _random_table(seed):
     return validate_table(tf.random_group_table(random.Random(seed)))
 
 
+def _d6xc4(perm=None):
+    table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
+    return validate_table(table if perm is None else tf.relabel(table, perm), "D6xC4")
+
+
 SWEEP_GROUPS = {
     "S(3,1)": lambda: SpjGroup(P31),
     "Z6": lambda: validate_table(tf.cyclic(6), "Z6"),
@@ -277,6 +285,14 @@ SWEEP_GROUPS = {
     "random11": lambda: _random_table(11),
     "random19": lambda: _random_table(19),
     "random23": lambda: _random_table(23),
+    "V4": lambda: validate_table(tf.dihedral(2), "V4"),
+    "D6xC4": _d6xc4,
+    # Classes with targets under Lemma 3, of orders 5 or more and not 6,
+    # in power buckets of two or more elements.
+    "D5xC4": lambda: validate_table(tf.direct_product(tf.dihedral(5), tf.cyclic(4)), "D5xC4"),
+    "random0": lambda: _random_table(0),
+    "random5": lambda: _random_table(5),
+    "random12": lambda: _random_table(12),
 }
 
 
@@ -303,6 +319,94 @@ def test_fsz_n_agrees_with_fsz_at_gcd_with_the_exponent(name):
         assert check_fsz_n(G, n).is_fsz == at_divisor[math.gcd(n, e)]
 
 
+@pytest.mark.parametrize("p,j,e", [(3, 1, 9), (5, 1, 25), (3, 2, 27), (7, 1, 49)])
+def test_power_map_exponent_equals_the_closed_form(p, j, e):
+    """Lemma 2: the exponent read off the power maps is p^{j+1}."""
+    G = SpjGroup(GroupParams(p, j))
+    assert exponent(G) == G.exponent == e
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GROUPS))
+def test_lemma_verdicts_equal_the_reference_rows(name):
+    """Lemma 1 at n = 1 and e, at a user n coprime to e and at a multiple of e."""
+    G = SWEEP_GROUPS[name]()
+    e = exponent(G)
+    for n in (1, e, e + 1, 2 * e):
+        v = check_fsz_n(G, n)
+        route = "lemma-coprime" if math.gcd(n, e) == 1 else "lemma-exponent"
+        assert v.statistics == {"route": route}
+        r = check_fsz_n(G, n, reduction=False)
+        assert (v.n, v.verdict, v.witness) == (r.n, r.verdict, r.witness)
+
+
+def _paired_fake_u_counts(G, bucket):
+    """A stand-in for u -> |G_n(u, h)| on the bucket B of h that keeps what
+    the scans rely on: it is |B| [u = 1] when |B| <= 1, equal for h and
+    h^-1 (whose buckets are inverse to each other), and carried along by
+    conjugation.  Larger buckets that differ up to inversion give unequal
+    histograms, so scans under it find witnesses."""
+    if bucket.size <= 1:
+        return _u_counts(G, bucket)
+    return np.bincount(bucket, minlength=G.N) + np.bincount(
+        G.invert_index_array(bucket), minlength=G.N
+    )
+
+
+def test_n_with_a_proper_gcd_is_scanned_at_n_itself(monkeypatch):
+    import fsz_forge.fszcheck as fz
+
+    monkeypatch.setattr(fz, "_u_counts", _paired_fake_u_counts)
+    G = SWEEP_GROUPS["D5xC4"]()
+    e = exponent(G)
+    got = {n: check_fsz_n(G, n) for n in range(1, 2 * e + 1) if 1 < math.gcd(n, e) < e}
+    for n, v in got.items():
+        r = check_fsz_n(G, n, reduction=False)
+        assert "route" not in v.statistics
+        assert (v.verdict, v.witness) == (r.verdict, r.witness)
+    # Reduced to gcd(6, 20) = 2, n = 6 would take the witness of n = 2.
+    counts = lambda v: (v.witness.m, v.witness.count_g, v.witness.count_gm)
+    assert counts(got[2]) == (7, 0, 1) and counts(got[6]) == (7, 1, 0)
+
+
+# The n from 1 to the exponent whose scan under _paired_fake_u_counts
+# finds a witness; the other fixtures have none.
+PAIRED_WITNESSES = {"D5xC4": 8, "random0": 20, "random5": 6, "random12": 24}
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["u_counts", "paired"])
+@pytest.mark.parametrize("name", list(SWEEP_GROUPS))
+def test_halved_scan_rows_equal_the_reference(name, paired, monkeypatch):
+    """Lemma 3: one target per +-m pair gives the (n, verdict, witness)
+    rows of the reference scan, which keeps every target."""
+    import fsz_forge.fszcheck as fz
+
+    if paired:
+        monkeypatch.setattr(fz, "_u_counts", _paired_fake_u_counts)
+    G = SWEEP_GROUPS[name]()
+    ns = range(1, exponent(G) + 1)
+    rows = lambda verdicts: [(v.n, v.verdict, v.witness) for v in verdicts]
+    halved = rows(fz._generic_scan(G, n) for n in ns)
+    assert halved == rows(check_fsz_n(G, n, reduction=False) for n in ns)
+    witnesses = sum(w is not None for _, _, w in halved)
+    assert witnesses == (PAIRED_WITNESSES.get(name, 0) if paired else 0)
+
+
+@pytest.mark.parametrize("name", ["S(3,1)", "D6xC4", "random12"])
+def test_class_table_keeps_one_residue_per_pair(name):
+    """With its partners -m, the residues of a row cover every residue of
+    residue_witness_classes but -1, and the row holds their powers."""
+    G = SWEEP_GROUPS[name]()
+    reps, _, tstart, tm, tidx = _class_table(G)
+    orders = element_orders(G)
+    for i, g in enumerate(reps.tolist()):
+        og = int(orders[g])
+        kept = tm[tstart[i] : tstart[i + 1]].tolist()
+        paired = {m % og for m in kept} | {-m % og for m in kept}
+        assert paired == {m % og for m in residue_witness_classes(og, G.N)} - {og - 1}
+        powers = [G.from_element(G.power(G.to_element(g), m)) for m in kept]
+        assert tidx[tstart[i] : tstart[i + 1]].tolist() == powers
+
+
 def _fsz_entries(group, ns, stats):
     return [
         {"group": group, "n": n, "verdict": f"FSZ_{n}", "witness": None, "statistics": stats}
@@ -310,16 +414,23 @@ def _fsz_entries(group, ns, stats):
     ]
 
 
-# check_fsz output recorded before the class table and the skip rules.
-# pairs_examined is the sum of |C(g)| over the class reps; the D4 and
-# random3 values are that sum, computed by brute force.
+def _lemma_entries(group, e, scanned, stats):
+    """n = 1 and n = e by Lemma 1, every n of scanned by the class scan."""
+    return [
+        *_fsz_entries(group, [1], {"route": "lemma-coprime"}),
+        *_fsz_entries(group, scanned, stats),
+        *_fsz_entries(group, [e], {"route": "lemma-exponent"}),
+    ]
+
+
+# check_fsz output recorded before the class table and the skip rules,
+# then re-pinned for Lemmas 1 and 3: n = 1 and n = e carry only their
+# route, and comparisons count one target per +-m pair.  pairs_examined
+# is the sum of |C(g)| over the class reps; the D4 and random3 values
+# are that sum, computed by brute force.
 PINNED_FSZ = {
     "S(5,1)": [
-        *_fsz_entries(
-            "S(5,1) (order 15625)",
-            [1],
-            {"comparisons": 31045400, "conjugacy_classes": 649, "pairs_examined": 2028625},
-        ),
+        *_fsz_entries("S(5,1) (order 15625)", [1], {"route": "lemma-coprime"}),
         {
             "group": "S(5,1) (order 15625)",
             "n": 5,
@@ -327,32 +438,26 @@ PINNED_FSZ = {
             "witness": {"u": "a1^1 b^1", "g": "a1^5", "m": 2, "count_g": 0, "count_gm": 625},
             "statistics": {
                 "central_targets": 4,
-                "comparisons": 9751,
+                "comparisons": 3251,
                 "pairs_examined": 3251,
                 "skipped_by_support": 15620,
             },
         },
-        *_fsz_entries(
-            "S(5,1) (order 15625)",
-            [25],
-            {"comparisons": 31045400, "conjugacy_classes": 649, "pairs_examined": 2028625},
-        ),
+        *_fsz_entries("S(5,1) (order 15625)", [25], {"route": "lemma-exponent"}),
     ],
-    "Z6": _fsz_entries(
-        "Z6", [1, 2, 3, 6], {"comparisons": 24, "conjugacy_classes": 6, "pairs_examined": 36}
+    "Z6": _lemma_entries(
+        "Z6", 6, [2, 3], {"comparisons": 0, "conjugacy_classes": 6, "pairs_examined": 36}
     ),
-    "D4": _fsz_entries(
-        "D4", [1, 2, 4], {"comparisons": 4, "conjugacy_classes": 5, "pairs_examined": 28}
+    "D4": _lemma_entries(
+        "D4", 4, [2], {"comparisons": 0, "conjugacy_classes": 5, "pairs_examined": 28}
     ),
-    "random3": _fsz_entries(
-        "table group of order 24",
-        [1, 2, 3, 4, 6, 12],
-        {"comparisons": 228, "conjugacy_classes": 15, "pairs_examined": 252},
+    "random3": _lemma_entries(
+        "table group of order 24", 12, [2, 3, 4, 6],
+        {"comparisons": 24, "conjugacy_classes": 15, "pairs_examined": 252},
     ),
-    "random7": _fsz_entries(
-        "table group of order 12",
-        [1, 2, 3, 4, 6, 12],
-        {"comparisons": 216, "conjugacy_classes": 12, "pairs_examined": 144},
+    "random7": _lemma_entries(
+        "table group of order 12", 12, [2, 3, 4, 6],
+        {"comparisons": 48, "conjugacy_classes": 12, "pairs_examined": 144},
     ),
 }
 
@@ -376,22 +481,22 @@ def test_pairs_examined_counts_the_commuting_pairs(name):
         if g not in seen:
             reps.append(g)
             seen |= {G.multiply(G.multiply(x, g), G.invert(x)) for x in els}
+    e = exponent(G)
     for v in check_fsz(G):
-        assert v.statistics["pairs_examined"] == sum(centralizer[g] for g in reps)
+        if v.n in (1, e):  # Lemma 1: nothing is examined
+            assert "pairs_examined" not in v.statistics
+        else:
+            assert v.statistics["pairs_examined"] == sum(centralizer[g] for g in reps)
     for v in check_fsz(SWEEP_GROUPS[name](), reduction=False):
         assert v.statistics["pairs_examined"] == sum(centralizer)
 
 
-def _d6xc4(perm=None):
-    table = tf.direct_product(tf.dihedral(6), tf.cyclic(4))
-    return validate_table(table if perm is None else tf.relabel(table, perm), "D6xC4")
-
-
 def test_v4_has_no_class_with_targets():
     # Every element of V4 has order 1 or 2, so no class has a target and
-    # the bucket-size pass reduces over empty arrays.
+    # the bucket-size pass reduces over empty arrays.  check_fsz decides
+    # both n of V4 by Lemma 1, so the scan is called directly.
     V4 = validate_table(tf.dihedral(2), "V4")
-    verdicts = check_fsz(V4)
+    verdicts = [_generic_scan(V4, n) for n in (1, 2)]
     assert [v.as_dict() for v in verdicts] == _fsz_entries(
         "V4", [1, 2], {"comparisons": 0, "conjugacy_classes": 4, "pairs_examined": 16}
     )
@@ -399,16 +504,22 @@ def test_v4_has_no_class_with_targets():
     assert [(v.n, v.verdict, v.witness) for v in plain] == [
         (v.n, v.verdict, v.witness) for v in verdicts
     ]
+    # D4 reaches the scan through check_fsz at n = 2, and Lemma 3 leaves
+    # its elements of order 4 no target either.
+    D4 = validate_table(tf.dihedral(4), "D4")
+    assert _class_table(D4)[3].size == 0
+    assert check_fsz_n(D4, 2).as_dict() == _fsz_entries(
+        "D4", [2], {"comparisons": 0, "conjugacy_classes": 5, "pairs_examined": 28}
+    )[0]
 
 
 def test_relabelled_d6xc4_statistics_are_pinned():
     perm = list(range(48))
     random.Random(5).shuffle(perm)
     got = [v.as_dict() for v in check_fsz(_d6xc4(perm))]
-    assert got == _fsz_entries(
-        "D6xC4",
-        [1, 2, 3, 4, 6, 12],
-        {"comparisons": 640, "conjugacy_classes": 24, "pairs_examined": 704},
+    assert got == _lemma_entries(
+        "D6xC4", 12, [2, 3, 4, 6],
+        {"comparisons": 96, "conjugacy_classes": 24, "pairs_examined": 704},
     )
 
 
@@ -420,12 +531,14 @@ def _fake_u_counts(G, bucket):
     )
 
 
+# Each group has a class with a target whose buckets hold two or more
+# elements at some n.  Under Lemma 3 S(3,1), D6xC4 and random3 have none.
 @pytest.mark.parametrize("fake", [False, True], ids=["u_counts", "fake"])
-@pytest.mark.parametrize("name", ["S(3,1)", "D6xC4", "random3"])
+@pytest.mark.parametrize("name", ["D5xC4", "random0", "random12"])
 def test_histogram_budget_changes_no_output(name, fake, monkeypatch):
     import fsz_forge.fszcheck as fz
 
-    make = _d6xc4 if name == "D6xC4" else SWEEP_GROUPS[name]
+    make = SWEEP_GROUPS[name]
     built = []
     u_counts = _fake_u_counts if fake else fz._u_counts
 
@@ -460,7 +573,7 @@ def test_default_budget_builds_each_requested_histogram_once(monkeypatch):
     real, built = fz._u_counts, []
 
     def counted(G, bucket):
-        # Buckets of distinct h are disjoint, and D6xC4 asks for no empty
+        # Buckets of distinct h are disjoint, and D5xC4 asks for no empty
         # one, so a bucket's elements name it.
         built.append(tuple(bucket.tolist()))
         return real(G, bucket)
@@ -469,7 +582,7 @@ def test_default_budget_builds_each_requested_histogram_once(monkeypatch):
 
     def builds_per_n(budget):
         monkeypatch.setattr(fz, "_HIST_BUDGET", budget)
-        G = _d6xc4()
+        G = SWEEP_GROUPS["D5xC4"]()
         out = []
         for n in range(1, exponent(G) + 1):
             check_fsz_n(G, n)
@@ -546,7 +659,7 @@ def test_reference_scan_under_fake_histograms_is_pinned(name, monkeypatch):
     import fsz_forge.fszcheck as fz
 
     monkeypatch.setattr(fz, "_u_counts", _fake_u_counts)
-    G = _d6xc4() if name == "D6xC4" else SWEEP_GROUPS[name]()
+    G = SWEEP_GROUPS[name]()
     rows = []
     for n in range(1, exponent(G) + 1):
         v = check_fsz_n(G, n, reduction=False).as_dict(G.describe_element)
@@ -588,7 +701,7 @@ def test_reference_scan_needs_no_conjugacy_classes(name, ns, stats, monkeypatch)
 
     monkeypatch.setattr(fz, "_class_table", never)
     monkeypatch.setattr(fz, "conjugacy_class_reps", never)
-    G = _d6xc4() if name == "D6xC4" else SWEEP_GROUPS[name]()
+    G = SWEEP_GROUPS[name]()
     got = [v.as_dict(G.describe_element) for v in check_fsz(G, reduction=False)]
     assert got == _fsz_entries(G.describe(), ns, stats)
 
@@ -646,15 +759,20 @@ def _per_element_consistency(G) -> np.ndarray:
     return out
 
 
-def _per_element_scan(G) -> FszVerdict:
-    """The FSZ_{p^j} verdict from the per-element table, scanning every u."""
+def _per_element_scan(G, half: bool) -> FszVerdict:
+    """The FSZ_{p^j} verdict from the per-element table, scanning every u.
+
+    With half, s and m run over 1..(p-1)/2, as Lemma 3 lets them; without,
+    over 1..p-1.
+    """
     params = G.params
     p, pj, N = params.p, params.n, G.N
     consist = _per_element_consistency(G)
     per_m = pj * p ** (pj - 2)
-    ms = list(range(2, p))
+    top = (p + 1) // 2 if half else p
+    ms = list(range(2, top))
     stats = {"central_targets": p - 1, "skipped_by_support": N - p}
-    for s in range(1, p):
+    for s in range(1, top):
         col = consist[:, s - 1]
         viol = np.zeros(N, dtype=bool)
         for m in ms:
@@ -671,7 +789,7 @@ def _per_element_scan(G) -> FszVerdict:
         )
         return FszVerdict(G.describe(), pj, f"non-FSZ_{pj}", witness, stats)
     stats["pairs_examined"] = (p - 1) * N
-    stats["comparisons"] = (p - 1) * N * len(ms)
+    stats["comparisons"] = (top - 1) * N * len(ms)
     return FszVerdict(G.describe(), pj, f"FSZ_{pj}", None, stats)
 
 
@@ -691,7 +809,25 @@ def test_class_table_matches_the_per_element_table(p, j):
 def test_structured_scan_matches_the_per_element_scan(p, j):
     G = SpjGroup(GroupParams(p, j))
     got = check_fsz_n(G, G.params.n).as_dict(G.describe_element)
-    assert got == _per_element_scan(G).as_dict(G.describe_element)
+    assert got == _per_element_scan(G, half=True).as_dict(G.describe_element)
+    # Lemma 3 changes only the number of comparisons made.
+    full = _per_element_scan(G, half=False).as_dict(G.describe_element)
+    full["statistics"]["comparisons"] = got["statistics"]["comparisons"]
+    assert got == full
+
+
+@pytest.mark.parametrize(
+    "p,j", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 4), (5, 3)]
+)
+def test_consistency_columns_pair_s_with_p_minus_s(p, j):
+    """Lemma 3 on the class table of the structured scan: the consistency
+    numbers against a_1^{s p^j} and against its inverse a_1^{(p-s) p^j}
+    agree on every class (k, r), whose column entry is [k, r/s mod p]."""
+    hist = _consistency_histogram(GroupParams(p, j))
+    residues = np.arange(p)
+    columns = {s: hist[:, residues * pow(s, -1, p) % p] for s in range(1, p)}
+    for s in range(1, p):
+        assert np.array_equal(columns[s], columns[p - s])
 
 
 def test_structured_scan_checks_the_row0_premise(monkeypatch, capsys):
