@@ -22,6 +22,8 @@ import random
 import sys
 from functools import lru_cache
 
+import numpy as np
+
 from . import construction, fszcheck, gncount, spgroup
 from .construction import CheckResult
 from .mixedmod import (
@@ -138,18 +140,25 @@ def _pass(ok: bool, detail: str = "") -> str:
 def _power_sample(params: GroupParams, samples: int, seed: int) -> tuple[bool, str]:
     """power_pj against generic square-and-multiply, all b-orders forced.
 
-    Element i < j has b-exponent p^i and element j has 0; the rest are
-    uniform.  random_rows draws them straight into stacked (V, K) rows,
-    and they are checked in order, in blocks of at most
-    _SAMPLE_BLOCK coordinates, so the first mismatch is reported.
+    Each element is dim + 1 little-endian 64-bit words of
+    random.Random(seed), the coordinates then the b-exponent, each reduced
+    mod its modulus m (a residue is off uniform by under m / 2^64).  Words
+    are taken row by row, so the sample does not depend on _SAMPLE_BLOCK.
+    Element i < j then gets b-exponent p^i and element j gets 0.  Blocks of
+    at most _SAMPLE_BLOCK coordinates are checked in order, so the first
+    mismatch is reported.
     """
     rng = random.Random(seed)
     G = SpjGroup(params)
     total = max(samples, params.j + 1)
     rows = max(1, _SAMPLE_BLOCK // params.dim)
+    moduli = np.append(params.row_moduli, params.b_order).astype(np.uint64)
     for start in range(0, total, rows):
-        V, K = spgroup.random_rows(params, rng, min(rows, total - start))
-        for i in range(start, min(start + len(K), params.j + 1)):
+        n = min(rows, total - start)
+        words = np.frombuffer(rng.randbytes(8 * n * len(moduli)), "<u8").reshape(n, -1)
+        sample = (words % moduli).astype(np.int64)
+        V, K = sample[:, :-1], sample[:, -1]
+        for i in range(start, min(start + n, params.j + 1)):
             K[i - start] = 0 if i == params.j else params.p ** i
         bad = G.first_power_pj_mismatch(V, K)
         if bad is not None:

@@ -81,9 +81,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gncount import (_guard, _prime_factors, _distinct_values, element_orders, exponent,
+from .gncount import (_guard, _distinct_values, element_orders, exponent,
                       gn_count_structured, structured_tables)
-from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
+from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError, _prime_factors
 from .spgroup import (
     EnumerationLimitError,
     SElement,

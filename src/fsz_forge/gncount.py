@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .construction import build_b
-from .mixedmod import GroupParams, MixedVector, VerificationError
+from .mixedmod import GroupParams, MixedVector, VerificationError, _prime_factors
 from .spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationLimitError,
@@ -538,18 +538,6 @@ def gn_count_structured(
     return GnCount(
         n=n, u=u, g=g, count=count, witnesses=tuple(witnesses), method="structured"
     )
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d:
-            d += 1
-            continue
-        out.append(d)
-        while n % d == 0:
-            n //= d
-    return out + [n] if n > 1 else out
 
 
 # One order array per live group: exponent and the class table of one

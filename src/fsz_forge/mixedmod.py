@@ -49,15 +49,16 @@ class VerificationError(RuntimeError):
     """A result contradicts an identity the library is built on."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+def _prime_factors(n: int) -> list[int]:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d:
+            d += 1
+            continue
+        out.append(d)
+        while n % d == 0:
+            n //= d
+    return out + [n] if n > 1 else out
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class GroupParams:
         guard = DEFAULT_MAX_DIMENSION
         if self.p - 1 > guard or self.j >= (guard + 1).bit_length():
             raise ParameterError(f"dimension p^j - 1 exceeds the size guard {guard}")
-        if self.p < 3 or not _is_prime(self.p):
+        if self.p < 3 or _prime_factors(self.p) != [self.p]:
             raise ParameterError(f"p must be an odd prime >= 3, got {self.p}")
         if self.j < 1:
             raise ParameterError(f"j must be a positive integer, got {self.j}")

@@ -40,8 +40,6 @@ DEFAULT_ENUMERATION_LIMIT = 10 ** 8
 _MAX_PARSE_EXPONENT = 2 ** 63
 _MAX_PARSE_DIGITS = len(str(_MAX_PARSE_EXPONENT))
 _CHUNK = 1 << 16
-# The most 32-bit words one getrandbits call of random_rows draws.
-_DRAW_WORDS = 1 << 11
 
 
 class EnumerationLimitError(RuntimeError):
@@ -217,50 +215,6 @@ def element_at(params: GroupParams, idx: int) -> SElement:
     for i in range(d - 1, 0, -1):
         tail, coords[i] = divmod(tail, p)
     return SElement(MixedVector(params, np.array(coords, dtype=np.int64)), k)
-
-
-def random_rows(params: GroupParams, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n uniform elements from a random.Random source, as stacked (V, K) int64 rows.
-
-    Values and final state are those of randrange(top_modulus), dim - 1
-    randrange(p) and randrange(b_order) per element.  CPython's randrange(m),
-    0 < m < 2^32, takes 32-bit words w until w >> (32 - m.bit_length()) is
-    below m, and getrandbits(32 c) is the next c words, least significant
-    first.  So each chunk of words gives, for every start position, the end
-    of an element starting there; one walk over these ends finds the starts,
-    one gather per request reads the values, and the state is reset and
-    advanced by the words used.
-    """
-    requests = ((params.top_modulus, 1), (params.p, params.dim - 1), (params.b_order, 1))
-    rows = np.empty((n, params.dim + 1), dtype=np.int64)
-    state, used, done = rng.getstate(), 0, 0
-    words = np.empty(0, dtype=np.uint32)
-    while done < n:
-        chunk = min(_DRAW_WORDS, 2 * (n - done) * (params.dim + 1))
-        fresh = rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")
-        words = np.concatenate([words, np.frombuffer(fresh, dtype="<u4")])
-        W = len(words)
-        end, picks = np.arange(W + 1), []
-        for m, count in requests:
-            drawn = words >> (32 - m.bit_length())
-            accept = drawn < m
-            hits = np.flatnonzero(accept)
-            # The accepted words ahead of each position 0..W, and of W + 1.
-            rank = np.concatenate(([0], np.cumsum(accept), [len(hits)]))[end]
-            picks.append((drawn[hits], rank, count))
-            # W + 1 marks an element that runs past the chunk.
-            end = np.append(hits + 1, W + 1)[np.minimum(rank + (count - 1), len(hits))]
-        starts, s = [], 0
-        while done + len(starts) < n and end[s] <= W:
-            starts.append(s)
-            s = end[s]
-        rows[done : done + len(starts)] = np.hstack([
-            values[rank[starts][:, None] + np.arange(count)] for values, rank, count in picks
-        ])
-        used, done, words = used + s, done + len(starts), words[s:]
-    rng.setstate(state)
-    rng.getrandbits(32 * used)
-    return rows[:, :-1], rows[:, -1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from fsz_forge.mixedmod import EndoMatrix, GroupParams, MixedVector
-from fsz_forge.spgroup import SElement, random_rows
+from fsz_forge.spgroup import SElement
 
 
 def cyclic(n: int) -> list[list[int]]:
@@ -96,9 +96,13 @@ def lexicographic_elements(params: GroupParams):
 
 
 def random_elements(params: GroupParams, rng: random.Random, count: int) -> list[SElement]:
-    """count uniform elements, drawn by random_rows from the random.Random source."""
-    V, K = random_rows(params, rng, count)
-    return [SElement(MixedVector(params, v), k) for v, k in zip(V, K.tolist())]
+    """count uniform elements, one randrange call per coordinate, b-exponent last."""
+    out = []
+    for _ in range(count):
+        coords = [rng.randrange(params.row_modulus(r)) for r in range(params.dim)]
+        out.append(SElement(MixedVector(params, np.array(coords, dtype=np.int64)),
+                            rng.randrange(params.b_order)))
+    return out
 
 
 def identity_matrix(params: GroupParams) -> EndoMatrix:

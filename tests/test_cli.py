@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tablefixtures as tf
 from fsz_forge import cli, spgroup
 from fsz_forge.cli import build_parser, run, serialize_report
-from fsz_forge.mixedmod import EndoMatrix, GroupParams
+from fsz_forge.mixedmod import EndoMatrix, GroupParams, MixedVector
+from fsz_forge.spgroup import SpjGroup
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -101,13 +103,16 @@ def test_calls_in_one_process_share_the_parser_but_not_its_options(capsys):
 
 def _first_power_mismatch(params, samples, seed):
     """The sample and the index of its first element where power_pj and
-    power_generic differ (None if none), one element at a time."""
+    power_generic differ (None if none), one element at a time: each
+    coordinate, b-exponent last, is getrandbits(64) mod its modulus."""
     rng = random.Random(seed)
+    moduli = [params.row_modulus(r) for r in range(params.dim)] + [params.b_order]
     elements = []
-    for t in range(params.j + 1):
-        k = 0 if t == params.j else params.p ** t
-        elements.append(spgroup.SElement(tf.random_elements(params, rng, 1)[0].vec, k))
-    elements += tf.random_elements(params, rng, max(samples, params.j + 1) - len(elements))
+    for i in range(max(samples, params.j + 1)):
+        *coords, k = (rng.getrandbits(64) % m for m in moduli)
+        if i <= params.j:
+            k = 0 if i == params.j else params.p ** i
+        elements.append(spgroup.SElement(MixedVector(params, coords), k))
     bad = [
         i for i, x in enumerate(elements)
         if spgroup.power_pj(params, x) != spgroup.power_generic(params, x, params.n)
@@ -142,6 +147,39 @@ def test_power_sample_names_the_first_mismatch_of_the_per_element_loop(monkeypat
                 monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
                 assert cli._power_sample(params, 40, seed) == want
     assert deep
+
+
+def _checked_sample(monkeypatch, params, samples, seed, block):
+    """The (V, K) rows that _power_sample checks with _SAMPLE_BLOCK = block, stacked."""
+    blocks = []
+
+    def capture(G, V, K):
+        blocks.append(np.column_stack([V, K]))
+
+    monkeypatch.setattr(SpjGroup, "first_power_pj_mismatch", capture)
+    monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+    assert cli._power_sample(params, samples, seed)[0]
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("p,j,samples", [(3, 1, 2000), (3, 2, 20000), (509, 1, 300)])
+def test_power_sample_draws_forced_residues_whatever_the_block(monkeypatch, p, j, samples):
+    params = GroupParams(p, j)
+    default_block = cli._SAMPLE_BLOCK
+    sample = _checked_sample(monkeypatch, params, samples, 5, default_block)
+    for block in (params.dim, 3 * params.dim):
+        assert np.array_equal(_checked_sample(monkeypatch, params, samples, 5, block), sample)
+    assert sample.shape == (samples, params.dim + 1)
+    moduli = np.append(params.row_moduli, params.b_order)
+    assert ((0 <= sample) & (sample < moduli)).all()
+    assert sample[: j + 1, -1].tolist() == [p ** t for t in range(j)] + [0]
+    again = _checked_sample(monkeypatch, params, samples, 5, default_block)
+    assert np.array_equal(again, sample)
+    other = _checked_sample(monkeypatch, params, samples, 6, default_block)
+    assert not np.array_equal(other, sample)
+    if (p, j) == (3, 1):
+        for column, m in zip(sample.T, moduli.tolist()):
+            assert set(column.tolist()) == set(range(m))
 
 
 def test_witness_json_fields(capsys):

@@ -33,7 +33,7 @@ def test_params_derived_quantities():
     assert all(p.row_modulus(i) == 3 for i in range(1, p.dim))
 
 
-@pytest.mark.parametrize("p,j", [(4, 1), (2, 1), (1, 1), (9, 1), (0, 2)])
+@pytest.mark.parametrize("p,j", [(4, 1), (2, 1), (1, 1), (9, 1), (0, 2), (511, 1), (513, 1)])
 def test_params_reject_bad_prime(p, j):
     with pytest.raises(ParameterError):
         GroupParams(p, j)

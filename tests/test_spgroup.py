@@ -7,7 +7,6 @@ import pytest
 
 import tablefixtures as tf
 from fsz_forge import cli, spgroup
-from fsz_forge.cli import _SAMPLE_BLOCK
 from fsz_forge.construction import b_power_table
 from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
 from fsz_forge.spgroup import (
@@ -232,31 +231,6 @@ def test_enumeration_is_a_bijection():
     for idx, x in enumerate(elements):
         assert element_index(P31, x) == idx
         assert element_at(P31, idx) == x
-
-
-def _randrange_rows(params, rng, n):
-    """random_rows as a loop of randrange calls, one per coordinate."""
-    rows = []
-    for _ in range(n):
-        rows.append([rng.randrange(params.top_modulus)]
-                    + [rng.randrange(params.p) for _ in range(params.dim - 1)]
-                    + [rng.randrange(params.b_order)])
-    return np.array(rows, dtype=np.int64)
-
-
-@pytest.mark.parametrize("p,j", [(3, 1), (5, 1), (7, 2), (3, 3), (5, 2), (509, 1)])
-def test_random_rows_equal_the_randrange_loop(p, j):
-    # n = _SAMPLE_BLOCK // dim is a full block of the power sample, drawn
-    # over many chunks of words.
-    params = GroupParams(p, j)
-    for seed in range(10):
-        for n in (1, j + 1, 200, _SAMPLE_BLOCK // params.dim):
-            bulk, loop = random.Random(seed), random.Random(seed)
-            V, K = spgroup.random_rows(params, bulk, n)
-            assert V.dtype == K.dtype == np.int64
-            assert np.array_equal(np.column_stack([V, K]), _randrange_rows(params, loop, n))
-            assert bulk.getstate() == loop.getstate()
-            assert bulk.random() == loop.random()
 
 
 @pytest.mark.parametrize("p,j,rows", [(3, 1, 200), (7, 2, 200), (509, 1, 129)])
