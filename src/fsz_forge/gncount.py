@@ -63,7 +63,6 @@ from .spgroup import (
     EnumerationLimitError,
     IndexGroup,
     SElement,
-    _distinct_values,
     t_of_b_exponent,
 )
 
@@ -478,24 +477,6 @@ def structured_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, 
     return t_table, inv_coeff
 
 
-def _structured_solutions(params: GroupParams, u: SElement, rhs: int) -> list[tuple[int, int]]:
-    """(m, v_0 residue) for every consistent b-exponent m, ascending in m.
-
-    u^-1 has b-exponent -k, and by the lemma of structured_tables its
-    correction term is -v_0 mod p for every m.
-    """
-    p, pj = params.p, params.n
-    t_table, ic = structured_tables(params)
-    delta = -u.vec.coords[0] % p
-    out = []
-    for m in range(pj):
-        s1 = rhs * ic[t_table[m]] % p
-        s2 = (rhs * ic[t_table[(m - u.k) % pj]] - delta) % p
-        if s1 == s2:
-            out.append((m, s1))
-    return out
-
-
 def gn_count_structured(
     params: GroupParams,
     u: SElement,
@@ -507,36 +488,40 @@ def gn_count_structured(
     Any g outside the central cyclic subgroup of p^j-th powers gives 0.
     Inside it, for each b-exponent m of a candidate a the two power
     conditions pin the first coordinate of a mod p; the other coordinates
-    are free.  Every consistent m therefore contributes exactly
-    p^j * p^(p^j - 2) elements.
+    are free.  u^-1 has b-exponent -k, and by the lemma of
+    structured_tables its correction term is -v_0 mod p for every m.
+    Every consistent m therefore contributes exactly p^j * p^(p^j - 2)
+    elements, and the witnesses are the first of them in (m, v_0, tail)
+    order.
     """
-    n = params.n
+    n, p = params.n, params.p
     supported = (
         g.k == 0 and not any(g.vec.coords[1:]) and g.vec.coords[0] % n == 0
     )
     if not supported:
         return GnCount(n=n, u=u, g=g, count=0, witnesses=(), method="structured")
 
-    rhs = (g.vec.coords[0] // n) % params.p
-    solutions = _structured_solutions(params, u, rhs)
-    per_m = n * params.p ** (n - 2)
-    count = len(solutions) * per_m
-
-    witnesses = []
-    p, d = params.p, params.dim
-    for m, v0_res in solutions:
-        if len(witnesses) >= MAX_WITNESSES:
-            break
-        for v0 in range(v0_res, params.top_modulus, p):
-            if len(witnesses) >= MAX_WITNESSES:
-                break
-            for tail in itertools.product(range(p), repeat=d - 1):
-                coords = np.array((v0,) + tail, dtype=np.int64)
-                witnesses.append(SElement(MixedVector(params, coords), m))
-                if len(witnesses) >= MAX_WITNESSES:
-                    break
+    rhs = (g.vec.coords[0] // n) % p
+    t_table, ic = structured_tables(params)
+    delta = -u.vec.coords[0] % p
+    solutions = [
+        (m, rhs * ic[t_table[m]] % p)
+        for m in range(n)
+        if (rhs * ic[t_table[m]] - rhs * ic[t_table[(m - u.k) % n]] + delta) % p == 0
+    ]
+    candidates = (
+        SElement(MixedVector(params, np.array((v0,) + tail, dtype=np.int64)), m)
+        for m, v0_res in solutions
+        for v0 in range(v0_res, params.top_modulus, p)
+        for tail in itertools.product(range(p), repeat=params.dim - 1)
+    )
     return GnCount(
-        n=n, u=u, g=g, count=count, witnesses=tuple(witnesses), method="structured"
+        n=n,
+        u=u,
+        g=g,
+        count=len(solutions) * n * p ** (n - 2),
+        witnesses=tuple(itertools.islice(candidates, MAX_WITNESSES)),
+        method="structured",
     )
 
 
@@ -581,6 +566,15 @@ def element_orders(G) -> np.ndarray:
     orders.flags.writeable = False
     _ELEMENT_ORDERS[G] = orders
     return orders
+
+
+def _distinct_values(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a nonempty array, ascending, by a sort and a diff.
+
+    np.unique would do, but it imports numpy.ma on its first call.
+    """
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def exponent(G) -> int:

@@ -192,28 +192,24 @@ def format_element(params: GroupParams, x: SElement) -> str:
     return " ".join(parts) if parts else "e"
 
 
+@lru_cache(maxsize=None)
+def place_values(params: GroupParams) -> tuple[int, ...]:
+    """p^(dim-1-i) for coordinate i, as Python ints: exact past int64."""
+    return tuple(params.p ** (params.dim - 1 - i) for i in range(params.dim))
+
+
 def element_index(params: GroupParams, x: SElement) -> int:
     """Position of x in the enumeration order, lexicographic on (k, coords)."""
-    p = params.p
-    idx = x.k * (params.group_order // params.b_order)
-    idx += x.vec.coords[0] * p ** (params.dim - 1)
-    tail = 0
-    for c in x.vec.coords[1:]:
-        tail = tail * p + c
-    return idx + tail
+    tail = sum(c * w for c, w in zip(x.vec.coords, place_values(params)))
+    return x.k * (params.group_order // params.b_order) + tail
 
 
 def element_at(params: GroupParams, idx: int) -> SElement:
     """Inverse of element_index."""
     if not 0 <= idx < params.group_order:
         raise ParameterError(f"element index {idx} out of range")
-    p, top, d = params.p, params.top_modulus, params.dim
-    abelian = params.group_order // params.b_order
-    k, rem = divmod(idx, abelian)
-    v0, tail = divmod(rem, p ** (d - 1))
-    coords = [v0] + [0] * (d - 1)
-    for i in range(d - 1, 0, -1):
-        tail, coords[i] = divmod(tail, p)
+    k, rem = divmod(idx, params.group_order // params.b_order)
+    coords = [rem // w % m for w, m in zip(place_values(params), params.row_moduli.tolist())]
     return SElement(MixedVector(params, np.array(coords, dtype=np.int64)), k)
 
 
@@ -308,15 +304,6 @@ def structure_report(params: GroupParams) -> StructureReport:
 
     checks.sort(key=lambda c: c.name)
     return StructureReport(a1_order, center_order, tuple(checks))
-
-
-def _distinct_values(a: np.ndarray) -> np.ndarray:
-    """The distinct values of a nonempty array, ascending, by a sort and a diff.
-
-    np.unique would do, but it imports numpy.ma on its first call.
-    """
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 class IndexGroup:
@@ -433,21 +420,20 @@ class SpjGroup(IndexGroup):
 
     @cached_property
     def _place_values(self) -> np.ndarray:
-        """p^(dim-1-i) for coordinate i: the index of (V, K) is K * A + V @ _place_values."""
-        p, d = self.params.p, self.params.dim
-        return np.array([p ** (d - 1 - i) for i in range(d)], dtype=np.int64)
+        """place_values in int64: the index of (V, K) is K * A + V @ _place_values."""
+        return np.array(place_values(self.params), dtype=np.int64)
 
     def _mod(self, V: np.ndarray) -> np.ndarray:
         np.remainder(V, self.params.row_moduli, out=V)
         return V
 
     def decode(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p, d = self.params.p, self.params.dim
-        K, rem = np.divmod(idx.astype(np.int64), self._abelian)
+        d = self.params.dim
+        K, tail = np.divmod(idx.astype(np.int64), self._abelian)
         V = np.empty((len(idx), d), dtype=np.int64)
-        V[:, 0], tail = np.divmod(rem, p ** (d - 1))
-        for i in range(1, d):
-            V[:, i], tail = np.divmod(tail, p ** (d - 1 - i))
+        for i, w in enumerate(place_values(self.params)[:-1]):
+            V[:, i], tail = np.divmod(tail, w)
+        V[:, d - 1] = tail
         return V, K
 
     def encode(self, V: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -606,57 +592,41 @@ class SpjGroup(IndexGroup):
         Element (h, l) of b-exponent k lies in the fiber of every word over
         t = (t_v, t_k) iff s(k) = t_k for every word, and for every word
         its tail image T[l] equals the needed vector (t_v - H[h]) mod
-        row_moduli, H the head table.  Vectors are compared by their keys
-        x @ w < A.  Each word ranks the tail keys among their distinct
-        values, and folds the rank into one joint rank of the tail, re-ranked
-        among its distinct values after each word; a head's needed keys take
-        the same ranks, and a head drops out when a key has no tail.  The
-        tails of one joint rank, ascending in l from one stable argsort,
-        are the hits of every head with that rank, so the count is a sum
-        over heads and the first hits come in index order k A + h L + l.
-        Each b-exponent costs O((H + L) log L) per word and target.
+        row_moduli, H the head table.  A vector's key x @ w is below A, so
+        one base-A number whose digits are the keys of all words, the joint
+        key, matches every word at once; A^len(words) < 2^63 is checked
+        first, so no joint key wraps.  The tails of one joint key, ascending
+        in l from one stable argsort, are the hits of every head whose
+        needed joint key equals it, so the count is a sum over heads and the
+        first hits come in index order k A + h L + l.  Each b-exponent
+        costs O((H + L) log L) per word and target.
         """
-        L, heads, _ = self._split
         A, w, m = self._abelian, self._place_values, self.params.row_moduli
+        if A ** len(words) >= 2 ** 63:
+            raise ParameterError(f"the joint key of {len(words)} words over {A} vectors passes int64")
+        L, heads, _ = self._split
         TV, TK = self.decode(np.asarray(targets, dtype=np.int64))
         slices = [self._slices(f) for f in words]
         counts = [0] * len(TK)
         found: list[list[int]] = [[] for _ in TK]
-
-        def rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-            """Each key's rank among the distinct tail keys keys[:L], whether
-            it is one of them (a miss ranks 0), and their number."""
-            distinct = _distinct_values(keys[:L])
-            pos = np.minimum(np.searchsorted(distinct, keys), len(distinct) - 1)
-            hit = distinct[pos] == keys
-            return np.where(hit, pos, 0), hit, len(distinct)
-
         for k in range(self.params.b_order):
             live = [i for i, t_k in enumerate(TK.tolist()) if all(s[k] == t_k for s, _ in slices)]
             if not live:
                 continue
-            joint = np.zeros(L + len(live) * len(heads), dtype=np.int64)
-            ok = np.ones(len(joint), dtype=bool)
+            tail_key = np.zeros(L, dtype=np.int64)
+            need_key = np.zeros((len(live), len(heads)), dtype=np.int64)
             for _, images in slices:
                 head, tail = images(k)
-                needed = (TV[live][:, None, :] - head) % m
-                r, hit, size = rank(np.concatenate([tail @ w, (needed @ w).ravel()]))
-                # joint < L and size <= L, so the folded key is below
-                # L^2 <= A, as every index is below N: no int64 value wraps.
-                joint, hit2, _ = rank(joint * size + r)
-                ok &= hit & hit2
-            tail_rank = joint[:L]
-            per_rank = np.bincount(tail_rank)
-            order = np.argsort(tail_rank, kind="stable")
-            starts = np.cumsum(per_rank) - per_rank
-            needs = joint[L:].reshape(len(live), -1)
-            for i, need, has in zip(live, needs, ok[L:].reshape(needs.shape)):
-                n_hits = np.where(has, per_rank[need], 0)
-                counts[i] += int(n_hits.sum())
-                for h in np.flatnonzero(n_hits).tolist():
+                tail_key = tail_key * A + tail @ w
+                need_key = need_key * A + (TV[live][:, None, :] - head) % m @ w
+            order = np.argsort(tail_key, kind="stable")
+            keys = tail_key[order]
+            lo, hi = np.searchsorted(keys, need_key, "left"), np.searchsorted(keys, need_key, "right")
+            for i, starts, stops in zip(live, lo, hi):
+                counts[i] += int((stops - starts).sum())
+                for h in np.flatnonzero(stops > starts).tolist():
                     if len(found[i]) >= first:
                         break
-                    start = int(starts[need[h]])
-                    ls = order[start : start + min(int(n_hits[h]), first - len(found[i]))]
+                    ls = order[starts[h] : min(stops[h], starts[h] + first - len(found[i]))]
                     found[i] += (k * A + h * L + ls).tolist()
         return list(zip(counts, found))

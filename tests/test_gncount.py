@@ -11,7 +11,7 @@ import pytest
 
 import tablefixtures as tf
 from fsz_forge import gncount, spgroup
-from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
+from fsz_forge.mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from fsz_forge.gncount import (
     EnumerationLimitError,
     TableError,
@@ -159,7 +159,8 @@ def test_common_fibers_match_the_base_route(params, draws, sets, monkeypatch):
     divides n), b (whose b-exponent 1 is no s(k) when p divides n), and
     the images a^n and (a u^-1)^n of a random a.  The two words of
     G_n(u, g) are matched, and on the smaller groups also the first alone
-    and the two with (u a)^n.
+    and the two with (u a)^n.  On S(7,1) the three words at n = 7 give the
+    widest joint key an enumerable S(p,j) reaches, A^3 = 7^21.
     """
     G = SpjGroup(params)
     rng = random.Random(params.p * 10 + params.j)
@@ -173,19 +174,33 @@ def test_common_fibers_match_the_base_route(params, draws, sets, monkeypatch):
             targets = [G.identity_index, a2, b] + images
             left = lambda x, n=n, u_idx=u_idx: G.power_indices(
                 G.mul_index_arrays(np.full(len(x), u_idx), x), n)
-            for chosen in (words, words[:1], words + [left])[:sets]:
-                cases.append((n, chosen, targets, IndexGroup.common_fibers(G, chosen, targets, 16)))
+            chosen_sets = (words, words[:1], words + [left])[:sets]
+            if sets == 1 and n == params.n:
+                chosen_sets += (words + [left],)
+            for chosen in chosen_sets:
+                expected = IndexGroup.common_fibers(G, chosen, targets, 16)
+                cases.append((n, u_idx, chosen, targets, expected))
     monkeypatch.setattr(G, "_sweep", mock.Mock(side_effect=AssertionError("swept")))
     nonzero = 0
-    for n, words, targets, expected in cases:
+    for n, u_idx, words, targets, expected in cases:
         assert G.common_fibers(words, targets, 16) == expected, n
         counts = [count for count, _ in expected]
         nonzero += sum(c > 0 for c in counts)
-        if len(words) == 1:
+        if len(words) == 1 or u_idx == G.identity_index:
             assert counts[3] > 0  # the fiber of a^n over a^n holds a
         if n % params.n == 0:
             assert counts[1] == counts[2] == 0  # a2 is no p^j-th power; b is in no slice
     assert nonzero > len(cases)
+
+
+def test_common_fibers_refuse_a_joint_key_past_int64(monkeypatch):
+    """Four words on S(7,1) need joint keys up to A^4 = 7^28 > 2^63: refused
+    before any slice table is built."""
+    G = SpjGroup(GroupParams(7, 1))
+    monkeypatch.setattr(G, "_slices", mock.Mock(side_effect=AssertionError("sliced")))
+    with pytest.raises(ParameterError, match="int64"):
+        G.common_fibers(count_words(G, 7, 0) * 2, [G.identity_index], 16)
+    G._slices.assert_not_called()
 
 
 @pytest.mark.parametrize("params", [P31, P51, GroupParams(3, 2)], ids=["S31", "S51", "S32"])

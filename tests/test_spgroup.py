@@ -8,7 +8,7 @@ import pytest
 import tablefixtures as tf
 from fsz_forge import cli, spgroup
 from fsz_forge.construction import b_power_table
-from fsz_forge.mixedmod import GroupParams, MixedVector, VerificationError
+from fsz_forge.mixedmod import GroupParams, MixedVector, ParameterError, VerificationError
 from fsz_forge.spgroup import (
     ElementSyntaxError,
     SElement,
@@ -231,6 +231,18 @@ def test_enumeration_is_a_bijection():
     for idx, x in enumerate(elements):
         assert element_index(P31, x) == idx
         assert element_at(P31, idx) == x
+
+
+def test_enumeration_is_exact_past_int64():
+    """At S(509,1), of order 509^510, the place values stay Python ints."""
+    P = GroupParams(509, 1)
+    last = element_at(P, P.group_order - 1)
+    assert last.k == P.b_order - 1
+    assert last.vec.coords == (P.top_modulus - 1,) + (P.p - 1,) * (P.dim - 1)
+    idx = random.Random(509).randrange(P.group_order)
+    assert element_index(P, element_at(P, idx)) == idx
+    with pytest.raises(ParameterError, match="out of range"):
+        element_at(P, P.group_order)
 
 
 @pytest.mark.parametrize("p,j,rows", [(3, 1, 200), (7, 2, 200), (509, 1, 129)])
