@@ -152,24 +152,27 @@ def row_product(M: EndoMatrix):
 
 @lru_cache(maxsize=None)
 def b_power_table(params: GroupParams) -> np.ndarray:
-    """B^k for k = 0..p^j-1, stacked as a read-only (p^j, dim, dim) int64 array.
+    """B^k for k = 0..p^j-1, stacked as a read-only (p^j, dim, dim) array.
 
-    One chain B^k = B^{k-1} B of right_products, so every entry is a
-    canonical residue.  The table holds p^j * dim^2 entries, so only
-    verify_construction, build_y and the bulk kernels of SpjGroup read it;
-    the scalar multiply, invert and parse_element apply B to their one
-    row in sparse steps instead.
+    One int64 chain B^k = B^{k-1} B of right_products; each canonical
+    residue is stored in the narrowest unsigned dtype, which readers widen.
+    The p^j * dim^2 entries are read only by verify_construction, build_y
+    and the bulk kernels of SpjGroup; the scalar multiply, invert and
+    parse_element apply B to their one row in sparse steps instead.
     """
     d = params.dim
     times_b = right_product(build_b(params))
-    table = np.empty((params.b_order, d, d), dtype=np.int64)
-    table[0] = np.eye(d, dtype=np.int64)
+    table = np.empty((params.b_order, d, d), dtype=np.min_scalar_type(params.top_modulus - 1))
+    prev, cur = np.eye(d, dtype=np.int64), np.empty((d, d), dtype=np.int64)
+    table[0] = prev
     for k in range(1, params.b_order):
-        times_b(table[k - 1], out=table[k])
+        table[k] = times_b(prev, out=cur)
+        prev, cur = cur, prev
     table.flags.writeable = False
     return table
 
 
+@lru_cache(maxsize=None)
 def build_y(params: GroupParams, t: int) -> EndoMatrix:
     """Power sum Y(p^t) = sum over m < p^{j-t} of B^{m*p^t}.
 
@@ -181,7 +184,7 @@ def build_y(params: GroupParams, t: int) -> EndoMatrix:
     """
     if not 0 <= t <= params.j:
         raise ParameterError(f"t = {t} outside 0..{params.j}")
-    return EndoMatrix(params, b_power_table(params)[:: params.p ** t].sum(axis=0))
+    return EndoMatrix(params, b_power_table(params)[:: params.p ** t].sum(axis=0, dtype=np.int64))
 
 
 def _is_corner_block(params: GroupParams, A: np.ndarray, corner: int) -> bool:
@@ -206,7 +209,7 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
     B = build_b(params)
     S = build_shift(params)
     table = b_power_table(params)
-    last = right_product(B)(table[-1])
+    last = right_product(B)(table[-1].astype(np.int64))
     last_is_ident = np.array_equal(last, ident)
 
     results = []

@@ -12,8 +12,8 @@ residues directly.
 
 Vectors and matrices share one stored form: a reduced, read-only int64
 array of canonical residues, row r (coordinate r of a vector) reduced mod
-row_modulus(r).  An int64 array is reduced with numpy; any other input,
-such as nested lists or an integer past int64, is reduced once with
+row_modulus(r).  An array that int64 holds is reduced with numpy; other
+input, such as nested lists or an integer past int64, is reduced once with
 Python integers on entry.  Products run on the stored arrays elsewhere
 (construction.right_product and the kernels of spgroup) and cannot wrap:
 every stored entry is below top_modulus = p^{j+1}, so a dot product of
@@ -131,7 +131,7 @@ class _Residues:
     def __post_init__(self) -> None:
         pr, grid = self.params, self.array
         moduli = pr.row_moduli if self._ndim == 1 else pr.row_moduli[:, None]
-        if not (isinstance(grid, np.ndarray) and grid.dtype == np.int64):
+        if not (isinstance(grid, np.ndarray) and np.can_cast(grid.dtype, np.int64)):
             grid, moduli = np.array(grid, dtype=object), moduli.astype(object)
         if grid.shape != (pr.dim,) * self._ndim:
             raise ParameterError(f"expected shape {(pr.dim,) * self._ndim}, got {grid.shape}")

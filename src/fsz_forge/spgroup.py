@@ -21,7 +21,6 @@ import numpy as np
 
 from .construction import CheckResult, b_power_table, build_b, build_y, row_product
 from .mixedmod import (
-    EndoMatrix,
     GroupParams,
     MixedVector,
     ParameterError,
@@ -78,15 +77,10 @@ def _apply_b(params: GroupParams, k: int, v: np.ndarray) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=None)
-def _y_matrix(params: GroupParams, t: int) -> EndoMatrix:
-    return build_y(params, t)
-
-
 def _power_pj_rows(params: GroupParams, V: np.ndarray, t: int) -> np.ndarray:
     """p^t Y(p^t) applied to each residue row v of V: the vector of x^{p^j}
     for x = (v, k) with |b^k| = p^{j-t}.  No entry reaches dim * top_modulus^2."""
-    moved = V @ _y_matrix(params, t).array.T
+    moved = V @ build_y(params, t).array.T
     moved %= params.row_moduli
     moved *= params.p ** t
     moved %= params.row_moduli
@@ -449,12 +443,13 @@ class SpjGroup(IndexGroup):
         table = b_power_table(self.params)
         order = np.argsort(K.astype(np.uint16), kind="stable")
         edges = np.searchsorted(K[order], np.arange(self.params.b_order + 1)).tolist()
-        out = np.empty_like(V)
+        out, B_k = np.empty_like(V), np.empty(table.shape[1:], dtype=np.int64)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
             if lo < hi:
                 rows = order[lo:hi]
-                # GroupParams bounds dim * top_modulus^2, so the products fit in int64.
-                out[rows] = V[rows] @ table[k].T
+                # GroupParams bounds dim * top_modulus^2, so the int64 products fit.
+                np.copyto(B_k, table[k])
+                out[rows] = V[rows] @ B_k.T
         return self._mod(out)
 
     def mul(self, V1, K1, V2, K2) -> tuple[np.ndarray, np.ndarray]:

@@ -125,7 +125,7 @@ def test_power_sample_names_the_first_mismatch_of_the_per_element_loop(monkeypat
     # class t mismatches unless p^t v_0 = 0 mod p^{j+1}.  Blocks of three
     # rows put some first mismatches past the first block.
     params = GroupParams(3, 2)
-    real, default_block = spgroup._y_matrix, cli._SAMPLE_BLOCK
+    real, default_block = spgroup.build_y, cli._SAMPLE_BLOCK
     deep = 0
     for bad_t in range(params.j + 1):
 
@@ -137,7 +137,7 @@ def test_power_sample_names_the_first_mismatch_of_the_per_element_loop(monkeypat
             A[0, 0] += 1
             return EndoMatrix(pr, A)
 
-        monkeypatch.setattr(spgroup, "_y_matrix", corrupted)
+        monkeypatch.setattr(spgroup, "build_y", corrupted)
         for seed in range(12):
             elements, first = _first_power_mismatch(params, 40, seed)
             assert first is not None

@@ -142,7 +142,7 @@ def test_b_power_table_is_read_only_and_matches_mat_pow(p, j):
     params = GroupParams(p, j)
     table = b_power_table(params)
     assert table.shape == (params.b_order, params.dim, params.dim)
-    assert table.dtype == np.int64
+    assert table.dtype == np.min_scalar_type(params.top_modulus - 1)
     for k, B_k in zip(range(params.b_order), tf.mat_powers(build_b(params))):
         assert np.array_equal(table[k], B_k.array)
     assert not table.flags.writeable
@@ -274,15 +274,27 @@ def test_a_wrong_binomial_closed_form_at_one_k_fails_only_its_check(monkeypatch,
         assert _failed(params) == {"binomial_closed_agrees": f"disagreement at k = [{bad_k}]"}
 
 
+@pytest.fixture
+def serve_table(monkeypatch):
+    """Hand verify_construction a changed B^k table, with no Y(p^t) cached from either table."""
+
+    def serve(table):
+        monkeypatch.setattr(construction, "b_power_table", lambda pr: table)
+        build_y.cache_clear()
+
+    yield serve
+    build_y.cache_clear()
+
+
 @pytest.mark.parametrize("p,j", [(3, 2), (5, 1), (7, 1)])
-def test_a_wrong_last_power_corner_fails_only_its_check(monkeypatch, p, j):
+def test_a_wrong_last_power_corner_fails_only_its_check(serve_table, p, j):
     # Any other residue at (0,0) of B^{p^j-1} would also move B^{p^j}, so
     # the corner gets the unreduced lift pj + 1 + top_modulus: every other
     # check reduces the entry and sees the right power.
     params = GroupParams(p, j)
     table = b_power_table(params).copy()
     table[-1, 0, 0] += params.top_modulus
-    monkeypatch.setattr(construction, "b_power_table", lambda pr: table)
+    serve_table(table)
     pj = params.n
     assert _failed(params) == {
         "b_last_power_corner": f"(0,0) of B^{pj - 1} = {pj + 1 + params.top_modulus}, expected {pj + 1}"
@@ -290,10 +302,10 @@ def test_a_wrong_last_power_corner_fails_only_its_check(monkeypatch, p, j):
 
 
 @pytest.mark.parametrize("p,j", [(3, 2), (5, 1)])
-def test_a_premature_identity_in_the_table_is_named(monkeypatch, p, j):
+def test_a_premature_identity_in_the_table_is_named(serve_table, p, j):
     params = GroupParams(p, j)
     table = b_power_table(params).copy()
     table[[1, params.n - 1]] = np.eye(params.dim, dtype=np.int64)
-    monkeypatch.setattr(construction, "b_power_table", lambda pr: table)
+    serve_table(table)
     want = f"premature identity at powers [1, {params.n - 1}], top power equal: False"
     assert _failed(params)["b_order_exact"] == want

@@ -250,6 +250,27 @@ def test_matrix_from_any_grid_is_one_value():
     assert M != tf.identity_matrix(p)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_matrix_from_a_narrower_integer_array_equals_the_int64_one(dtype):
+    # b_power_table stores its powers in the narrowest unsigned dtype.
+    p = GroupParams(3, 2)
+    rng = np.random.default_rng(32)
+    A = rng.integers(0, 256, size=(p.dim, p.dim))
+    A[0, 1:] = p.n * rng.integers(0, 256 // p.n, size=p.dim - 1)
+    M = EndoMatrix(p, A.astype(dtype))
+    assert M == EndoMatrix(p, A) and M.array.dtype == np.int64
+    assert MixedVector(p, A[0].astype(dtype)) == MixedVector(p, A[0])
+
+
+def test_a_uint64_entry_past_int64_reduces_exactly():
+    # int64 cannot hold every uint64, so the grid takes the Python-int route.
+    p = GroupParams(3, 1)
+    grid = [[2 ** 63 + 5, 3 * 2 ** 62], [2 ** 64 - 1, 7]]
+    M = EndoMatrix(p, np.array(grid, dtype=np.uint64))
+    assert M.rows == (((2 ** 63 + 5) % 9, 3 * 2 ** 62 % 9), ((2 ** 64 - 1) % 3, 1))
+    assert M == EndoMatrix(p, grid)
+
+
 def test_vector_from_any_integers_is_one_value():
     p = GroupParams(5, 1)
     big = 2 ** 64 + 5

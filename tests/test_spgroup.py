@@ -252,9 +252,9 @@ def test_apply_by_k_equals_the_per_row_product(monkeypatch, p, j, rows):
     bo, d = params.b_order, params.dim
     if p == 509:
         # The grouping does not depend on what the table holds, and the
-        # b_power_table of S(509,1) is 1 GB: each b-exponent gets its own
-        # window of one buffer of residues instead.
-        buffer = rng.integers(0, params.p, size=bo + d * d)
+        # b_power_table of S(509,1) is 0.5 GB: each b-exponent gets its own
+        # window of one buffer of residues, in the table's uint32, instead.
+        buffer = rng.integers(0, params.p, size=bo + d * d, dtype=np.uint32)
         stand_in = np.lib.stride_tricks.sliding_window_view(buffer, d * d)[:bo].reshape(bo, d, d)
         monkeypatch.setattr(spgroup, "b_power_table", lambda pr: stand_in)
     table = spgroup.b_power_table(params)
