@@ -49,6 +49,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -226,9 +227,11 @@ def validate_table(table: Sequence[Sequence[int]], name: str | None = None) -> T
 def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
     """Check the group axioms on a square int64 array and wrap it as a TableGroup.
 
-    Rejections carry the offending indices.  Inverses need no separate
-    check: a Latin square with a two-sided identity puts the identity
-    exactly once in every row.
+    Rejections carry the offending indices.  Inverses and columns need no
+    check on a table that passes: in a finite monoid with Latin rows, row a
+    is onto, so every a has a right inverse and the monoid is a group, whose
+    columns are Latin.  So the columns are checked only when a later check
+    fails, before its error is raised, and a column repeat is named first.
 
     Associativity is decided exactly, for every triple, by Light's test
     (Clifford-Preston, Algebraic Theory of Semigroups I, 1.2).  The set
@@ -246,36 +249,36 @@ def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
 
     narrow = T.astype(np.min_scalar_type(N - 1))
     _check_latin(narrow, "row", "columns")
-    _check_latin(narrow.T, "column", "rows")
-
-    # Column 0 is a permutation, so one row e has e*0 = 0; a two-sided
-    # identity must be that row.
-    identity_index = int(np.argmin(T[:, 0]))
-    full = np.arange(N)
-    if (T[identity_index] != full).any() or (T[:, identity_index] != full).any():
-        raise TableError("no identity: no index e has e*x = x = x*e for all x")
-
-    reached = np.zeros(N, dtype=bool)
-    reached[identity_index] = True
-    gens: list[int] = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            hit = np.zeros(N, dtype=bool)
-            hit[T[np.ix_(frontier, gens)]] = True
-            frontier = np.flatnonzero(hit & ~reached)
-            reached[frontier] = True
-    step = max(1, _BLOCK // N)
-    for s in gens:
-        for a0 in range(0, N, step):
-            bad = narrow[T[a0 : a0 + step, s]] != np.take(narrow[a0 : a0 + step], T[s], axis=1)
-            if bad.any():
-                a, c = divmod(a0 * N + int(np.argmax(bad)), N)  # smallest a, then c
-                raise TableError(
-                    f"associativity violation at ({a},{s},{c}): "
-                    f"({a}*{s})*{c} = {int(T[T[a, s], c])} but {a}*({s}*{c}) = {int(T[a, T[s, c]])}"
-                )
+    try:
+        # Any two-sided identity is the first row e with e*0 = 0, if column 0 is Latin.
+        identity_index = int(np.argmin(T[:, 0]))
+        full = np.arange(N)
+        if (T[identity_index] != full).any() or (T[:, identity_index] != full).any():
+            raise TableError("no identity: no index e has e*x = x = x*e for all x")
+        reached = np.zeros(N, dtype=bool)
+        reached[identity_index] = True
+        gens: list[int] = []
+        while not reached.all():
+            gens.append(int(np.argmin(reached)))
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                hit = np.zeros(N, dtype=bool)
+                hit[T[np.ix_(frontier, gens)]] = True
+                frontier = np.flatnonzero(hit & ~reached)
+                reached[frontier] = True
+        step = max(1, _BLOCK // N)
+        for s in gens:
+            for a0 in range(0, N, step):
+                bad = narrow[T[a0 : a0 + step, s]] != np.take(narrow[a0 : a0 + step], T[s], axis=1)
+                if bad.any():
+                    a, c = divmod(a0 * N + int(np.argmax(bad)), N)  # smallest a, then c
+                    raise TableError(
+                        f"associativity violation at ({a},{s},{c}): "
+                        f"({a}*{s})*{c} = {int(T[T[a, s], c])} but {a}*({s}*{c}) = {int(T[a, T[s, c]])}"
+                    )
+    except TableError:
+        _check_latin(narrow.T, "column", "rows")  # a column repeat is named first
+        raise
 
     return TableGroup(T, identity_index, name, gens)
 
@@ -300,7 +303,7 @@ _WINDOWS = bytes(
     for (a, b), follow in _FOLLOW.items()
     for c in follow
 )
-_SPACED = bytes.maketrans(b",[]", b"   ")
+_SPACED = bytes(i if 48 <= i <= 57 else 32 for i in range(256))  # non-digits to spaces
 _MAX_DIGITS = 18  # every number of at most 18 digits fits int64
 
 
@@ -319,6 +322,10 @@ def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
     the grid grammar without the whitespace, have numbers of at most 18
     digits and N rows of N numbers, and hold N * N whitespace-separated
     numbers, so that no whitespace splits a number.
+
+    A helper thread parses the span, each non-digit byte made a space, during
+    the checks; a failed check drops its values or error.  Seeing only digits
+    and spaces, it never stops early or warns.
     """
     start, stop = raw.find(b"["), raw.rfind(b"]") + 1
     if start < 0 or stop <= start:
@@ -331,26 +338,37 @@ def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
         return None
     span = raw[start:stop]
     del raw
-    cls = np.frombuffer(span.translate(_CLASS, _JSON_SPACE), dtype=np.uint8)
-    if cls.max() > 4 or cls[:2].any() or cls[-2] != 1 or cls[-1] != 1:
-        return None
-    if (cls[:-2] * 25 + cls[1:-1] * 5 + cls[2:]).tobytes().translate(None, _WINDOWS):
-        return None
-    sep = np.flatnonzero(cls < 3)  # every "[", "]" and ","
-    ends = np.flatnonzero(cls[sep] == 1)  # the "]" of each row, then the outer one
-    del cls
-    if np.diff(sep).max() > _MAX_DIGITS + 1:  # separators d + 1 apart hold d digits
-        return None
-    # sep reads "[ [ ,*(N-1) ] , [ ,*(N-1) ] ... ] ]" when every row holds
-    # N numbers, so the "]" of row r is at index N + 1 + (N + 2) r.
-    N = len(ends) - 1
-    if not np.array_equal(ends[:-1], N + 1 + (N + 2) * np.arange(N)):
-        return None
-    del sep
-    spaced = span.translate(_SPACED)
-    del span
-    values = np.fromstring(spaced, dtype=np.int64, sep=" ")
-    del spaced
+    parsed: list = []
+    def parse(spaced: bytes) -> None:
+        try:
+            parsed.append(np.fromstring(spaced, dtype=np.int64, sep=" "))
+        except Exception as exc:  # raised again below, on the caller's thread
+            parsed.append(exc)
+    helper = threading.Thread(target=parse, args=(span.translate(_SPACED),))
+    helper.start()
+    try:
+        cls = np.frombuffer(span.translate(_CLASS, _JSON_SPACE), dtype=np.uint8)
+        del span
+        if cls.max() > 4 or cls[:2].any() or cls[-2] != 1 or cls[-1] != 1:
+            return None
+        if (cls[:-2] * 25 + cls[1:-1] * 5 + cls[2:]).tobytes().translate(None, _WINDOWS):
+            return None
+        sep = np.flatnonzero(cls < 3)  # every "[", "]" and ","
+        ends = np.flatnonzero(cls[sep] == 1)  # the "]" of each row, then the outer one
+        del cls
+        if np.diff(sep).max() > _MAX_DIGITS + 1:  # separators d + 1 apart hold d digits
+            return None
+        # sep reads "[ [ ,*(N-1) ] , [ ,*(N-1) ] ... ] ]" when every row holds
+        # N numbers, so the "]" of row r is at index N + 1 + (N + 2) r.
+        N = len(ends) - 1
+        if not np.array_equal(ends[:-1], N + 1 + (N + 2) * np.arange(N)):
+            return None
+        del sep
+    finally:
+        helper.join()
+    [values] = parsed
+    if isinstance(values, Exception):
+        raise values
     if values.size != N * N:
         return None
     return data, values.reshape(N, N)
@@ -392,6 +410,8 @@ def load_table_group(path: str) -> TableGroup:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise TableError(f"{path}: \"name\" must be a string")
+    if name is not None and any("\ud800" <= ch <= "\udfff" for ch in name):
+        raise TableError(f"{path}: \"name\" holds a lone surrogate, which UTF-8 cannot encode")
     try:
         return validate_table(table, name) if grid is None else _validate_grid(grid, name)
     except TableError as exc:

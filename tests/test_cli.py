@@ -414,6 +414,32 @@ def test_table_json_with_a_plain_value_error_exits_1(capsys, tmp_path, content):
     assert err.startswith(f"error: {path}: ")
 
 
+def test_a_lone_surrogate_table_name_exits_1_in_every_format(tmp_path):
+    # Real stdout, which cannot encode "\ud800": the name is refused before
+    # any output.  The "extra" array sends the second file to json.load.
+    paths = []
+    for extra in ("", ', "extra": [1]'):
+        paths.append(tmp_path / f"surrogate{len(paths)}.json")
+        paths[-1].write_text(f'{{"order": 2, "table": [[0, 1], [1, 0]], "name": "\\ud800"{extra}}}')
+    script = (
+        "import sys\n"
+        "from fsz_forge.cli import run\n"
+        "codes = [run(['fsz', '--table', path, '--format', fmt])\n"
+        "         for path in sys.argv[1:] for fmt in ('text', 'json', 'csv')]\n"
+        "print(*codes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)], env=env, capture_output=True, text=True
+    )
+    assert done.stdout == "1 1 1 1 1 1\n", done.stderr
+    assert done.stderr.splitlines() == [
+        f'error: {path}: "name" holds a lone surrogate, which UTF-8 cannot encode'
+        for path in paths
+        for _ in range(3)
+    ]
+
+
 def test_verification_failure_exits_2(capsys, monkeypatch):
     import fsz_forge.cli as cli
     from fsz_forge.fszcheck import VerificationError

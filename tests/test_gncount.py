@@ -2,8 +2,15 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+from collections import Counter
 from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +41,7 @@ from fsz_forge.spgroup import (
     power_generic,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 P31 = GroupParams(3, 1)
 P51 = GroupParams(5, 1)
 
@@ -305,6 +313,80 @@ def test_validate_table_rejects_a_column_only_latin_violation(block, monkeypatch
     assert exc.value.args[0] == "Latin-square violation: column 6 repeats 7 at rows 0 and 1"
 
 
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("table, column_repeat, later", [
+    # Z4 with row 0 made 1 0 2 3: no row is 0..3, so there is no identity.
+    ([[1, 0, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+     "column 0 repeats 1 at rows 0 and 1", "no identity"),
+    # Z5 with entries 2 and 3 of row 1 swapped: 0 is still a two-sided
+    # identity, and Light's test fails at (1,1,1).
+    ([[0, 1, 2, 3, 4], [1, 2, 4, 3, 0], [2, 3, 4, 0, 1], [3, 4, 0, 1, 2], [4, 0, 1, 2, 3]],
+     "column 2 repeats 4 at rows 1 and 2", r"associativity violation at \(1,1,1\)"),
+], ids=["no identity", "not associative"])
+def test_a_column_repeat_is_named_before_a_later_rejection(
+    block, table, column_repeat, later, monkeypatch
+):
+    # Latin rows, and a column repeat that is checked only once the
+    # identity check or Light's test has failed.
+    if block is not None:
+        monkeypatch.setattr(gncount, "_BLOCK", block)
+    with pytest.raises(TableError) as exc:
+        validate_table(table)
+    assert exc.value.args[0] == f"Latin-square violation: {column_repeat}"
+    real = gncount._check_latin
+    monkeypatch.setattr(
+        gncount, "_check_latin", lambda T, line, place: line == "column" or real(T, line, place)
+    )
+    with pytest.raises(TableError, match=later):
+        validate_table(table)
+
+
+def _outcome(table):
+    """validate_table's identity and generators, or its TableError text."""
+    try:
+        G = validate_table(table)
+    except TableError as exc:
+        return str(exc)
+    return G.identity_index, G.generators
+
+
+def _columns_first(table):
+    """_outcome with the columns checked right after the rows, whatever follows."""
+    T = np.array(table)
+    try:
+        gncount._check_latin(T, "row", "columns")
+        gncount._check_latin(T.T, "column", "rows")
+    except TableError as exc:
+        return str(exc)
+    return _outcome(table)
+
+
+def test_columns_checked_only_on_the_way_to_a_rejection_give_the_same_outcomes(monkeypatch):
+    """Random groups, loops and Latin-row tables against the columns-first reference."""
+    rng = random.Random(32)
+    kinds = Counter()
+    for trial in range(900):
+        monkeypatch.setattr(gncount, "_BLOCK", rng.choice([1 << 20, 16, 64]))
+        edit = trial % 6
+        base = next(_loops(rng.randrange(4, 8), rng)) if edit >= 4 else tf.random_group_table(rng)
+        T = np.array(base)
+        N = len(T)
+        if edit in (0, 5):  # two entries of one row swapped: Latin rows, not columns
+            r, (c1, c2) = rng.randrange(N), rng.sample(range(N), 2)
+            T[r, [c1, c2]] = T[r, [c2, c1]]
+        elif edit == 1:  # one to three rows made random permutations
+            for r in rng.sample(range(N), min(N, rng.randint(1, 3))):
+                T[r] = rng.sample(range(N), N)
+        elif edit == 2:  # rows permuted: a Latin square, mostly with no identity
+            T = T[rng.sample(range(N), N)]
+        table = T.tolist()
+        got = _outcome(table)
+        assert got == _columns_first(table)
+        kinds[got.split(" at ")[0].split(":")[0] if isinstance(got, str) else "group"] += 1
+    assert min(kinds[k] for k in (
+        "Latin-square violation", "no identity", "associativity violation", "group")) >= 20, kinds
+
+
 @pytest.mark.parametrize("block", [None, 32])
 def test_validate_table_rejects_an_associativity_violation_in_a_later_block(block, monkeypatch):
     # Z16 with the intercalate at rows 7 and 15, columns 2 and 10 swapped:
@@ -532,6 +614,8 @@ GRID = "[[0, 1], [1, 0]]"
     f'{{"name": "]", "order": 2, "table": {GRID}}}',
     f'{{"order": 2, "table": {GRID}, "name": "["}}',
     f'{{"order": 2, "table": {GRID}, "name": 7}}',
+    f'{{"order": 2, "table": {GRID}, "name": "\\ud800"}}',
+    f'{{"order": 2, "table": {GRID}, "name": "\\ud83d\\ude00"}}',
     f'{{"order": 3, "table": {GRID}}}',
     f'{{"order": true, "table": {GRID}}}',
     f'[{GRID}]',
@@ -565,6 +649,108 @@ def test_scanner_and_json_load_agree(tmp_path, text):
     path = tmp_path / "t.json"
     path.write_bytes(text.encode("utf-8"))
     _same_on_both_routes(path)
+
+
+def test_a_lone_surrogate_name_is_rejected_on_both_routes(tmp_path):
+    # "\ud800" is valid JSON, but no UTF-8 text holds it; an "extra" array
+    # after the table sends the second file to json.load.
+    path = tmp_path / "surrogate.json"
+    for extra, scanned in (("", True), (', "extra": [1]', False)):
+        path.write_text(f'{{"order": 2, "table": {GRID}, "name": "\\ud800"{extra}}}')
+        assert _same_on_both_routes(path) is scanned
+        assert _load(path, True) == (
+            f'{path}: "name" holds a lone surrogate, which UTF-8 cannot encode'
+        )
+
+
+@pytest.mark.parametrize("text, scanned", [
+    (f'{{"order": 2, "table": {GRID}}}', True),
+    ('{"order": 2, "table": [[0, 1.0], [1, 0]]}', False),
+    ('{"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 3]]}', True),
+], ids=["taken", "declined", "rejected"])
+def test_the_parse_thread_is_joined_on_every_path(tmp_path, monkeypatch, text, scanned):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    before = set(threading.enumerate())
+    started = []
+
+    class Helper(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    real = np.fromstring
+
+    def slow(*args, **kwargs):  # still parsing when the checks end, unless joined
+        time.sleep(0.05)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gncount.threading, "Thread", Helper)
+    monkeypatch.setattr(np, "fromstring", slow)
+    assert _same_on_both_routes(path) is scanned
+    assert len(started) == 2  # the load that may scan, and the scan after it
+    assert not any(t.is_alive() for t in started)
+    assert set(threading.enumerate()) == before
+
+
+def test_the_parse_thread_is_joined_when_a_check_raises(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    path.write_text(f'{{"order": 2, "table": {GRID}}}')
+    before = set(threading.enumerate())
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(np, "diff", fail)  # the separator check of the grammar
+    with pytest.raises(RuntimeError, match="check failed"):
+        load_table_group(str(path))
+    assert set(threading.enumerate()) == before
+
+
+def _no_room(*args, **kwargs):
+    raise MemoryError("no room for the grid")
+
+
+def test_a_parse_error_on_the_helper_thread_is_raised_not_declined(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    path.write_text(f'{{"order": 2, "table": {GRID}}}')
+    monkeypatch.setattr(np, "fromstring", _no_room)
+    with pytest.raises(MemoryError, match="no room for the grid"):
+        load_table_group(str(path))
+
+
+def test_a_declined_file_drops_the_parse_error(tmp_path, monkeypatch):
+    # A declined file is read by json.load alone; the parse error goes with its values.
+    path = tmp_path / "t.json"
+    path.write_text('{"order": 2, "table": [[0, 1.0], [1, 0]]}')
+    monkeypatch.setattr(np, "fromstring", _no_room)
+    with pytest.raises(TableError, match="is 1.0, expected an integer in 0..1"):
+        load_table_group(str(path))
+
+
+def test_declined_files_warn_nothing_under_W_error(tmp_path):
+    # The helper thread parses each span before the checks decline it.
+    entries = ["1.0", "-1", "1e2", "01", "true", "1 0", "9" * 19, "18446744073709551617",
+               "1" + "0" * 4999]
+    paths = []
+    for k, entry in enumerate(entries):
+        paths.append(tmp_path / f"declined-{k}.json")
+        paths[-1].write_text(f'{{"order": 2, "table": [[0, {entry}], [1, 0]]}}')
+    script = (
+        "import pathlib, sys\n"
+        "from fsz_forge import gncount\n"
+        "for path in sys.argv[1:]:\n"
+        "    if gncount._scan_table(pathlib.Path(path).read_bytes()) is not None:\n"
+        "        sys.exit(f'{path} was taken')\n"
+        "    try:\n"
+        "        gncount.load_table_group(path)\n"
+        "    except gncount.TableError:\n"
+        "        pass\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script, *map(str, paths)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
 
 def test_scanner_declines_utf16(tmp_path):
