@@ -286,23 +286,12 @@ def _validate_grid(T: np.ndarray, name: str | None) -> TableGroup:
 _JSON_SPACE = b" \t\n\r"
 # Byte classes of a grid once JSON whitespace is deleted: "[" 0, "]" 1, "," 2,
 # "0" 3, "1"-"9" 4, and 5 for every byte that a plain decimal grid cannot hold.
+# A grid of N rows is read by its separators, the bytes of classes 0-2: there
+# are (N + 1)^2 of them, the first and the last byte are two of them, they
+# read "[", then N rows of "[", N - 1 "," and "]" joined by ",", then "]", and
+# the gap after a row's "[" or after a "," inside a row holds 1 to 18 digits,
+# with no leading "0" unless it is "0"; every other gap is empty.
 _CLASS = bytes(min(i, 4) if i >= 0 else 5 for i in map(b"[],0123456789".find, range(256)))
-# The grid grammar [[num(,num)*(],[num(,num)*)*]], num = 0 | [1-9][0-9]*, as
-# the bytes that may follow each pair of bytes ("d" is any of 1-9).  The pair
-# fixes the parser state, so a grid that starts with "[[", ends with "]]" and
-# has only these 3-byte windows is in the grammar.  A window is coded
-# 25 a + 5 b + c in the byte classes.
-_FOLLOW = {
-    "[[": "0d", ",[": "0d", "d,": "0d", "0,": "0d",
-    "[0": ",]", ",0": ",]", "d]": ",]", "0]": ",]",
-    "[d": "0d,]", ",d": "0d,]", "d0": "0d,]", "dd": "0d,]", "00": "0d,]", "0d": "0d,]",
-    "],": "[",
-}
-_WINDOWS = bytes(
-    25 * "[],0d".index(a) + 5 * "[],0d".index(b) + "[],0d".index(c)
-    for (a, b), follow in _FOLLOW.items()
-    for c in follow
-)
 _SPACED = bytes(i if 48 <= i <= 57 else 32 for i in range(256))  # non-digits to spaces
 _MAX_DIGITS = 18  # every number of at most 18 digits fits int64
 
@@ -318,10 +307,10 @@ def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
     has no raw newline inside a string, so the "[]" is a value; no "["
     comes before it and no "]" after it, so it is the only array, and
     the span between the brackets is the value of the last "table" key.
-    The span must hold only digits, ",", "[", "]" and whitespace, obey
-    the grid grammar without the whitespace, have numbers of at most 18
-    digits and N rows of N numbers, and hold N * N whitespace-separated
-    numbers, so that no whitespace splits a number.
+    The span must hold only digits, ",", "[", "]" and whitespace, follow
+    the separator rule above _CLASS once the whitespace is deleted, and
+    hold N * N whitespace-separated numbers, so that no whitespace splits
+    a number.
 
     A helper thread parses the span, each non-digit byte made a space, during
     the checks; a failed check drops its values or error.  Seeing only digits
@@ -349,21 +338,28 @@ def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
     try:
         cls = np.frombuffer(span.translate(_CLASS, _JSON_SPACE), dtype=np.uint8)
         del span
-        if cls.max() > 4 or cls[:2].any() or cls[-2] != 1 or cls[-1] != 1:
-            return None
-        if (cls[:-2] * 25 + cls[1:-1] * 5 + cls[2:]).tobytes().translate(None, _WINDOWS):
+        if cls.max() > 4:
             return None
         sep = np.flatnonzero(cls < 3)  # every "[", "]" and ","
-        ends = np.flatnonzero(cls[sep] == 1)  # the "]" of each row, then the outer one
-        del cls
-        if np.diff(sep).max() > _MAX_DIGITS + 1:  # separators d + 1 apart hold d digits
+        N = math.isqrt(sep.size) - 1
+        if sep.size != (N + 1) ** 2:
             return None
-        # sep reads "[ [ ,*(N-1) ] , [ ,*(N-1) ] ... ] ]" when every row holds
-        # N numbers, so the "]" of row r is at index N + 1 + (N + 2) r.
-        N = len(ends) - 1
-        if not np.array_equal(ends[:-1], N + 1 + (N + 2) * np.arange(N)):
+        # The span starts with "[" and ends with "]", so sep[0] and sep[-1] are
+        # its first and last bytes, and every other byte lies in a gap.
+        row = "[" + "," * (N - 1) + "]"
+        if cls[sep].tobytes() != ("[" + ",".join([row] * N) + "]").encode().translate(_CLASS):
             return None
-        del sep
+        # Row r is separators (N + 2) r + 1 to (N + 2) r + N + 1, so column c of
+        # these N x (N + 2) arrays is the gap after separator (N + 2) r + c: a
+        # number for c = 1..N; empty for c = 0 (before the row) and N + 1.
+        width = np.diff(sep).reshape(N, N + 2)  # one more than the gap's bytes
+        lead = cls[1:][sep[:-1]].reshape(N, N + 2)  # the gap's first byte
+        del sep, cls
+        numbers = width[:, 1:-1]
+        if (width[:, [0, -1]] != 1).any() or numbers.min() < 2 or numbers.max() > _MAX_DIGITS + 1:
+            return None
+        if ((lead[:, 1:-1] == 3) & (numbers > 2)).any():  # a number led by "0"
+            return None
     finally:
         helper.join()
     [values] = parsed

@@ -639,6 +639,16 @@ GRID = "[[0, 1], [1, 0]]"
     '{"order": 2, "table": [[0, 1], [1, 0], ]}',
     '{"order": 2, "table": [[0, 1], [[1], 0]]}',
     '{"order": 2, "table": [[0, 1],, [1, 0]]}',
+    '{"order": 2, "table": [[0], [1, 0, 1]]}',
+    '{"order": 2, "table": [[0, 1], 5, [1, 0]]}',
+    '{"order": 2, "table": [[0, 1], ,1, 0]]}',
+    '{"order": 2, "table": [5, [0, 1], [1, 0]]}',
+    '{"order": 2, "table": [[0, 1], [1, 0]]]}',
+    '{"order": 1, "table": [[0]]}',
+    '{"order": 1, "table": [[1]]}',
+    '{"order": 2, "table": [[0, 1], [1, 9999999999999999999]]}',
+    '{"order": 2, "table": [[0, 1], [1, 00]]}',
+    '{"order": 2, "table": [[0, 1], [1, 01]]}',
     '{"order": 2, "table": [[0, 1], [1, 0]]}\n',
     '\ufeff{"order": 2, "table": [[0, 1], [1, 0]]}',
     '{"order": 3, "table": ' + json.dumps(tf.LATIN_VIOLATION) + '}',
@@ -725,6 +735,18 @@ def test_a_declined_file_drops_the_parse_error(tmp_path, monkeypatch):
     path.write_text('{"order": 2, "table": [[0, 1.0], [1, 0]]}')
     monkeypatch.setattr(np, "fromstring", _no_room)
     with pytest.raises(TableError, match="is 1.0, expected an integer in 0..1"):
+        load_table_group(str(path))
+
+
+@pytest.mark.parametrize("table", ["[5[0, 1], [1, 0]]", "[[0, 1]5, [1, 0]]", "[[0, 1],5[1, 0]]",
+                                   "[[0, 1], [1, 0]5]"])
+def test_a_digit_in_an_empty_gap_is_declined_before_the_parse_is_read(tmp_path, monkeypatch, table):
+    # The separators read as a 2 x 2 grid, and every number gap holds a number;
+    # only the empty-gap check declines the file before the parse error is raised.
+    path = tmp_path / "t.json"
+    path.write_text(f'{{"order": 2, "table": {table}}}')
+    monkeypatch.setattr(np, "fromstring", _no_room)
+    with pytest.raises(TableError, match="malformed JSON"):
         load_table_group(str(path))
 
 
