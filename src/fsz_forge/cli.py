@@ -271,7 +271,11 @@ def _do_count(args: argparse.Namespace) -> tuple[dict, int]:
 
 def _do_fsz(args: argparse.Namespace) -> tuple[dict, int]:
     if args.table is not None:
+        if args.p is not None or args.j is not None:
+            raise ParameterError("fsz takes either --p and --j, or --table FILE, not both")
         G = gncount.load_table_group(args.table)
+    elif args.p is None or args.j is None:
+        raise ParameterError("fsz needs either --p and --j, or --table FILE")
     else:
         G = SpjGroup(GroupParams(args.p, args.j))
     describe = G.describe_element
@@ -386,17 +390,6 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.subcommand == "fsz":
-        has_pj = args.p is not None and args.j is not None
-        has_table = args.table is not None
-        if has_table and (args.p is not None or args.j is not None):
-            print("error: fsz takes either --p and --j, or --table FILE, not both",
-                  file=sys.stderr)
-            return 1
-        if not has_table and not has_pj:
-            print("error: fsz needs either --p and --j, or --table FILE",
-                  file=sys.stderr)
-            return 1
     try:
         report, status = _DISPATCH[args.subcommand](args)
     except (ParameterError, ElementSyntaxError, TableError, EnumerationLimitError,

@@ -40,7 +40,7 @@ and reused for every n.  It is five int64 columns with one row per
 class: the representative g, |C(g)| = |G| / |class of g|, and the slice
 of g's targets in two flat columns, the residues m and the indices of
 g^m, walked on index arrays for all representatives at once.  The
-residues depend only on the order of g, which gncount.element_orders
+residues depend only on the order of g, which the group's orders array
 reads off the power maps.  For each n a class is skipped, and counted as
 |C(g)| examined pairs, when no count on it can differ:
 
@@ -81,8 +81,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gncount import (_guard, _distinct_values, element_orders, exponent,
-                      gn_count_structured, structured_tables)
+from .gncount import (_guard, _distinct_values, exponent, gn_count_structured,
+                      structured_tables)
 from .mixedmod import GroupParams, MixedVector, ParameterError, VerificationError, _prime_factors
 from .spgroup import (
     EnumerationLimitError,
@@ -165,7 +165,7 @@ def residue_witness_classes(og: int, N: int) -> list[int]:
 def conjugacy_class_reps(G) -> tuple[list[int], list[int]]:
     """Smallest-index representatives of the conjugacy classes, and their sizes.
 
-    G.conjugation_arrays gives, per generator c, the permutation
+    G.conjugation_array gives, per generator c, the permutation
     P[a] = c^-1 a c.  Starting from label[a] = a, each round sets label
     to min(label, label[P]) for every P and then to label[label], until
     no label changes.  Labels only decrease, so an unchanged sum means
@@ -181,7 +181,7 @@ def conjugacy_class_reps(G) -> tuple[list[int], list[int]]:
     - so the class minimum m has label[m] <= m, and the constant label
       of the class, lying in it, is m.
     """
-    perms = G.conjugation_arrays()
+    perms = [G.conjugation_array(c) for c in G.generators]
     label = np.arange(G.N)
     total, before = int(label.sum()), None
     while total != before:
@@ -212,7 +212,7 @@ def _class_table(G) -> tuple[np.ndarray, ...]:
     if table is not None:
         return table
     reps, sizes = (np.array(x, dtype=np.int64) for x in conjugacy_class_reps(G))
-    orders = element_orders(G)[reps]
+    orders = G.orders[reps]
     # The residues depend only on the order: one list, and one row mask, per order.
     by_order = [
         (orders == og, [m for m in residue_witness_classes(og, G.N) if 2 * (m % og) < og])
@@ -345,7 +345,7 @@ def _reference_scan(G, n: int) -> FszVerdict:
     |C(g)| comparisons per target."""
     order, starts = _power_buckets(G.pow_index_array(n))
     witness, pairs, comparisons = None, 0, 0
-    for g_idx, og in enumerate(element_orders(G).tolist()):
+    for g_idx, og in enumerate(G.orders.tolist()):
         ms = residue_witness_classes(og, G.N)
         centralizer = _centralizer_indices(G, g_idx)
         first = None  # (position in C(g), target position, count): smallest u, then target
@@ -392,10 +392,9 @@ def _consistency_histogram(params: GroupParams) -> np.ndarray:
     a_1^{s p^j} is entry [k, r/s mod p].
     """
     p, pj = params.p, params.n
-    t_table, ic = (np.array(x, dtype=np.int64) for x in structured_tables(params))
-    ic1 = ic[t_table]  # [m]
+    ic = np.array(structured_tables(params), dtype=np.int64)  # [m]
     grid = np.arange(pj)
-    diff = (ic1[None, :] - ic1[(grid[None, :] - grid[:, None]) % pj]) % p  # [k, m]
+    diff = (ic[None, :] - ic[(grid[None, :] - grid[:, None]) % pj]) % p  # [k, m]
     return np.bincount((grid[:, None] * p + diff).ravel(), minlength=pj * p).reshape(pj, p)
 
 
@@ -485,10 +484,10 @@ def _designated_pair(params: GroupParams) -> tuple[SElement, SElement, SElement]
 
 
 def _reference_guard(G) -> None:
-    if G.order() > NO_REDUCTION_LIMIT:
+    if G.N > NO_REDUCTION_LIMIT:
         raise EnumerationLimitError(
             f"the no-reduction scan is for cross-validation on tiny groups: "
-            f"order {G.order()} exceeds {NO_REDUCTION_LIMIT}"
+            f"order {G.N} exceeds {NO_REDUCTION_LIMIT}"
         )
 
 

@@ -18,30 +18,9 @@ before anything downstream trusts them.  A file whose table is a plain
 decimal grid is scanned straight into the int64 array; any other file is
 read by json.load.
 
-The group interface.  Both families, spgroup.SpjGroup and TableGroup,
-implement it, and the counters and scans take the group itself:
-
-- N, identity_index, exponent, order(), identity(), describe();
-- scalar elements: multiply, invert, power, describe_element, and
-  to_element / from_element, which map between elements and their
-  indices 0..N-1;
-- index arrays.  A family supplies generators, a tuple of the indices of
-  a generating set (a_1 and b for S(p,j)), two index kernels,
-  mul_index_arrays(a, b) and invert_index_array(a), and _sweep(f), the
-  index of f(a) for every a.  The base spgroup.IndexGroup
-  writes every whole-group map once on these: power_indices(a, n),
-  pow_index_array(n), conjugation_array(x), the index array of
-  x^-1 a x, and conjugation_arrays(), one per generator.  It also
-  writes common_fibers(words, targets, first), the size and the first
-  members of {a : f(a) = t for every word map f} for each target t,
-  by sweeping each word; SpjGroup overrides it to match its slice
-  tables with no whole-group array.
-  TableGroup._sweep evaluates f on every index.  The S(p,j) sweep
-  evaluates f on probe rows and extends it by an affine pass, so it is
-  exact only for word maps: products of a, a^-1 and fixed elements,
-  powers included.
-  Element orders come from pow_index_array alone, and the exponent's
-  certificate from common_fibers.
+Both families, spgroup.SpjGroup and TableGroup, implement the group
+interface defined on spgroup.IndexGroup, and the counters and scans take
+the group itself.
 """
 
 from __future__ import annotations
@@ -50,7 +29,6 @@ import itertools
 import json
 import math
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -64,7 +42,6 @@ from .spgroup import (
     EnumerationLimitError,
     IndexGroup,
     SElement,
-    t_of_b_exponent,
 )
 
 MAX_WITNESSES = 16
@@ -99,7 +76,7 @@ class GnCount:
 class TableGroup(IndexGroup):
     """Group given by a validated multiplication table over 0..order-1.
 
-    Implements the group interface above; elements already are indices.
+    Implements the group interface of IndexGroup; elements already are indices.
     generators is a generating set, the greedy one of validate_table.
     """
 
@@ -117,16 +94,10 @@ class TableGroup(IndexGroup):
         self.generators = tuple(generators)
         self.inverse = np.argmax(array == identity_index, axis=1)
 
-    def order(self) -> int:
-        return len(self.array)
-
     @cached_property
     def exponent(self) -> int:
         """The exponent certified by the power maps, computed once."""
         return exponent(self)
-
-    def identity(self) -> int:
-        return self.identity_index
 
     def multiply(self, x: int, y: int) -> int:
         return int(self.array[x, y])
@@ -415,9 +386,9 @@ def load_table_group(path: str) -> TableGroup:
 
 
 def _guard(G) -> None:
-    if G.order() > DEFAULT_ENUMERATION_LIMIT:
+    if G.N > DEFAULT_ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"group order {G.order()} exceeds the enumeration limit "
+            f"group order {G.N} exceeds the enumeration limit "
             f"{DEFAULT_ENUMERATION_LIMIT}"
         )
 
@@ -466,12 +437,13 @@ def gn_count_bruteforce(G, n: int, u, g) -> GnCount:
 
 
 @lru_cache(maxsize=None)
-def structured_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """t(k) for each b-exponent k, and the mod-p inverse of the coefficient.
+def structured_tables(params: GroupParams) -> tuple[int, ...]:
+    """For each b-exponent k, the mod-p inverse of the power coefficient.
 
     The p^j-th power of an element with b-exponent k is a_1^{c * v_0} with
-    c = 2 p^j when t(k) = 0 and c = p^j otherwise; only c / p^j matters
-    mod p, so its inverse is all the congruence solving needs.
+    c = 2 p^j when p does not divide k, that is when t_of_b_exponent is 0,
+    and c = p^j otherwise; only c / p^j matters mod p, so its inverse is
+    all the congruence solving needs.
     Both structured routes rest on the lemma that row 0 of every B^m is
     e_0 mod p.  Reduction mod p is a ring homomorphism on these matrices,
     whose rows are reduced mod p^{j+1} or mod p, so row 0 of B^m mod p is
@@ -487,10 +459,8 @@ def structured_tables(params: GroupParams) -> tuple[tuple[int, ...], tuple[int, 
             f"row 0 of B is not e_0 mod {p} (B[0,0] = {corner}), so the consistency "
             f"count is not a function of the class (k, v_0 mod p)"
         )
-    t_table = tuple(t_of_b_exponent(params, k) for k in range(params.b_order))
     inv2 = pow(2, -1, p)
-    inv_coeff = tuple(inv2 if t == 0 else 1 for t in range(params.j + 1))
-    return t_table, inv_coeff
+    return tuple(inv2 if k % p else 1 for k in range(params.b_order))
 
 
 def gn_count_structured(
@@ -518,12 +488,12 @@ def gn_count_structured(
         return GnCount(n=n, u=u, g=g, count=0, witnesses=(), method="structured")
 
     rhs = (g.vec.coords[0] // n) % p
-    t_table, ic = structured_tables(params)
+    ic = structured_tables(params)
     delta = -u.vec.coords[0] % p
     solutions = [
-        (m, rhs * ic[t_table[m]] % p)
+        (m, rhs * ic[m] % p)
         for m in range(n)
-        if (rhs * ic[t_table[m]] - rhs * ic[t_table[(m - u.k) % n]] + delta) % p == 0
+        if (rhs * ic[m] - rhs * ic[(m - u.k) % n] + delta) % p == 0
     ]
     candidates = (
         SElement(MixedVector(params, np.array((v0,) + tail, dtype=np.int64)), m)
@@ -541,49 +511,6 @@ def gn_count_structured(
     )
 
 
-# One order array per live group: exponent and the class table of one
-# check_fsz share it.  An entry dies with its group.
-_ELEMENT_ORDERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def element_orders(G) -> np.ndarray:
-    """The order of every element, as a read-only array over the indices 0..N-1.
-
-    Every order divides N = |G| (Lagrange).  For each prime q of N, with
-    q^v exactly dividing N, x^{N/q^v} has order the q-part of the order
-    of x, which is the number of q-th powers it takes to reach 1.  So
-    the walk x <- x^q from x^{N/q^v} multiplies the order by q at every
-    step where x is not yet 1, and reaches 1 within v steps.  The array
-    is computed once per group; a walk that fails its check stores nothing.
-    Its dtype is the narrowest unsigned type that holds N: every order
-    divides N, and the walk multiplies in each prime's part at most v
-    times, so no entry ever exceeds N and nothing wraps.
-    """
-    cached = _ELEMENT_ORDERS.get(G)
-    if cached is not None:
-        return cached
-    N, one = G.order(), G.identity_index
-    orders = np.ones(N, dtype=np.min_scalar_type(N))
-    for q in _prime_factors(N):
-        v, rest = 0, N
-        while rest % q == 0:
-            v, rest = v + 1, rest // q
-        x = G.pow_index_array(rest) if rest > 1 else np.arange(N)
-        P = G.pow_index_array(q)
-        for _ in range(v):
-            live = x != one
-            orders[live] *= q
-            x = P[x]
-        if (x != one).any():
-            raise VerificationError(
-                f"the walk x -> x^{q} on {G.describe()} does not reach the "
-                f"identity in {v} steps, so some order does not divide {N}"
-            )
-    orders.flags.writeable = False
-    _ELEMENT_ORDERS[G] = orders
-    return orders
-
-
 def _distinct_values(a: np.ndarray) -> np.ndarray:
     """The distinct values of a nonempty array, ascending, by a sort and a diff.
 
@@ -597,7 +524,7 @@ def exponent(G) -> int:
     """Least common multiple of all element orders, certified by fiber counts:
     x^e = 1 for every x, and for each prime q of e some x has x^{e/q} != 1."""
     _guard(G)
-    e = math.lcm(*_distinct_values(element_orders(G)).tolist())
+    e = math.lcm(*_distinct_values(G.orders).tolist())
 
     def kills(k: int) -> bool:
         [(count, _)] = G.common_fibers([lambda a: G.power_indices(a, k)], [G.identity_index], 0)

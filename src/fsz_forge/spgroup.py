@@ -25,6 +25,7 @@ from .mixedmod import (
     MixedVector,
     ParameterError,
     VerificationError,
+    _prime_factors,
     basis_vector,
     quotient_order,
     square_and_multiply,
@@ -301,15 +302,33 @@ def structure_report(params: GroupParams) -> StructureReport:
 
 
 class IndexGroup:
-    """The whole-group maps on enumeration indices, written once for every family.
+    """The group interface, written once for both families.
 
-    A family supplies N, identity_index, generators (the indices of a
-    generating set), the index kernels mul_index_arrays(a, b) and
-    invert_index_array(a), and _sweep(f): the index of f(a) for
-    every a, where f maps an index array entrywise by a word map, a
-    product of a, a^-1 and fixed elements.  Every map below is such a word,
-    and common_fibers takes only such words.
+    Every counter and scan takes a group with this interface; its
+    elements are numbered 0..N-1, the enumeration indices.  A family,
+    SpjGroup or gncount.TableGroup, supplies:
+
+    - N, identity_index, exponent and describe();
+    - scalar elements: multiply, invert, power, describe_element, and
+      to_element / from_element between elements and indices;
+    - generators, the indices of a generating set (a_1 and b for S(p,j));
+    - the index kernels mul_index_arrays(a, b) and invert_index_array(a);
+    - _sweep(f), the index of f(a) for every a, where f maps an index
+      array entrywise by a word map, a product of a, a^-1 and fixed
+      elements.  A table evaluates f on every index; S(p,j) evaluates it
+      on probe rows and extends it by an affine pass, which is exact only
+      for word maps.
+
+    On these, this class writes every whole-group map once:
+    power_indices, pow_index_array, conjugation_array, common_fibers
+    (which SpjGroup overrides to match its slice tables with no array of
+    length N) and orders, the element orders, read off pow_index_array
+    alone.  Every map here is a word, and common_fibers takes only words.
     """
+
+    # Unread in src/; perfbench/layers.py annotates gn_count_bruteforce_many spans with it.
+    def order(self) -> int:
+        return self.N
 
     def power_indices(self, a: np.ndarray, n: int) -> np.ndarray:
         """a^n for each entry of the index array a, by square-and-multiply."""
@@ -347,13 +366,43 @@ class IndexGroup:
 
         return self._sweep(conj)
 
-    def conjugation_arrays(self) -> list[np.ndarray]:
-        """conjugation_array(c) for every c in generators."""
-        return [self.conjugation_array(c) for c in self.generators]
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every element, as a read-only array over the indices 0..N-1.
+
+        Every order divides N = |G| (Lagrange).  For each prime q of N, with
+        q^v exactly dividing N, x^{N/q^v} has order the q-part of the order
+        of x, which is the number of q-th powers it takes to reach 1.  So
+        the walk x <- x^q from x^{N/q^v} multiplies the order by q at every
+        step where x is not yet 1, and reaches 1 within v steps.  A walk
+        that fails its check raises, and nothing is cached.  The dtype is
+        the narrowest unsigned type that holds N: every order divides N,
+        and the walk multiplies in each prime's part at most v times, so no
+        entry ever exceeds N and nothing wraps.
+        """
+        N, one = self.N, self.identity_index
+        orders = np.ones(N, dtype=np.min_scalar_type(N))
+        for q in _prime_factors(N):
+            v, rest = 0, N
+            while rest % q == 0:
+                v, rest = v + 1, rest // q
+            x = self.pow_index_array(rest) if rest > 1 else np.arange(N)
+            P = self.pow_index_array(q)
+            for _ in range(v):
+                live = x != one
+                orders[live] *= q
+                x = P[x]
+            if (x != one).any():
+                raise VerificationError(
+                    f"the walk x -> x^{q} on {self.describe()} does not reach the "
+                    f"identity in {v} steps, so some order does not divide {N}"
+                )
+        orders.flags.writeable = False
+        return orders
 
 
 class SpjGroup(IndexGroup):
-    """S(p,j) behind the group interface described in gncount.
+    """S(p,j) behind the group interface of IndexGroup.
 
     The scalar methods work on SElements.  The index kernels decode
     enumeration indices (element_index) to (vector, b-exponent) arrays, run
@@ -367,9 +416,6 @@ class SpjGroup(IndexGroup):
         self.identity_index = 0
         self._abelian = self.N // params.b_order
 
-    def order(self) -> int:
-        return self.params.group_order
-
     @property
     def exponent(self) -> int:
         """p^{j+1}, with no enumeration (Lemma 2).
@@ -380,9 +426,6 @@ class SpjGroup(IndexGroup):
         order p^{j+1}.  gncount.exponent, on the power maps, is the oracle.
         """
         return self.params.top_modulus
-
-    def identity(self) -> SElement:
-        return identity_element(self.params)
 
     def multiply(self, x: SElement, y: SElement) -> SElement:
         return multiply(self.params, x, y)

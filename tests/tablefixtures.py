@@ -73,7 +73,7 @@ def random_group_table(rng: random.Random) -> list[list[int]]:
 
 def scalar_order(G, x) -> int:
     """The order of the element x of G, by multiplying by x until the identity."""
-    order, y, one = 1, x, G.identity()
+    order, y, one = 1, x, G.to_element(G.identity_index)
     while y != one:
         y, order = G.multiply(y, x), order + 1
     return order
@@ -81,7 +81,7 @@ def scalar_order(G, x) -> int:
 
 def repeated_power(G, x, n: int):
     """x^n by |n| multiplications by x, or by its inverse when n < 0."""
-    y, step = G.identity(), x if n >= 0 else G.invert(x)
+    y, step = G.to_element(G.identity_index), x if n >= 0 else G.invert(x)
     for _ in range(abs(n)):
         y = G.multiply(y, step)
     return y

@@ -377,6 +377,26 @@ def test_fsz_requires_exactly_one_source(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+_BOTH = "fsz takes either --p and --j, or --table FILE, not both"
+_NEITHER = "fsz needs either --p and --j, or --table FILE"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--p", "5"), _NEITHER),
+        (("--j", "1"), _NEITHER),
+        ((), _NEITHER),
+        (("--p", "5", "--j", "1", "--table", "x.json"), _BOTH),
+        (("--table", "x.json", "--j", "1"), _BOTH),
+    ],
+)
+def test_fsz_source_errors_are_one_stderr_line(capsys, argv, message):
+    # The source is checked before any file is read, so x.json need not exist.
+    code, out, err = _run(capsys, "fsz", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

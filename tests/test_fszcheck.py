@@ -11,7 +11,6 @@ from fsz_forge.construction import b_power_table, build_b
 from fsz_forge.mixedmod import EndoMatrix, GroupParams
 from fsz_forge.gncount import (
     EnumerationLimitError,
-    element_orders,
     exponent,
     gn_count_bruteforce,
     gn_count_structured,
@@ -44,6 +43,7 @@ from fsz_forge.spgroup import (
     generator_b,
     identity_element,
     power_generic,
+    t_of_b_exponent,
 )
 
 P31 = GroupParams(3, 1)
@@ -73,7 +73,7 @@ def test_residue_witness_classes_crt_lift():
 
 def test_element_orders_of_every_class_rep_of_s51():
     G = SpjGroup(P51)
-    orders = element_orders(G)
+    orders = G.orders
     reps, _ = conjugacy_class_reps(G)
     assert [int(orders[r]) for r in reps] == [tf.scalar_order(G, G.to_element(r)) for r in reps]
     # Every order divides |G| = 3125, so the array is narrower than int64.
@@ -141,7 +141,7 @@ def test_conjugacy_class_reps_match_the_orbit_partition(seed):
 
 def test_conjugacy_class_reps_of_the_trivial_group():
     G = validate_table([[0]])
-    assert G.conjugation_arrays() == []
+    assert G.generators == ()
     assert conjugacy_class_reps(G) == ([0], [1]) == _orbit_partition(G)
 
 
@@ -165,8 +165,7 @@ def test_conjugacy_class_reps_from_a1_b_equal_those_from_every_generator(params,
     expected = conjugacy_class_reps(G)
     full = [generator_a(params, i) for i in range(1, params.dim + 1)] + [generator_b(params)]
     H = SpjGroup(params)
-    arrays = [H.conjugation_array(H.from_element(c)) for c in full]
-    monkeypatch.setattr(H, "conjugation_arrays", lambda: arrays)
+    monkeypatch.setattr(H, "generators", tuple(H.from_element(c) for c in full))
     assert conjugacy_class_reps(H) == expected
 
 
@@ -178,8 +177,7 @@ def test_conjugacy_class_reps_from_a1_b_equal_those_from_every_generator(params,
 def test_conjugacy_class_reps_ignore_the_generator_order(make, monkeypatch):
     G = make()
     expected = conjugacy_class_reps(G)
-    forward = G.conjugation_arrays
-    monkeypatch.setattr(G, "conjugation_arrays", lambda: forward()[::-1])
+    monkeypatch.setattr(G, "generators", G.generators[::-1])
     assert conjugacy_class_reps(G) == expected
 
 
@@ -397,7 +395,7 @@ def test_class_table_keeps_one_residue_per_pair(name):
     residue_witness_classes but -1, and the row holds their powers."""
     G = SWEEP_GROUPS[name]()
     reps, _, tstart, tm, tidx = _class_table(G)
-    orders = element_orders(G)
+    orders = G.orders
     for i, g in enumerate(reps.tolist()):
         og = int(orders[g])
         kept = tm[tstart[i] : tstart[i + 1]].tolist()
@@ -679,7 +677,7 @@ def test_reference_scan_takes_the_first_target_at_the_smallest_u(monkeypatch):
     # units preserve, so the first such row is that of a1, of order 9 with
     # five targets, and several of them differ there.
     def flat(G, bucket):
-        high = bucket.size and element_orders(G)[bucket].max() > 4
+        high = bucket.size and G.orders[bucket].max() > 4
         return np.full(G.N, int(bucket.sum()) if high else bucket.size)
 
     monkeypatch.setattr(fz, "_u_counts", flat)
@@ -743,17 +741,14 @@ def _per_element_consistency(G) -> np.ndarray:
     params = G.params
     p, pj = params.p, params.n
     row0 = b_power_table(params)[:, 0]
-    t_table_t, ic_t = structured_tables(params)
-    t_table = np.array(t_table_t, dtype=np.int64)
-    ic = np.array(ic_t, dtype=np.int64)
+    ic = np.array(structured_tables(params), dtype=np.int64)
     V, K = G.decode(np.arange(G.N, dtype=np.int64))
     Wv, Kb = G.inv(V, K)
     deltas = (Wv @ row0.T) % p
-    ic2 = ic[t_table[(np.arange(pj)[None, :] + Kb[:, None]) % pj]]
-    ic1 = ic[t_table]
+    ic2 = ic[(np.arange(pj)[None, :] + Kb[:, None]) % pj]
     out = np.empty((G.N, p - 1), dtype=np.int64)
     for rhs in range(1, p):
-        s1 = rhs * ic1 % p
+        s1 = rhs * ic % p
         s2 = (rhs * ic2 - deltas) % p
         out[:, rhs - 1] = (s1[None, :] == s2).sum(axis=1)
     return out
@@ -816,9 +811,20 @@ def test_structured_scan_matches_the_per_element_scan(p, j):
     assert got == full
 
 
-@pytest.mark.parametrize(
-    "p,j", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 4), (5, 3)]
-)
+CONSISTENCY_GRID = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 4), (5, 3)]
+
+
+@pytest.mark.parametrize("p,j", CONSISTENCY_GRID)
+def test_structured_tables_invert_the_coefficient_of_power_pj(p, j):
+    """Entry k is the inverse of c / p^j mod p for the t that power_pj
+    reads off b-exponent k: 1/2 at t = 0, 1 otherwise."""
+    params = GroupParams(p, j)
+    assert structured_tables(params) == tuple(
+        pow(2, -1, p) if t_of_b_exponent(params, k) == 0 else 1 for k in range(params.b_order)
+    )
+
+
+@pytest.mark.parametrize("p,j", CONSISTENCY_GRID)
 def test_consistency_columns_pair_s_with_p_minus_s(p, j):
     """Lemma 3 on the class table of the structured scan: the consistency
     numbers against a_1^{s p^j} and against its inverse a_1^{(p-s) p^j}

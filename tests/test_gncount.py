@@ -22,7 +22,6 @@ from fsz_forge.mixedmod import GroupParams, MixedVector, ParameterError, Verific
 from fsz_forge.gncount import (
     EnumerationLimitError,
     TableError,
-    element_orders,
     exponent,
     gn_count_bruteforce,
     gn_count_bruteforce_many,
@@ -281,7 +280,7 @@ def test_validate_table_accepts_group_tables():
         tf.random_group_table(rng),
     ):
         T = validate_table(table)
-        e = T.identity()
+        e = T.to_element(T.identity_index)
         assert all(T.multiply(e, x) == x == T.multiply(x, e) for x in range(T.order()))
         assert all(
             T.multiply(x, T.invert(x)) == e for x in range(T.order())
@@ -291,7 +290,7 @@ def test_validate_table_accepts_group_tables():
 def test_validate_table_finds_relabeled_identity():
     perm = [3, 0, 5, 1, 4, 2]
     T = validate_table(tf.relabel(tf.cyclic(6), perm))
-    assert T.identity() == perm[0]
+    assert T.to_element(T.identity_index) == perm[0]
 
 
 def test_validate_table_rejects_latin_violation():
@@ -423,7 +422,7 @@ def test_validate_table_finds_the_identity_of_a_relabelled_d6xc4():
     perm = list(range(len(table)))
     random.Random(48).shuffle(perm)
     T = validate_table(tf.relabel(table, perm))
-    assert T.identity() == perm[0]
+    assert T.to_element(T.identity_index) == perm[0]
     assert all(T.multiply(perm[0], x) == x == T.multiply(x, perm[0]) for x in range(T.order()))
 
 
@@ -535,7 +534,7 @@ def test_load_table_group_round_trip(tmp_path):
     T = load_table_group(str(path))
     assert T.order() == 2
     assert T.name == "Z2"
-    assert T.identity() == 0
+    assert T.to_element(T.identity_index) == 0
 
 
 def test_load_table_group_reports_json_position(tmp_path):
@@ -838,8 +837,7 @@ def test_table_group_power_and_orders(G, orders):
     els = [G.to_element(i) for i in range(G.N)]
     idx = G.from_element
     assert [idx(x) for x in els] == list(range(G.N))
-    assert els[G.identity_index] == G.identity()
-    assert tf.scalar_order(G, G.identity()) == 1
+    assert tf.scalar_order(G, els[G.identity_index]) == 1
     for i, order in orders.items():
         assert tf.scalar_order(G, els[i]) == order
     everyone = np.arange(G.N)
@@ -858,7 +856,7 @@ def test_table_group_power_and_orders(G, orders):
         assert [idx(G.power(x, n)) for x in els] == repeated
 
     scalar = [tf.scalar_order(G, x) for x in els]
-    assert element_orders(G).tolist() == scalar
+    assert G.orders.tolist() == scalar
     assert exponent(G) == math.lcm(*scalar)
 
 
@@ -898,7 +896,7 @@ def test_sweep_maps_match_scalar_methods(params, chunk, tail, monkeypatch):
         assert agrees(rightmul(G, x_idx), lambda a: G.multiply(a, x))
         assert agrees(G.conjugation_array(x_idx),
                       lambda a: G.multiply(G.multiply(x_inv, a), x))
-    orders = element_orders(G)
+    orders = G.orders
     assert [int(orders[i]) for i in positions] == [tf.scalar_order(G, a) for a in els]
     assert np.unique(orders).tolist() == [params.p ** i for i in range(params.j + 2)]
     assert exponent(G) == params.top_modulus
@@ -938,10 +936,9 @@ def test_sweep_equals_the_per_element_kernels(params, chunk, monkeypatch):
         assert np.array_equal(G.pow_index_array(n), expected), n
     assert np.array_equal(rightmul(G, x_idx), right)
     assert np.array_equal(G.conjugation_array(x_idx), conjugates[x_idx])
-    got = G.conjugation_arrays()
-    assert len(got) == len(G.generators) == 2
-    for perm, c in zip(got, G.generators):
-        assert np.array_equal(perm, conjugates[c]), c
+    assert len(G.generators) == 2
+    for c in G.generators:
+        assert np.array_equal(G.conjugation_array(c), conjugates[c]), c
 
 
 def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
@@ -949,17 +946,22 @@ def test_element_orders_rejects_a_walk_that_misses_the_identity(monkeypatch):
     # i -> i + 1 mod N: every index but 0 needs more than v = 4 steps to reach 0
     monkeypatch.setattr(G, "pow_index_array", lambda n: np.roll(np.arange(G.N), -1))
     with pytest.raises(VerificationError, match=r"x -> x\^3 on S\(3,1\).* in 4 steps"):
-        element_orders(G)
+        G.orders
     with pytest.raises(VerificationError, match="in 4 steps"):
         exponent(G)
+    # A walk that fails its check caches nothing: with the true power maps
+    # back, the orders are those of S(3,1), computed once and read-only.
+    monkeypatch.undo()
+    assert G.orders.tolist() == [tf.scalar_order(G, G.to_element(i)) for i in range(G.N)]
+    assert G.orders is G.orders
+    with pytest.raises(ValueError, match="read-only"):
+        G.orders[0] = 2
 
 
 @pytest.mark.parametrize("wrong", [3, 27], ids=["x^e-not-1", "x^(e/q)-all-1"])
 def test_exponent_rejects_a_value_the_power_maps_do_not_certify(wrong, monkeypatch):
-    import fsz_forge.gncount as gc
-
     # The exponent of S(3,1) is 9: a_1 has a_1^3 != 1, and x^27 = x^9 = 1 for all x.
     G = SpjGroup(P31)
-    monkeypatch.setattr(gc, "element_orders", lambda G: np.full(G.N, wrong))
+    monkeypatch.setattr(G, "orders", np.full(G.N, wrong))
     with pytest.raises(VerificationError, match=f"do not certify exponent {wrong}"):
         exponent(G)

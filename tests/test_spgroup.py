@@ -332,6 +332,6 @@ def test_group_handle():
     a1 = generator_a(P31, 1)
     assert tf.scalar_order(G, a1) == 9
     assert tf.scalar_order(G, generator_b(P31)) == 3
-    assert tf.scalar_order(G, G.identity()) == 1
+    assert tf.scalar_order(G, G.to_element(G.identity_index)) == 1
     assert G.describe_element(a1) == "a1^1"
     assert G.power(a1, 10) == G.multiply(a1, G.power(a1, 9))
