@@ -277,7 +277,7 @@ def verify_construction(params: GroupParams) -> tuple[CheckResult, ...]:
             CheckResult(
                 name,
                 not bad_k,
-                f"closed form matches mat_pow({base}, k) for k = 1..{top_k}"
+                f"closed form matches the computed {base}^k for k = 1..{top_k}"
                 if not bad_k
                 else f"disagreement at k = {bad_k}",
             )

@@ -66,7 +66,9 @@ every other g is skipped soundly.  The per-u counts come from the
 congruence analysis and depend only on the class of u given by its
 b-exponent k and v_0 mod p: row 0 of every B^m is e_0 mod p, so the
 correction term of the congruence is -v_0 mod p for every m.  A table of
-p^{j+1} classes thus stands for all |G| elements.  The premise is
+p^{j+1} classes thus stands for all |G| elements.  Only the target
+a_1^{p^j} needs comparing: an unequal pair of class (k, r) at a_1^{s p^j}
+is the unequal pair of class (k, r/s) at a_1^{p^j}.  The premise is
 checked at run time in gncount.structured_tables, on which this scan
 and the scalar structured counter both rest; it raises
 VerificationError when it fails.
@@ -88,7 +90,6 @@ from .spgroup import (
     EnumerationLimitError,
     SElement,
     SpjGroup,
-    element_at,
     generator_a,
     generator_b,
     multiply,
@@ -404,76 +405,56 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
     For every u the count against the central target a_1^{s p^j} is
     (number of consistent b-exponents) times a fixed positive constant,
     and by the lemma checked in structured_tables that number depends
-    only on the class (k, v_0 mod p) of u.  The scan compares, per s, the
-    column of the p^{j+1} class numbers; the smallest index in class
-    (k, r) is k |G| / p^j + r p^{dim-1}, so class order is index order and
-    the witness (smallest s, then u, then m) is that of a scan over every
-    element.  g outside the central subgroup contributes zero against
-    every power, hence never violates.  By Lemma 3 of the module
-    docstring, column s equals column p - s, so s and m run over
-    1..(p-1)/2 only: an unequal pair at s > (p-1)/2 recurs at p - s, and
-    an unequal m > (p-1)/2 at p - m, for the same u.  pairs_examined
-    counts the pairs that the whole scan covers, comparisons those made.
+    only on the class (k, v_0 mod p) of u: entry [k, r/s mod p] of the
+    consistency histogram for class (k, r).  g outside the central
+    subgroup contributes zero against every power, hence never violates.
+    By Lemma 3 of the module docstring, target s equals target p - s, so
+    s and m need only run over 1..(p-1)/2.
+
+    Only s = 1 is compared.  If class (k, r) at s and m has
+    hist[k, r/s] != hist[k, r/(s m)], class (k, r/s) at s = 1 and the same
+    m compares exactly those two entries.  So a scan over s stops at s = 1
+    if it stops at all, and its witness (smallest s, then u, then m) is
+    the first unequal entry at s = 1.  The smallest index in class (k, r)
+    is k |G| / p^j + r p^{dim-1}, so class order is index order and the
+    witness is that of a scan over every element.  The statistics are
+    those of the scan over every s that this lemma shortens: an FSZ
+    verdict counts its (p-1) |G| pairs and (p-1)/2 |G| len(ms)
+    comparisons, a witness the pairs and comparisons before it at s = 1.
     The witness counts are recounted by the scalar structured counter.
     """
     params = G.params
-    p, pj, d = params.p, params.n, params.dim
-    N = G.N
+    p, pj, N = params.p, params.n, G.N
     hist = _consistency_histogram(params)
     residues = np.arange(p)
-
-    def column(s: int) -> np.ndarray:
-        """Consistency numbers against a_1^{s p^j}, class (k, r) at k p + r."""
-        return hist[:, residues * pow(s, -1, p) % p].ravel()
-
-    per_m = pj * p ** (pj - 2)
     half = (p + 1) // 2
     ms = list(range(2, half))
-
-    for s in range(1, half):
-        col = column(s)
-        viol = np.zeros(pj * p, dtype=bool)
-        for m in ms:
-            viol |= col != column(s * m % p)
-        if not viol.any():
-            continue
-        c_idx = int(np.nonzero(viol)[0][0])
-        m_hit = next(m for m in ms if column(s * m % p)[c_idx] != col[c_idx])
-        k, r = divmod(c_idx, p)
-        u_idx = k * (N // pj) + r * p ** (d - 1)
-        u = element_at(params, u_idx)
-        g = _central_target(params, s)
-        gm = _central_target(params, s * m_hit % p)
-        count_g = gn_count_structured(params, u, g).count
-        count_gm = gn_count_structured(params, u, gm).count
-        if count_g != int(col[c_idx]) * per_m or count_gm != int(
-            column(s * m_hit % p)[c_idx]
-        ) * per_m:
-            raise VerificationError(
-                "scalar recount disagrees with the class table at the witness"
-            )
-        stats = {
-            "pairs_examined": (s - 1) * N + u_idx + 1,
-            "comparisons": ((s - 1) * N + u_idx) * len(ms) + ms.index(m_hit) + 1,
-            "central_targets": p - 1,
-            "skipped_by_support": N - p,
-        }
-        return FszVerdict(
-            group=G.describe(),
-            n=pj,
-            verdict=f"non-FSZ_{pj}",
-            witness=FszWitness(u, g, m_hit, count_g, count_gm),
-            statistics=stats,
-        )
+    viol = np.zeros(hist.shape, dtype=bool)
+    for m in ms:
+        viol |= hist != hist[:, residues * pow(m, -1, p) % p]
     stats = {
         "pairs_examined": (p - 1) * N,
         "comparisons": (half - 1) * N * len(ms),
         "central_targets": p - 1,
         "skipped_by_support": N - p,
     }
-    return FszVerdict(
-        group=G.describe(), n=pj, verdict=f"FSZ_{pj}", witness=None, statistics=stats
-    )
+    witness = None
+    if viol.any():
+        k, r = divmod(int(np.flatnonzero(viol)[0]), p)
+        m = next(m for m in ms if hist[k, r * pow(m, -1, p) % p] != hist[k, r])
+        u_idx = k * (N // pj) + r * p ** (params.dim - 1)
+        u, g = G.to_element(u_idx), _central_target(params, 1)
+        count_g = gn_count_structured(params, u, g).count
+        count_gm = gn_count_structured(params, u, _central_target(params, m)).count
+        per_m = pj * p ** (pj - 2)
+        if (count_g, count_gm) != (int(hist[k, r]) * per_m,
+                                   int(hist[k, r * pow(m, -1, p) % p]) * per_m):
+            raise VerificationError("scalar recount disagrees with the class table at the witness")
+        stats["pairs_examined"] = u_idx + 1
+        stats["comparisons"] = u_idx * len(ms) + m - 1
+        witness = FszWitness(u, g, m, count_g, count_gm)
+    verdict = f"FSZ_{pj}" if witness is None else f"non-FSZ_{pj}"
+    return FszVerdict(G.describe(), pj, verdict, witness, stats)
 
 
 def _designated_pair(params: GroupParams) -> tuple[SElement, SElement, SElement]:

@@ -57,15 +57,15 @@ def test_verify_passes_on_the_default_grid(capsys):
 # change to the output format or to a check, never a side effect.
 VERIFY_JSON_SHA256 = {
     ("verify", "--p", "3", "--j", "1"):
-        "915a513e8fd1ddf44fed70656085fe508c8513cdcbde03c0839f4f3e7a35551f",
+        "98e09f743e8f93c7b232b46268de16247d1506b38903a4e4ef5a05041b450138",
     ("verify", "--p", "5", "--j", "1"):
-        "4473376d42d5181f63cdab01f8c95ae437c16e5b0dd7a65c8b5f9e0e9a6209ae",
+        "68c4b2eb21586aec8fe7d26d748decd6ea5f004d2c3a684e70bd9a1a6c2d88c4",
     ("verify", "--p", "5", "--j", "2"):
-        "dd4332b47fa53c01a2a558c982ea2e664688d537f8f7bf0dc8c87a558062672a",
+        "246ecdc40b649ba32f4f6e55183f5bb41b13150affcc16d58892c1107e941fe6",
     ("verify", "--p", "7", "--j", "2", "--seed", "3"):
-        "3c0c1ac1f5446ea77de01ca8b7000cdf5a6102da7dec69fd80a3394b517ca062",
+        "034e3934270430f9b713096c5cb883c44e6e5e7a1da0af20bcd0ba50edbf933f",
     ("verify", "--p", "5", "--j", "3", "--seed", "3"):
-        "ae4a80b9244d37b4d5d13dccb14fa9ca0984df5c220cada980291582f088b373",
+        "ffd526d479abb6f1b2e20166434eb91f712d5aea25fd06107b3d15b0610fc0ca",
     ("selftest",):
         "95191ea25f37ebcc14810108bc3db3e10e034fcad7a5a9236bcd591c8e4eb040",
 }
@@ -81,13 +81,13 @@ def test_verify_and_selftest_json_bytes_are_pinned(capsys, argv):
 # sha256 of each call's stdout, each run alone in a fresh process.
 ONE_PROCESS_CALLS = [
     (("verify", "--p", "5", "--j", "1", "--seed", "7", "--format", "json"),
-     "4473376d42d5181f63cdab01f8c95ae437c16e5b0dd7a65c8b5f9e0e9a6209ae"),
+     "68c4b2eb21586aec8fe7d26d748decd6ea5f004d2c3a684e70bd9a1a6c2d88c4"),
     (("count", "--p", "3", "--j", "1", "--n", "3", "--u", "b a1", "--g", "a1^3", "--format", "json"),
      "8d1eedeaf5eea5f078f2c89d1890cf2413975eb8d8e2ca35e2bc7ada1a17c5e8"),
     (("fsz", "--p", "3", "--j", "1", "--format", "csv"),
      "cff1be719090561868059adb2bc946b610f98c0792c158ee771ce718ee3ff780"),
     (("verify", "--p", "3", "--j", "1"),
-     "f83b5d62612f0e304aa814c86a55d126dbcbf8bebe25c047cfc7d912335d9439"),
+     "e49c559f1d08812c989ce2683816d67dc103231907ae45a553d217a176d997d8"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -871,6 +872,109 @@ def test_complete_structured_verdict_beyond_the_limit(p, j):
     assert G.describe_element(w.g) == f"a1^{params.n}"
     assert (w.m, w.count_g) == (2, 0)
     assert w.count_gm == gn_count_structured(params, w.u, G.power(w.g, 2)).count > 0
+
+
+def _structured_scan_over_every_s(G) -> FszVerdict:
+    """The structured scan without the s = 1 lemma: it compares the class
+    columns at every central target a_1^{s p^j}, s = 1..(p-1)/2, and stops
+    at the first s with an unequal pair."""
+    import fsz_forge.fszcheck as fz
+
+    params = G.params
+    p, pj, d, N = params.p, params.n, params.dim, G.N
+    hist = fz._consistency_histogram(params)
+    residues = np.arange(p)
+
+    def column(s):
+        return hist[:, residues * pow(s, -1, p) % p].ravel()
+
+    per_m = pj * p ** (pj - 2)
+    half = (p + 1) // 2
+    ms = list(range(2, half))
+    stats = {"central_targets": p - 1, "skipped_by_support": N - p}
+    for s in range(1, half):
+        col = column(s)
+        viol = np.zeros(pj * p, dtype=bool)
+        for m in ms:
+            viol |= col != column(s * m % p)
+        if not viol.any():
+            continue
+        c_idx = int(np.nonzero(viol)[0][0])
+        m = next(m for m in ms if column(s * m % p)[c_idx] != col[c_idx])
+        k, r = divmod(c_idx, p)
+        u_idx = k * (N // pj) + r * p ** (d - 1)
+        u = element_at(params, u_idx)
+        count_g = fz.gn_count_structured(params, u, _central_target(params, s)).count
+        count_gm = fz.gn_count_structured(params, u, _central_target(params, s * m % p)).count
+        assert (count_g, count_gm) == (int(col[c_idx]) * per_m,
+                                       int(column(s * m % p)[c_idx]) * per_m)
+        stats["pairs_examined"] = (s - 1) * N + u_idx + 1
+        stats["comparisons"] = ((s - 1) * N + u_idx) * len(ms) + ms.index(m) + 1
+        witness = FszWitness(u, _central_target(params, s), m, count_g, count_gm)
+        return FszVerdict(G.describe(), pj, f"non-FSZ_{pj}", witness, stats)
+    stats["pairs_examined"] = (p - 1) * N
+    stats["comparisons"] = (half - 1) * N * len(ms)
+    return FszVerdict(G.describe(), pj, f"FSZ_{pj}", None, stats)
+
+
+def _random_consistency_histogram(rng, pj, p, perturbed):
+    """Rows constant on the nonzero residues, except that each row is
+    perturbed at a few random residues with probability perturbed."""
+    hist = np.empty((pj, p), dtype=np.int64)
+    for k in range(pj):
+        hist[k, 0] = rng.randrange(4)
+        hist[k, 1:] = rng.randrange(4)
+        if rng.random() < perturbed:
+            for r in rng.sample(range(1, p), rng.randrange(1, p)):
+                hist[k, r] = rng.randrange(4)
+    return hist
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("perturbed", [0.0, 0.05, 0.3, 1.0])
+def test_structured_scan_at_s_1_equals_the_scan_over_every_s(monkeypatch, p, perturbed):
+    """The s = 1 lemma of the structured scan on any histogram: verdict,
+    witness and statistics agree with the scan over every s.  The scalar
+    counter is replaced by one that reads the same histogram."""
+    import fsz_forge.fszcheck as fz
+
+    params = GroupParams(p, 1)
+    G = SpjGroup(params)
+    per_m = params.n * p ** (params.n - 2)
+    hist = None
+
+    def count_from_histogram(params, u, g):
+        s = g.vec.coords[0] // params.n % p
+        r = u.vec.coords[0] % p * pow(s, -1, p) % p
+        return SimpleNamespace(count=int(hist[u.k, r]) * per_m)
+
+    monkeypatch.setattr(fz, "_consistency_histogram", lambda params: hist)
+    monkeypatch.setattr(fz, "gn_count_structured", count_from_histogram)
+    rng = random.Random(p * 100 + int(perturbed * 100))
+    verdicts = set()
+    for _ in range(25):
+        hist = _random_consistency_histogram(rng, params.n, p, perturbed)
+        got = fz._structured_full_scan(G)
+        assert got.as_dict(G.describe_element) == \
+            _structured_scan_over_every_s(G).as_dict(G.describe_element)
+        verdicts.add(got.verdict)
+    # Rows constant on the nonzero residues are FSZ; perturbed rows find witnesses.
+    assert (verdicts == {f"FSZ_{p}"}) if perturbed == 0.0 else (f"non-FSZ_{p}" in verdicts)
+
+
+@pytest.mark.parametrize("p,j", [(p, 1) for p in range(5, 102) if all(p % q for q in range(2, p))]
+                         + [(5, 2), (7, 2), (11, 2), (13, 2)])
+def test_structured_scan_gives_the_closed_form_witness(p, j):
+    """S(p,j) is non-FSZ_{p^j} for every p > 3, at the pair (b a_1, a_1^{p^j})
+    with m = 2 and counts 0 and |G| / p^2."""
+    params = GroupParams(p, j)
+    G = SpjGroup(params)
+    verdict = check_fsz_n(G, params.n)
+    assert verdict.verdict == f"non-FSZ_{params.n}"
+    w = verdict.witness
+    assert G.describe_element(w.u) == "a1^1 b^1"
+    assert G.describe_element(w.g) == f"a1^{params.n}"
+    assert (w.m, w.count_g, w.count_gm) == (2, 0, G.N // p**2)
 
 
 @pytest.mark.parametrize("j", [2, 3])
