@@ -2,16 +2,19 @@
 
 A group is FSZ_n when the counts agree for every commuting pair (u,g)
 and every m coprime to the group order.  check_fsz_n decides each n by
-one of four routes:
+one of five routes, each named by its verdict's statistics["route"]:
 
 - lemma-coprime and lemma-exponent.  With e the exponent and d =
   gcd(n, e), FSZ_n holds when d = 1 or d = e (Lemma 1, proved at
   check_fsz_n), with no power map, class table or scan.  On S(p,j),
   e = p^{j+1} (Lemma 2, SpjGroup.exponent); a table reads e off its
-  power maps.  The verdict's statistics name the route.
+  power maps.
 - structured: S(p,j) at n = p^j, below.
-- generic: the class scan, for every other n.  Only this route
-  enumerates, so the 10^8 bound is checked only when some n needs it.
+- generic: the class scan, for every other n.  Of the reduced routes
+  only this one enumerates, so the 10^8 bound is checked only when
+  some n needs it.
+- reference: with reduction off, the reference scan below decides
+  every n, on groups of at most 4096 elements.
 
 Lemma 3, the +-m pairing: for u in C(g), |G_n(u, g)| = |G_n(u, g^-1)|.
 If a^n = (a u^-1)^n = g, then c = u a^-1 has c^n = ((a u^-1)^n)^-1 =
@@ -334,6 +337,7 @@ def _generic_scan(G, n: int) -> FszVerdict:
         "pairs_examined": sum(cent[:stop].tolist()) + extra_pairs,
         "comparisons": sum((cent * ntargets)[:stop].tolist()) + extra_comparisons,
         "conjugacy_classes": len(reps),
+        "route": "generic",
     }
     verdict = f"FSZ_{n}" if witness is None else f"non-FSZ_{n}"
     return FszVerdict(G.describe(), n, verdict, witness, stats)
@@ -369,7 +373,7 @@ def _reference_scan(G, n: int) -> FszVerdict:
         comparisons += centralizer.size * len(ms)
     verdict = f"FSZ_{n}" if witness is None else f"non-FSZ_{n}"
     return FszVerdict(G.describe(), n, verdict, witness,
-                      {"pairs_examined": pairs, "comparisons": comparisons})
+                      {"pairs_examined": pairs, "comparisons": comparisons, "route": "reference"})
 
 
 def _central_target(params: GroupParams, s: int) -> SElement:
@@ -437,6 +441,7 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
         "comparisons": (half - 1) * N * len(ms),
         "central_targets": p - 1,
         "skipped_by_support": N - p,
+        "route": "structured",
     }
     witness = None
     if viol.any():
@@ -472,15 +477,6 @@ def _reference_guard(G) -> None:
         )
 
 
-def _route(G, n: int) -> str:
-    d = math.gcd(n, G.exponent)
-    if d == 1:
-        return "lemma-coprime"
-    if d == G.exponent:
-        return "lemma-exponent"
-    return "structured" if isinstance(G, SpjGroup) and n == G.params.n else "generic"
-
-
 def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
     """Decide FSZ_n for one n, with a witness when the answer is no.
 
@@ -493,7 +489,8 @@ def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
     the set G_1(u, h) = {a : a = h = a u^-1} has [u = 1] elements, and
     at d = e, where every a^e = 1, G_e(u, h) is G when h = 1 and empty
     otherwise; neither count changes from h to h^m, so FSZ_n holds with
-    no scan.  Any other n is scanned at n itself.
+    no scan.  Any other n is scanned at n itself: by the structured scan
+    on S(p,j) at n = p^j, by the generic scan otherwise.
 
     With reduction off, the reference scan decides every n, with no
     lemma and every target.
@@ -503,13 +500,14 @@ def check_fsz_n(G, n: int, *, reduction: bool = True) -> FszVerdict:
     if not reduction:
         _reference_guard(G)
         return _reference_scan(G, n)
-    route = _route(G, n)
-    if route == "structured":
+    d = math.gcd(n, G.exponent)
+    if d in (1, G.exponent):
+        route = "lemma-coprime" if d == 1 else "lemma-exponent"
+        return FszVerdict(G.describe(), n, f"FSZ_{n}", None, {"route": route})
+    if isinstance(G, SpjGroup) and n == G.params.n:
         return _structured_full_scan(G)
-    if route == "generic":
-        _guard(G)
-        return _generic_scan(G, n)
-    return FszVerdict(G.describe(), n, f"FSZ_{n}", None, {"route": route})
+    _guard(G)
+    return _generic_scan(G, n)
 
 
 def check_fsz(G, *, reduction: bool = True) -> list[FszVerdict]:

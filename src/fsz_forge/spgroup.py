@@ -233,13 +233,12 @@ def _column0_orbit(params: GroupParams) -> np.ndarray:
     b^k a_1 b^-k = (B^k e_0, 0), so a_1 and b generate S(p,j) iff these
     columns generate the abelian part.
     """
-    B = build_b(params).array
     W = np.empty((params.dim, params.b_order), dtype=np.int64)
     w = np.zeros(params.dim, dtype=np.int64)
     w[0] = 1
     for k in range(params.b_order):
         W[:, k] = w
-        w = B @ w % params.row_moduli
+        w = _b_step(params)(w)
     return W
 
 

@@ -316,8 +316,8 @@ S71_FSZ_7_JSON = (
     '{"group": "S(7,1) (order 5764801)", "kind": "fsz", "overall": null, '
     '"verdicts": [{"group": "S(7,1) (order 5764801)", "n": 7, "statistics": '
     '{"central_targets": 6, "comparisons": 1680701, "pairs_examined": 840351, '
-    '"skipped_by_support": 5764794}, "verdict": "non-FSZ_7", "witness": '
-    '{"count_g": 0, "count_gm": 117649, "g": "a1^7", "m": 2, "u": "a1^1 b^1"}}]}\n'
+    '"route": "structured", "skipped_by_support": 5764794}, "verdict": "non-FSZ_7", '
+    '"witness": {"count_g": 0, "count_gm": 117649, "g": "a1^7", "m": 2, "u": "a1^1 b^1"}}]}\n'
 )
 S71_FSZ_7_TEXT = (
     "FSZ scan of S(7,1) (order 5764801)\n"

@@ -19,6 +19,7 @@ from fsz_forge.gncount import (
     validate_table,
 )
 from fsz_forge.fszcheck import (
+    NO_REDUCTION_LIMIT,
     FszVerdict,
     FszWitness,
     VerificationError,
@@ -255,6 +256,7 @@ def test_generic_scan_finds_the_5_1_witness():
             "comparisons": 9715751,
             "conjugacy_classes": 649,
             "pairs_examined": 1331376,
+            "route": "generic",
         },
     }
 
@@ -360,11 +362,49 @@ def test_n_with_a_proper_gcd_is_scanned_at_n_itself(monkeypatch):
     got = {n: check_fsz_n(G, n) for n in range(1, 2 * e + 1) if 1 < math.gcd(n, e) < e}
     for n, v in got.items():
         r = check_fsz_n(G, n, reduction=False)
-        assert "route" not in v.statistics
+        assert v.statistics["route"] == "generic"
         assert (v.verdict, v.witness) == (r.verdict, r.witness)
     # Reduced to gcd(6, 20) = 2, n = 6 would take the witness of n = 2.
     counts = lambda v: (v.witness.m, v.witness.count_g, v.witness.count_gm)
     assert counts(got[2]) == (7, 0, 1) and counts(got[6]) == (7, 1, 0)
+
+
+def _route_rule(G, n, e):
+    """The route that decides FSZ_n on G of exponent e."""
+    d = math.gcd(n, e)
+    if d == 1:
+        return "lemma-coprime"
+    if d == e:
+        return "lemma-exponent"
+    return "structured" if isinstance(G, SpjGroup) and n == G.params.n else "generic"
+
+
+# Each group with the n it is checked at, every n in 1..2e when None.
+# S(11,1) has 11^12 elements, past the enumeration limit, so its case
+# also shows that the structured route enumerates nothing.
+ROUTE_CASES = {
+    **{name: (make, None) for name, make in SWEEP_GROUPS.items()},
+    "S(5,1)": (lambda: SpjGroup(P51), None),
+    "S(7,1)": (lambda: SpjGroup(GroupParams(7, 1)), [7]),
+    "S(11,1)": (lambda: SpjGroup(GroupParams(11, 1)), [11]),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTE_CASES))
+def test_every_verdict_names_the_route_of_the_rule(name, monkeypatch):
+    """Reduced, and up to the reference scan's limit also not."""
+    import fsz_forge.fszcheck as fz
+
+    make, ns = ROUTE_CASES[name]
+    G = make()
+    # The generic n of S(5,1) would build histograms over 3125-element
+    # buckets for seconds each; no route reads them.
+    monkeypatch.setattr(fz, "_u_counts", _paired_fake_u_counts)
+    e = G.exponent
+    for n in range(1, 2 * e + 1) if ns is None else ns:
+        assert check_fsz_n(G, n).statistics["route"] == _route_rule(G, n, e), n
+        if G.N <= NO_REDUCTION_LIMIT:
+            assert check_fsz_n(G, n, reduction=False).statistics["route"] == "reference", n
 
 
 # The n from 1 to the exponent whose scan under _paired_fake_u_counts
@@ -417,14 +457,15 @@ def _lemma_entries(group, e, scanned, stats):
     """n = 1 and n = e by Lemma 1, every n of scanned by the class scan."""
     return [
         *_fsz_entries(group, [1], {"route": "lemma-coprime"}),
-        *_fsz_entries(group, scanned, stats),
+        *_fsz_entries(group, scanned, {**stats, "route": "generic"}),
         *_fsz_entries(group, [e], {"route": "lemma-exponent"}),
     ]
 
 
 # check_fsz output recorded before the class table and the skip rules,
 # then re-pinned for Lemmas 1 and 3: n = 1 and n = e carry only their
-# route, and comparisons count one target per +-m pair.  pairs_examined
+# route, and comparisons count one target per +-m pair; then for the
+# route that every scanned verdict names.  pairs_examined
 # is the sum of |C(g)| over the class reps; the D4 and random3 values
 # are that sum, computed by brute force.
 PINNED_FSZ = {
@@ -439,6 +480,7 @@ PINNED_FSZ = {
                 "central_targets": 4,
                 "comparisons": 3251,
                 "pairs_examined": 3251,
+                "route": "structured",
                 "skipped_by_support": 15620,
             },
         },
@@ -497,7 +539,8 @@ def test_v4_has_no_class_with_targets():
     V4 = validate_table(tf.dihedral(2), "V4")
     verdicts = [_generic_scan(V4, n) for n in (1, 2)]
     assert [v.as_dict() for v in verdicts] == _fsz_entries(
-        "V4", [1, 2], {"comparisons": 0, "conjugacy_classes": 4, "pairs_examined": 16}
+        "V4", [1, 2],
+        {"comparisons": 0, "conjugacy_classes": 4, "pairs_examined": 16, "route": "generic"},
     )
     plain = check_fsz(validate_table(tf.dihedral(2), "V4"), reduction=False)
     assert [(v.n, v.verdict, v.witness) for v in plain] == [
@@ -508,7 +551,8 @@ def test_v4_has_no_class_with_targets():
     D4 = validate_table(tf.dihedral(4), "D4")
     assert _class_table(D4)[3].size == 0
     assert check_fsz_n(D4, 2).as_dict() == _fsz_entries(
-        "D4", [2], {"comparisons": 0, "conjugacy_classes": 5, "pairs_examined": 28}
+        "D4", [2],
+        {"comparisons": 0, "conjugacy_classes": 5, "pairs_examined": 28, "route": "generic"},
     )[0]
 
 
@@ -664,6 +708,7 @@ def test_reference_scan_under_fake_histograms_is_pinned(name, monkeypatch):
         v = check_fsz_n(G, n, reduction=False).as_dict(G.describe_element)
         w, stats = v["witness"], v["statistics"]
         assert v["verdict"] == (f"FSZ_{n}" if w is None else f"non-FSZ_{n}")
+        assert stats.pop("route") == "reference"
         assert list(stats) == ["comparisons", "pairs_examined"]
         w = w and tuple(w[k] for k in ("u", "g", "m", "count_g", "count_gm"))
         rows.append((n, w, stats["pairs_examined"], stats["comparisons"]))
@@ -689,8 +734,9 @@ def test_reference_scan_takes_the_first_target_at_the_smallest_u(monkeypatch):
 
 
 @pytest.mark.parametrize("name,ns,stats", [
-    ("S(3,1)", [1, 3, 9], {"comparisons": 4536, "pairs_examined": 1377}),
-    ("D6xC4", [1, 2, 3, 4, 6, 12], {"comparisons": 1152, "pairs_examined": 1152}),
+    ("S(3,1)", [1, 3, 9], {"comparisons": 4536, "pairs_examined": 1377, "route": "reference"}),
+    ("D6xC4", [1, 2, 3, 4, 6, 12],
+     {"comparisons": 1152, "pairs_examined": 1152, "route": "reference"}),
 ])
 def test_reference_scan_needs_no_conjugacy_classes(name, ns, stats, monkeypatch):
     import fsz_forge.fszcheck as fz
@@ -767,7 +813,7 @@ def _per_element_scan(G, half: bool) -> FszVerdict:
     per_m = pj * p ** (pj - 2)
     top = (p + 1) // 2 if half else p
     ms = list(range(2, top))
-    stats = {"central_targets": p - 1, "skipped_by_support": N - p}
+    stats = {"central_targets": p - 1, "skipped_by_support": N - p, "route": "structured"}
     for s in range(1, top):
         col = consist[:, s - 1]
         viol = np.zeros(N, dtype=bool)
@@ -891,7 +937,7 @@ def _structured_scan_over_every_s(G) -> FszVerdict:
     per_m = pj * p ** (pj - 2)
     half = (p + 1) // 2
     ms = list(range(2, half))
-    stats = {"central_targets": p - 1, "skipped_by_support": N - p}
+    stats = {"central_targets": p - 1, "skipped_by_support": N - p, "route": "structured"}
     for s in range(1, half):
         col = column(s)
         viol = np.zeros(pj * p, dtype=bool)
