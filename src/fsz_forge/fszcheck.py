@@ -447,8 +447,8 @@ def _structured_full_scan(G: SpjGroup) -> FszVerdict:
     if viol.any():
         k, r = divmod(int(np.flatnonzero(viol)[0]), p)
         m = next(m for m in ms if hist[k, r * pow(m, -1, p) % p] != hist[k, r])
-        u_idx = k * (N // pj) + r * p ** (params.dim - 1)
-        u, g = G.to_element(u_idx), _central_target(params, 1)
+        u = SElement(MixedVector(params, r * generator_a(params, 1).vec.array), k)
+        u_idx, g = G.from_element(u), _central_target(params, 1)
         count_g = gn_count_structured(params, u, g).count
         count_gm = gn_count_structured(params, u, _central_target(params, m)).count
         per_m = pj * p ** (pj - 2)

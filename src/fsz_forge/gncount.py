@@ -292,7 +292,7 @@ def _scan_table(raw: bytes) -> tuple[dict, np.ndarray] | None:
         return None
     try:
         data = json.loads((raw[:start] + b"\n[]\n" + raw[stop:]).decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
     if not isinstance(data, dict) or data.get("table") != []:
         return None
@@ -360,6 +360,8 @@ def load_table_group(path: str) -> TableGroup:
         ) from exc
     except ValueError as exc:  # bytes that are not UTF-8, or a literal past int()'s digit limit
         raise TableError(f"{path}: unreadable JSON: {exc}") from exc
+    except RecursionError as exc:  # CPython's decoder recurses once per nested value
+        raise TableError(f"{path}: unreadable JSON: nested too deeply") from exc
     except OSError as exc:
         raise TableError(f"{path}: {exc.strerror or exc}") from exc
     data, grid = scanned

@@ -6,8 +6,9 @@ normal form stores q*b^k with 0 <= k < p^j, so two elements are equal iff
 their fields are equal.  The scalar product, inverse and parser apply B^k
 to their one int64 row as k sparse steps of B, and never build a power of
 B.  Besides generic square-and-multiply powering, power_pj evaluates
-p^j-th powers through the power-sum matrices Y(p^t), which is the
-structured route the counting layer depends on.
+p^j-th powers through the power-sum matrices Y(p^t), the closed form
+that verify checks on a sample and SpjGroup.exponent rests on; the
+structured counter does not call it, but rests on structured_tables.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class SElement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", self.k % self.vec.params.b_order)
-
-    @property
-    def params(self) -> GroupParams:
-        return self.vec.params
 
 
 @lru_cache(maxsize=None)
@@ -185,27 +182,6 @@ def format_element(params: GroupParams, x: SElement) -> str:
     if x.k:
         parts.append(f"b^{x.k}")
     return " ".join(parts) if parts else "e"
-
-
-@lru_cache(maxsize=None)
-def place_values(params: GroupParams) -> tuple[int, ...]:
-    """p^(dim-1-i) for coordinate i, as Python ints: exact past int64."""
-    return tuple(params.p ** (params.dim - 1 - i) for i in range(params.dim))
-
-
-def element_index(params: GroupParams, x: SElement) -> int:
-    """Position of x in the enumeration order, lexicographic on (k, coords)."""
-    tail = sum(c * w for c, w in zip(x.vec.coords, place_values(params)))
-    return x.k * (params.group_order // params.b_order) + tail
-
-
-def element_at(params: GroupParams, idx: int) -> SElement:
-    """Inverse of element_index."""
-    if not 0 <= idx < params.group_order:
-        raise ParameterError(f"element index {idx} out of range")
-    k, rem = divmod(idx, params.group_order // params.b_order)
-    coords = [rem // w % m for w, m in zip(place_values(params), params.row_moduli.tolist())]
-    return SElement(MixedVector(params, np.array(coords, dtype=np.int64)), k)
 
 
 @dataclass(frozen=True)
@@ -404,9 +380,9 @@ class SpjGroup(IndexGroup):
     """S(p,j) behind the group interface of IndexGroup.
 
     The scalar methods work on SElements.  The index kernels decode
-    enumeration indices (element_index) to (vector, b-exponent) arrays, run
-    mul or inv on those and encode the result.  _sweep runs its map on
-    (dim + 1) * p^j probe rows, and one affine pass maps every index.
+    enumeration indices to (vector, b-exponent) arrays, run mul or inv on
+    those and encode the result.  _sweep runs its map on (dim + 1) * p^j
+    probe rows, and one affine pass maps every index.
     """
 
     def __init__(self, params: GroupParams):
@@ -414,6 +390,8 @@ class SpjGroup(IndexGroup):
         self.N = params.group_order
         self.identity_index = 0
         self._abelian = self.N // params.b_order
+        # p^(dim-1-i) for coordinate i, as Python ints: exact past int64.
+        self._places = tuple(params.p ** (params.dim - 1 - i) for i in range(params.dim))
 
     @property
     def exponent(self) -> int:
@@ -442,10 +420,16 @@ class SpjGroup(IndexGroup):
         return format_element(self.params, x)
 
     def to_element(self, idx: int) -> SElement:
-        return element_at(self.params, idx)
+        """Inverse of from_element."""
+        if not 0 <= idx < self.N:
+            raise ParameterError(f"element index {idx} out of range")
+        k, rem = divmod(idx, self._abelian)
+        coords = [rem // w % m for w, m in zip(self._places, self.params.row_moduli.tolist())]
+        return SElement(MixedVector(self.params, np.array(coords, dtype=np.int64)), k)
 
     def from_element(self, x: SElement) -> int:
-        return element_index(self.params, x)
+        """The enumeration index of x, lexicographic on (k, coords)."""
+        return x.k * self._abelian + sum(c * w for c, w in zip(x.vec.coords, self._places))
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -456,8 +440,8 @@ class SpjGroup(IndexGroup):
 
     @cached_property
     def _place_values(self) -> np.ndarray:
-        """place_values in int64: the index of (V, K) is K * A + V @ _place_values."""
-        return np.array(place_values(self.params), dtype=np.int64)
+        """_places in int64: the index of (V, K) is K * A + V @ _place_values."""
+        return np.array(self._places, dtype=np.int64)
 
     def _mod(self, V: np.ndarray) -> np.ndarray:
         np.remainder(V, self.params.row_moduli, out=V)
@@ -467,7 +451,7 @@ class SpjGroup(IndexGroup):
         d = self.params.dim
         K, tail = np.divmod(idx.astype(np.int64), self._abelian)
         V = np.empty((len(idx), d), dtype=np.int64)
-        for i, w in enumerate(place_values(self.params)[:-1]):
+        for i, w in enumerate(self._places[:-1]):
             V[:, i], tail = np.divmod(tail, w)
         V[:, d - 1] = tail
         return V, K

@@ -434,6 +434,21 @@ def test_table_json_with_a_plain_value_error_exits_1(capsys, tmp_path, content):
     assert err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "content",
+    ['{"order": 1, "table": ' + "[" * 10000 + "]" * 10000 + "}",
+     '{"order": 1, "x": ' + '{"x": ' * 10000 + "0" + "}" * 10000 + ', "table": [[0]]}'],
+    ids=["nested table, read by json.load", "nested wrapper, parsed by _scan_table first"],
+)
+def test_deeply_nested_table_json_exits_1_without_a_traceback(capsys, tmp_path, content):
+    # CPython's JSON decoder raises RecursionError past the recursion limit.
+    path = tmp_path / "table.json"
+    path.write_text(content)
+    code, out, err = _run(capsys, "fsz", "--table", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: unreadable JSON: nested too deeply\n"
+
+
 def test_a_lone_surrogate_table_name_exits_1_in_every_format(tmp_path):
     # Real stdout, which cannot encode "\ud800": the name is refused before
     # any output.  The "extra" array sends the second file to json.load.

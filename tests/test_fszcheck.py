@@ -40,7 +40,6 @@ from fsz_forge.fszcheck import (
 from fsz_forge.spgroup import (
     DEFAULT_ENUMERATION_LIMIT,
     SpjGroup,
-    element_at,
     generator_a,
     generator_b,
     identity_element,
@@ -826,7 +825,7 @@ def _per_element_scan(G, half: bool) -> FszVerdict:
         stats["pairs_examined"] = (s - 1) * N + u_idx + 1
         stats["comparisons"] = ((s - 1) * N + u_idx) * len(ms) + ms.index(m) + 1
         witness = FszWitness(
-            element_at(params, u_idx), _central_target(params, s), m,
+            G.to_element(u_idx), _central_target(params, s), m,
             int(col[u_idx]) * per_m, int(consist[u_idx, s * m % p - 1]) * per_m,
         )
         return FszVerdict(G.describe(), pj, f"non-FSZ_{pj}", witness, stats)
@@ -949,7 +948,7 @@ def _structured_scan_over_every_s(G) -> FszVerdict:
         m = next(m for m in ms if column(s * m % p)[c_idx] != col[c_idx])
         k, r = divmod(c_idx, p)
         u_idx = k * (N // pj) + r * p ** (d - 1)
-        u = element_at(params, u_idx)
+        u = G.to_element(u_idx)
         count_g = fz.gn_count_structured(params, u, _central_target(params, s)).count
         count_gm = fz.gn_count_structured(params, u, _central_target(params, s * m % p)).count
         assert (count_g, count_gm) == (int(col[c_idx]) * per_m,
@@ -1011,8 +1010,9 @@ def test_structured_scan_at_s_1_equals_the_scan_over_every_s(monkeypatch, p, per
 @pytest.mark.parametrize("p,j", [(p, 1) for p in range(5, 102) if all(p % q for q in range(2, p))]
                          + [(5, 2), (7, 2), (11, 2), (13, 2)])
 def test_structured_scan_gives_the_closed_form_witness(p, j):
-    """S(p,j) is non-FSZ_{p^j} for every p > 3, at the pair (b a_1, a_1^{p^j})
-    with m = 2 and counts 0 and |G| / p^2."""
+    """S(p,j) is non-FSZ_{p^j} for every p > 3, at the pair (a_1 b, a_1^{p^j})
+    with m = 2 and counts 0 and |G| / p^2.  The witness is the first pair in
+    index order, so pairs_examined is one past the index of u."""
     params = GroupParams(p, j)
     G = SpjGroup(params)
     verdict = check_fsz_n(G, params.n)
@@ -1021,6 +1021,8 @@ def test_structured_scan_gives_the_closed_form_witness(p, j):
     assert G.describe_element(w.u) == "a1^1 b^1"
     assert G.describe_element(w.g) == f"a1^{params.n}"
     assert (w.m, w.count_g, w.count_gm) == (2, 0, G.N // p**2)
+    assert verdict.statistics["pairs_examined"] == G.from_element(w.u) + 1
+    assert G.to_element(verdict.statistics["pairs_examined"] - 1) == w.u
 
 
 @pytest.mark.parametrize("j", [2, 3])

@@ -13,8 +13,6 @@ from fsz_forge.spgroup import (
     ElementSyntaxError,
     SElement,
     SpjGroup,
-    element_at,
-    element_index,
     format_element,
     generator_a,
     generator_b,
@@ -90,7 +88,7 @@ def test_generators_and_formatting():
     assert format_element(P31, b) == "b^1"
     assert format_element(P31, identity_element(P31)) == "e"
     G = SpjGroup(P31)
-    assert G.generators == (element_index(P31, a1), element_index(P31, b))
+    assert G.generators == (G.from_element(a1), G.from_element(b))
 
 
 def test_parse_folds_factors_left_to_right():
@@ -228,21 +226,23 @@ def test_enumeration_is_a_bijection():
     assert len(elements) == P31.group_order == 81
     assert len(set(elements)) == 81
     assert elements[0] == identity_element(P31)
+    G = SpjGroup(P31)
     for idx, x in enumerate(elements):
-        assert element_index(P31, x) == idx
-        assert element_at(P31, idx) == x
+        assert G.from_element(x) == idx
+        assert G.to_element(idx) == x
 
 
 def test_enumeration_is_exact_past_int64():
     """At S(509,1), of order 509^510, the place values stay Python ints."""
     P = GroupParams(509, 1)
-    last = element_at(P, P.group_order - 1)
+    G = SpjGroup(P)
+    last = G.to_element(P.group_order - 1)
     assert last.k == P.b_order - 1
     assert last.vec.coords == (P.top_modulus - 1,) + (P.p - 1,) * (P.dim - 1)
     idx = random.Random(509).randrange(P.group_order)
-    assert element_index(P, element_at(P, idx)) == idx
+    assert G.from_element(G.to_element(idx)) == idx
     with pytest.raises(ParameterError, match="out of range"):
-        element_at(P, P.group_order)
+        G.to_element(P.group_order)
 
 
 @pytest.mark.parametrize("p,j,rows", [(3, 1, 200), (7, 2, 200), (509, 1, 129)])
